@@ -41,11 +41,7 @@ from .moment_angle import PairSpec, link_cohomology, maz_cohomology, s2s1_poinca
 from .support import SupportFunction, char_fn, compress_fn, delta, mu
 from .taylor import (
     TaylorComplex,
-    boundary_matrices,
     chain_product,
-    full_differential,
-    reduced_differential,
-    sigma_supports,
     taylor_complex,
 )
 from .tor import BigradedTor, TorClass, TorRing, tor_bigraded, zk_poincare
@@ -72,7 +68,6 @@ __all__ = [
     "TorRing",
     "ZZ",
     "baskakov_check",
-    "boundary_matrices",
     "chain_product",
     "char_fn",
     "complement_from_complex",
@@ -81,7 +76,6 @@ __all__ = [
     "compress_fn",
     "delta",
     "equivalent",
-    "full_differential",
     "full_mask",
     "full_subcomplex",
     "homology_at",
@@ -94,10 +88,8 @@ __all__ = [
     "popcount",
     "reduce_cycle",
     "reduced_cohomology",
-    "reduced_differential",
     "s2s1_poincare",
     "set_str",
-    "sigma_supports",
     "smith_normal_form",
     "star",
     "star_tor",

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .bitsets import mask_of, popcount, set_str, sort_key, vertices
+from .bitsets import MAX_AMBIENT, mask_of, popcount, set_str, sort_key, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
@@ -35,28 +33,9 @@ from .sampling import random_complement
 from .taylor import taylor_complex
 from .tor import TorRing, tor_bigraded, zk_poincare
 
-MAX_INPUT_AMBIENT = 24
-
 
 class InputError(Exception):
     """Malformed or out-of-range input document."""
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FACE_TOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_json(path: str):
@@ -93,8 +72,8 @@ def load_input(path: str) -> Complement:
     if "m" not in doc:
         raise InputError("m: missing")
     m = doc["m"]
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_INPUT_AMBIENT:
-        raise InputError(f"m: expected an integer in 1..{MAX_INPUT_AMBIENT}, got {m!r}")
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_AMBIENT:
+        raise InputError(f"m: expected an integer in 1..{MAX_AMBIENT}, got {m!r}")
     has_c = "complement" in doc
     has_f = "facets" in doc
     if has_c == has_f:
@@ -358,12 +337,9 @@ def _verify_complement(P: Complement, all_sigma: bool):
     else:
         sigmas = tc.supports()
 
-    def check_sigma(sigma):
-        results = []
-        if K.is_void:
-            oracle = None
-        else:
-            oracle = CochainComplex(full_subcomplex(K, sigma))
+    out = []
+    for sigma in sigmas:
+        oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
         qmax = max(tc.max_degree(sigma), popcount(sigma))
         for q in range(0, qmax + 1):
             groups = {}
@@ -379,12 +355,7 @@ def _verify_complement(P: Complement, all_sigma: bool):
                     "right": right_sig,
                 }
                 ok = ok and left.signature == right_sig
-            results.append((q, sigma, groups, ok))
-        return results
-
-    out = []
-    for chunk in _map_ordered(check_sigma, sigmas):
-        out.extend(chunk)
+            out.append((q, sigma, groups, ok))
     return out
 
 

@@ -29,8 +29,6 @@ from .bitsets import (
     vertices,
 )
 
-MAX_MEMBERS = 24
-
 
 @dataclass(frozen=True)
 class Complement:

@@ -1,10 +1,13 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-Smith normal form with explicit unimodular transforms, kernels and
-ranks over fields, homology groups of chain complex slices with
-representative cycles, and reduction of cycles to coordinates in a
-chosen homology basis.  Everything is arbitrary-precision: Python ints
-over Z and F_p, fractions.Fraction over Q.
+Smith normal form with explicit unimodular transforms, and homology
+groups of chain complex slices read off the integer invariant factors
+of their two boundary maps, whatever the coefficient ring.  Cycle
+representatives and the reduction of cycles to coordinates in a chosen
+homology basis are separate, for the product structure alone; they use
+row reduction over a field, written once for Q and F_p.  Everything is
+arbitrary-precision: Python ints over Z and F_p, fractions.Fraction
+over Q.
 """
 
 from __future__ import annotations
@@ -352,12 +355,10 @@ def snf_diagonal(M: Matrix) -> list[int]:
 
 @dataclass(frozen=True)
 class HomologyGroup:
-    """Finitely generated module: free rank, invariant factors > 1, and
-    integer cycle vectors spanning the free part in the block basis."""
+    """Finitely generated module: free rank and invariant factors > 1."""
 
     rank: int
     torsion: tuple[int, ...] = ()
-    representatives: tuple[tuple, ...] = ()
 
     @property
     def is_zero(self) -> bool:
@@ -373,103 +374,62 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+@dataclass(frozen=True)
+class HomologyBasis(HomologyGroup):
+    """A homology group together with integer cycle vectors spanning its
+    free part in the block basis (residues over F_p)."""
+
+    representatives: tuple[tuple, ...] = ()
+
+
 ZERO_GROUP = HomologyGroup(0)
+ZERO_BASIS = HomologyBasis(0)
 
 
-class _QOps:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(c):
-        return Fraction(c)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-class _FpOps:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, c):
-        return c % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-def _field_ops(coeff: CoefficientSpec):
-    if isinstance(coeff, Rationals):
-        return _QOps()
+def _modulus(coeff: CoefficientSpec) -> int:
+    """p for F_p and 0 for Q: the one argument the field routines take."""
     if isinstance(coeff, PrimeField):
-        return _FpOps(coeff.p)
+        return coeff.p
+    if isinstance(coeff, Rationals):
+        return 0
     raise ValueError(f"{coeff} is not a field")
 
 
-def _to_field_rows(M: Matrix, fo) -> list[list]:
-    return [[fo.from_int(x) for x in row] for row in M.rows]
+def _rref(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[tuple[int, int]]]:
+    """Reduced row echelon form over F_p, or over Q when p == 0.
 
-
-def _rref(rows: list[list], ncols: int, fo) -> tuple[list[list], list[tuple[int, int]]]:
-    rows = [r.copy() for r in rows]
+    Integer or rational input is copied into residues mod p or
+    Fractions; the pivots are (row, column) pairs.
+    """
+    if p:
+        rows = [[x % p for x in r] for r in rows]
+    else:
+        rows = [[Fraction(x) for x in r] for r in rows]
     pivots: list[tuple[int, int]] = []
     pr = 0
     for c in range(ncols):
         pv = None
         for r in range(pr, len(rows)):
-            if not fo.is_zero(rows[r][c]):
+            if rows[r][c]:
                 pv = r
                 break
         if pv is None:
             continue
         rows[pr], rows[pv] = rows[pv], rows[pr]
-        inv = fo.inv(rows[pr][c])
-        rows[pr] = [fo.mul(x, inv) for x in rows[pr]]
+        if p:
+            inv = pow(rows[pr][c], -1, p)
+            prow = [x * inv % p for x in rows[pr]]
+        else:
+            inv = 1 / rows[pr][c]
+            prow = [x * inv for x in rows[pr]]
+        rows[pr] = prow
         for r in range(len(rows)):
-            if r != pr and not fo.is_zero(rows[r][c]):
-                f = rows[r][c]
-                prow = rows[pr]
-                rows[r] = [fo.sub(x, fo.mul(f, y)) for x, y in zip(rows[r], prow)]
+            f = rows[r][c]
+            if r != pr and f:
+                if p:
+                    rows[r] = [(x - f * y) % p if y else x for x, y in zip(rows[r], prow)]
+                else:
+                    rows[r] = [x - f * y if y else x for x, y in zip(rows[r], prow)]
         pivots.append((pr, c))
         pr += 1
         if pr == len(rows):
@@ -478,43 +438,42 @@ def _rref(rows: list[list], ncols: int, fo) -> tuple[list[list], list[tuple[int,
 
 
 def field_rank(M: Matrix, coeff: CoefficientSpec) -> int:
-    fo = _field_ops(coeff)
-    _, pivots = _rref(_to_field_rows(M, fo), M.ncols, fo)
+    _, pivots = _rref(M.rows, M.ncols, _modulus(coeff))
     return len(pivots)
 
 
-def _nullspace_columns(M: Matrix, fo) -> list[list]:
+def _nullspace_columns(M: Matrix, p: int) -> list[list]:
     """Canonical nullspace basis (one vector per free column of the RREF)."""
-    rr, pivots = _rref(_to_field_rows(M, fo), M.ncols, fo)
+    rr, pivots = _rref(M.rows, M.ncols, p)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for f in range(M.ncols):
         if f in pivot_cols:
             continue
-        v = [fo.zero] * M.ncols
-        v[f] = fo.one
+        v = [0] * M.ncols
+        v[f] = 1
         for r, c in pivots:
-            v[c] = fo.neg(rr[r][f])
+            v[c] = -rr[r][f] % p if p else -rr[r][f]
         basis.append(v)
     return basis
 
 
-def _solve_columns(a_rows: list[list], na: int, b_rows: list[list], nb: int, fo):
+def _solve_columns(a_rows: list[list], na: int, b_rows: list[list], nb: int, p: int):
     """Solve A X = B columnwise; None if inconsistent.  Free variables are 0."""
     aug = [ar + br for ar, br in zip(a_rows, b_rows)]
-    rr, pivots = _rref(aug, na + nb, fo)
+    rr, pivots = _rref(aug, na + nb, p)
     if any(c >= na for _, c in pivots):
         return None
-    X = [[fo.zero] * nb for _ in range(na)]
+    X = [[0] * nb for _ in range(na)]
     for r, c in pivots:
         for j in range(nb):
             X[c][j] = rr[r][na + j]
     return X
 
 
-def _primitive_int_vector(vec: list, fo) -> tuple[int, ...]:
+def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    if isinstance(fo, _FpOps):
+    if p:
         return tuple(int(x) for x in vec)
     fracs = [Fraction(x) for x in vec]
     denom = 1
@@ -541,49 +500,74 @@ def _sign_normalized(vec: list[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _column_space_pivot_rows(X: list[list], ncols_x: int, k: int, fo) -> set[int]:
+def _column_space_pivot_rows(X: list[list], ncols_x: int, k: int, p: int) -> set[int]:
     """Leading coordinate positions of the column space of the k x n matrix X."""
     transposed = [[X[i][j] for i in range(k)] for j in range(ncols_x)]
-    _, pivots = _rref(transposed, k, fo)
+    _, pivots = _rref(transposed, k, p)
     return {c for _, c in pivots}
+
+
+def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
+    if d_out.ncols != d_in.nrows:
+        raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
+    if not (d_out @ d_in).is_zero():
+        raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
 
 
 def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:
     """ker(d_out) / im(d_in) at the middle term of  . --d_in--> . --d_out--> .
 
     d_in has shape (n, b), d_out has shape (a, n).  Raises ValueError
-    when the maps do not compose to zero.
+    when the maps do not compose to zero.  The group is read off the
+    integer invariant factors of the two maps: ker(d_out) is a direct
+    summand of Z^n containing im(d_in), so over Z the rank is n minus
+    both factor counts and the torsion is the factors of d_in above 1;
+    over F_p only the factors p does not divide count toward the ranks.
     """
-    if d_out.ncols != d_in.nrows:
-        raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
+    _check_chain_pair(d_in, d_out)
     n = d_out.ncols
     if n == 0:
         return ZERO_GROUP
+    out_factors = snf_diagonal(d_out)
+    in_factors = snf_diagonal(d_in)
+    if isinstance(coeff, PrimeField):
+        p = coeff.p
+        return HomologyGroup(
+            n - sum(1 for d in out_factors if d % p) - sum(1 for d in in_factors if d % p)
+        )
+    torsion = tuple(d for d in in_factors if d > 1) if isinstance(coeff, Integers) else ()
+    return HomologyGroup(n - len(out_factors) - len(in_factors), torsion)
+
+
+def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
+    """The group of homology_at together with cycle representatives of
+    its free part; only the product structure needs them."""
+    _check_chain_pair(d_in, d_out)
+    if d_out.ncols == 0:
+        return ZERO_BASIS
     if isinstance(coeff, Integers):
         return _homology_integers(d_in, d_out)
     return _homology_field(d_in, d_out, coeff)
 
 
-def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:
-    fo = _field_ops(coeff)
-    kernel = _nullspace_columns(d_out, fo)
+def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
+    p = _modulus(coeff)
+    kernel = _nullspace_columns(d_out, p)
     k = len(kernel)
     if k == 0:
-        return ZERO_GROUP
+        return ZERO_BASIS
     krows = [[kernel[j][i] for j in range(k)] for i in range(d_out.ncols)]
-    X = _solve_columns(krows, k, _to_field_rows(d_in, fo), d_in.ncols, fo)
+    X = _solve_columns(krows, k, d_in.rows, d_in.ncols, p)
     if X is None:
         raise ValueError("not a chain complex: image does not lie in the kernel")
-    pivot_rows = _column_space_pivot_rows(X, d_in.ncols, k, fo)
+    pivot_rows = _column_space_pivot_rows(X, d_in.ncols, k, p)
     reps = tuple(
-        _primitive_int_vector(kernel[j], fo) for j in range(k) if j not in pivot_rows
+        _primitive_int_vector(kernel[j], p) for j in range(k) if j not in pivot_rows
     )
-    return HomologyGroup(len(reps), (), reps)
+    return HomologyBasis(len(reps), (), reps)
 
 
-def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
+def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     n = d_out.ncols
     if d_out.is_zero():
         # kernel is everything; image coordinates are d_in itself
@@ -595,7 +579,7 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
         ker_positions = [j for j in range(n) if j >= rank_out]
         k = len(ker_positions)
         if k == 0:
-            return ZERO_GROUP
+            return ZERO_BASIS
         kernel_cols = [[st.v[i][j] for i in range(n)] for j in ker_positions]
         # coordinates of d_in columns in the kernel basis: the kernel rows
         # of Vinv @ d_in (the other rows must vanish by the chain condition)
@@ -641,12 +625,12 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyGroup:
                         for i in range(n):
                             vec[i] += c * col[i]
         reps.append(_sign_normalized(vec))
-    return HomologyGroup(k - rank_in, torsion, tuple(reps))
+    return HomologyBasis(k - rank_in, torsion, tuple(reps))
 
 
 def reduce_cycle(
     z: Sequence,
-    group: HomologyGroup,
+    group: HomologyBasis,
     boundaries: Matrix,
     coeff: CoefficientSpec,
 ) -> tuple:
@@ -661,14 +645,11 @@ def reduce_cycle(
     n = len(z)
     if boundaries.nrows != n:
         raise ValueError("boundary matrix does not match the chain length")
-    fo = _field_ops(QQ if isinstance(coeff, Integers) else coeff)
+    p = _modulus(QQ if isinstance(coeff, Integers) else coeff)
     reps = group.representatives
-    a_rows = [
-        [fo.from_int(rep[i]) for rep in reps] + [fo.from_int(x) for x in boundaries.rows[i]]
-        for i in range(n)
-    ]
-    b_rows = [[fo.from_int(z[i])] for i in range(n)]
-    X = _solve_columns(a_rows, len(reps) + boundaries.ncols, b_rows, 1, fo)
+    a_rows = [[rep[i] for rep in reps] + boundaries.rows[i] for i in range(n)]
+    b_rows = [[z[i]] for i in range(n)]
+    X = _solve_columns(a_rows, len(reps) + boundaries.ncols, b_rows, 1, p)
     if X is None:
         raise ValueError("not a cycle: no expression in representatives modulo boundaries")
     coords = [X[i][0] for i in range(len(reps))]

@@ -152,23 +152,6 @@ def taylor_complex(P: Complement) -> TaylorComplex:
     return TaylorComplex(P)
 
 
-def sigma_supports(P: Complement) -> list[int]:
-    """Distinct total subsets over all 2**s generators, sorted (card, lex)."""
-    return taylor_complex(P).supports()
-
-
-def reduced_differential(P: Complement, u: int) -> Chain:
-    return taylor_complex(P).reduced_differential(u)
-
-
-def boundary_matrices(P: Complement, sigma: int) -> list[Matrix]:
-    return taylor_complex(P).boundary_matrices(sigma)
-
-
-def full_differential(P: Complement, t: MonomialChain) -> MonomialChain:
-    return taylor_complex(P).full_differential(t)
-
-
 def generator_sign(u: int, v: int) -> int:
     """Koszul sign of merging two ordered generator monomials; 0 on overlap."""
     if u & v:

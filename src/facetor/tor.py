@@ -1,11 +1,13 @@
 """Bigraded Tor of the face ring, assembled from exterior-complex blocks.
 
 Each block (q, sigma) is the homology of the sigma slice of the reduced
-exterior complex.  The product of two classes is zero unless their
-supports are disjoint, in which case it is represented by the exterior
-product of representative cycles, reduced back to coordinates in the
-target block's basis.  Over Z the product is offered only in
-torsion-free blocks.
+exterior complex; BigradedTor keeps only its signature (rank, torsion).
+TorRing alone builds representative cycles, for the nonzero blocks.
+The product of two classes is zero unless their supports are disjoint,
+in which case it is represented by the exterior product of
+representative cycles, reduced back to coordinates in the target
+block's basis.  Over Z the product is offered only in torsion-free
+blocks.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from .bitsets import popcount, set_str, sort_key
 from .complexes import Complement
 from .linalg import (
     CoefficientSpec,
+    HomologyBasis,
     HomologyGroup,
     Integers,
     PrimeField,
+    ZERO_BASIS,
     ZERO_GROUP,
+    homology_representatives,
     is_field,
     reduce_cycle,
 )
@@ -105,9 +110,15 @@ class TorRing:
         self.tor = BigradedTor(complement, coeff)
         self.coeff = coeff
         self.taylor: TaylorComplex = self.tor.taylor
+        self._groups: dict[tuple[int, int], HomologyBasis] = {}
         basis: list[tuple[str, TorClass]] = []
         names_used: set[str] = set()
-        for (q, sigma), group in self.tor.blocks():
+        for (q, sigma), _ in self.tor.blocks():
+            group = self._groups[(q, sigma)] = homology_representatives(
+                self.taylor.boundary_matrix(sigma, q + 1),
+                self.taylor.boundary_matrix(sigma, q),
+                coeff,
+            )
             if isinstance(coeff, Integers) and group.rank == 0:
                 continue
             gens = self.taylor.generators(sigma, q)
@@ -133,6 +144,9 @@ class TorRing:
             name = f"{name}#{k}"
         return name
 
+    def _group(self, q: int, sigma: int) -> HomologyBasis:
+        return self._groups.get((q, sigma), ZERO_BASIS)
+
     def class_by_name(self, name: str) -> TorClass:
         return self.basis[self._name_index[name]][1]
 
@@ -146,7 +160,7 @@ class TorRing:
         chain = chain_product(a.chain_dict(), b.chain_dict())
         if not chain:
             return self._zero_class(q, sigma)
-        group = self.tor.group(q, sigma)
+        group = self._group(q, sigma)
         vec = self.taylor.chain_vector(chain, sigma, q)
         boundaries = self.taylor.boundary_matrix(sigma, q + 1)
         coords = reduce_cycle(vec, group, boundaries, self.coeff)
@@ -156,7 +170,7 @@ class TorRing:
         """Rebuild a class whose chain is the coordinate combination of
         the block representatives (used to test representative
         independence of products)."""
-        group = self.tor.group(q, sigma)
+        group = self._group(q, sigma)
         gens = self.taylor.generators(sigma, q)
         chain: Chain = {}
         for c, rep in zip(coords, group.representatives):
@@ -206,7 +220,7 @@ class TorRing:
         return table
 
     def _coords_terms(self, cls: TorClass) -> list[tuple[str, object]]:
-        group = self.tor.group(cls.q, cls.sigma)
+        group = self._group(cls.q, cls.sigma)
         names = [
             name
             for name, tc in self.basis

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from facetor.cli import main
+from facetor.taylor import taylor_complex
 
 FIG1_DOC = {"m": 5, "complement": [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]]}
 EX513_DOC = {"m": 6, "complement": [[1, 2], [3, 4], [5, 6]]}
@@ -262,10 +263,10 @@ class TestInputValidity:
         assert code == 3
         assert "void" in err
 
-    def test_thread_env_honored(self, capsys, fig1_path, monkeypatch):
-        monkeypatch.setenv("FACE_TOR_THREADS", "4")
+    def test_verify_output_deterministic(self, capsys, fig1_path):
         code, out, _ = run(capsys, "verify", fig1_path)
         assert code == 0
-        monkeypatch.setenv("FACE_TOR_THREADS", "1")
-        _, out1, _ = run(capsys, "verify", fig1_path)
+        taylor_complex.cache_clear()  # the second run recomputes every block
+        code1, out1, _ = run(capsys, "verify", fig1_path)
+        assert code1 == 0
         assert out == out1

@@ -8,11 +8,12 @@ from facetor.linalg import (
     QQ,
     ZZ,
     CapabilityError,
-    HomologyGroup,
+    HomologyBasis,
     Matrix,
     PrimeField,
     field_rank,
     homology_at,
+    homology_representatives,
     reduce_cycle,
     smith_normal_form,
     snf_diagonal,
@@ -96,7 +97,11 @@ def _chain_pair(rng, n_mid=5):
 
 class TestHomologyAt:
     def test_zero_maps_free_module(self):
-        g = homology_at(Matrix(3, 0), Matrix(0, 3), ZZ)
+        signature_only = homology_at(Matrix(3, 0), Matrix(0, 3), ZZ)
+        assert signature_only.signature == (3, ())
+        with pytest.raises(AttributeError):
+            signature_only.representatives
+        g = homology_representatives(Matrix(3, 0), Matrix(0, 3), ZZ)
         assert g.rank == 3 and g.torsion == ()
         assert list(g.representatives) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -114,8 +119,9 @@ class TestHomologyAt:
         assert (g.rank, g.torsion) == (1, (2,))
 
     def test_not_a_chain_complex(self):
-        with pytest.raises(ValueError, match="not a chain complex"):
-            homology_at(Matrix(1, 1, [[1]]), Matrix(1, 1, [[1]]), QQ)
+        for route in (homology_at, homology_representatives):
+            with pytest.raises(ValueError, match="not a chain complex"):
+                route(Matrix(1, 1, [[1]]), Matrix(1, 1, [[1]]), QQ)
 
     def test_rank_nullity_over_fields(self):
         rng = random.Random(5)
@@ -148,7 +154,8 @@ class TestHomologyAt:
         for _ in range(30):
             d_in, d_out = _chain_pair(rng)
             for coeff in (QQ, ZZ, PrimeField(2)):
-                g = homology_at(d_in, d_out, coeff)
+                g = homology_representatives(d_in, d_out, coeff)
+                assert len(g.representatives) == g.rank
                 p = coeff.p if isinstance(coeff, PrimeField) else None
                 for rep in g.representatives:
                     image = [
@@ -164,30 +171,33 @@ class TestReduceCycle:
     def setup_method(self):
         self.d_in = Matrix(3, 1, [[1], [-1], [0]])
         self.d_out = Matrix(0, 3)
-        self.group = homology_at(self.d_in, self.d_out, QQ)
+        self.group = homology_representatives(self.d_in, self.d_out, QQ)
 
     def test_representative_reduces_to_unit_vector(self):
+        assert len(self.group.representatives) == self.group.rank == 2
         for i, rep in enumerate(self.group.representatives):
             coords = reduce_cycle(rep, self.group, self.d_in, QQ)
             assert [int(c) for c in coords] == [1 if j == i else 0 for j in range(self.group.rank)]
 
     def test_boundary_reduces_to_zero(self):
         coords = reduce_cycle([2, -2, 0], self.group, self.d_in, QQ)
-        assert all(c == 0 for c in coords)
+        assert len(coords) == 2 and all(c == 0 for c in coords)
 
     def test_non_cycle_rejected(self):
         d_out = Matrix(1, 2, [[1, 1]])
-        group = homology_at(Matrix(2, 0), d_out, QQ)
+        group = homology_representatives(Matrix(2, 0), d_out, QQ)
+        assert len(group.representatives) == group.rank == 1
         with pytest.raises(ValueError, match="not a cycle"):
             reduce_cycle([1, 1], group, Matrix(2, 0), QQ)
 
     def test_torsion_over_integers_rejected(self):
-        group = HomologyGroup(0, (2,), ())
+        group = HomologyBasis(0, (2,), ())
         with pytest.raises(CapabilityError, match="torsion"):
             reduce_cycle([1], group, Matrix(1, 1, [[2]]), ZZ)
 
     def test_integer_coordinates(self):
-        group = homology_at(self.d_in, self.d_out, ZZ)
+        group = homology_representatives(self.d_in, self.d_out, ZZ)
+        assert len(group.representatives) == group.rank == 2
         coords = reduce_cycle([1, 0, 1], group, self.d_in, ZZ)
         assert all(isinstance(c, int) for c in coords)
         combo = [0, 0, 0]
@@ -215,7 +225,8 @@ def test_representatives_reduce_to_unit_vectors():
     for _ in range(30):
         d_in, d_out = _chain_pair(rng)
         for coeff in (QQ, PrimeField(3), ZZ):
-            g = homology_at(d_in, d_out, coeff)
+            g = homology_representatives(d_in, d_out, coeff)
+            assert len(g.representatives) == g.rank
             if isinstance(coeff, type(ZZ)) and g.torsion:
                 continue
             for i, rep in enumerate(g.representatives):
@@ -229,3 +240,17 @@ def test_rank_matches_over_q_and_fraction_free(M):
     r = field_rank(M, QQ)
     diag = snf_diagonal(M)
     assert r == len(diag)
+    # the identity F_p block signatures rely on
+    for p in (2, 3, 5):
+        assert field_rank(M, PrimeField(p)) == sum(d % p != 0 for d in diag)
+
+
+@given(st.randoms(use_true_random=False))
+def test_signature_matches_representatives_route(rng):
+    # homology_at reads (rank, torsion) off invariant factors alone; the
+    # elimination that builds representatives must agree on every ring
+    d_in, d_out = _chain_pair(rng)
+    for coeff in (QQ, PrimeField(2), PrimeField(3), ZZ):
+        g = homology_representatives(d_in, d_out, coeff)
+        assert len(g.representatives) == g.rank
+        assert homology_at(d_in, d_out, coeff).signature == g.signature
