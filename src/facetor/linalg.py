@@ -1,19 +1,23 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-Smith normal form with explicit unimodular transforms, and homology
-groups of chain complex slices read off the integer invariant factors
-of their two boundary maps, whatever the coefficient ring.  Cycle
-representatives and the reduction of cycles to coordinates in a chosen
-homology basis are separate, for the product structure alone; they use
-row reduction over a field, written once for Q and F_p.  Everything is
-arbitrary-precision: Python ints over Z and F_p, fractions.Fraction
-over Q.
+Homology groups of chain complex slices are read off the integer
+invariant factors of their two boundary maps, whatever the coefficient
+ring.  The factors come from sparse elimination on +-1 pivots followed
+by a dense Smith normal form of the unit-free residual, which is
+usually small or empty.  Cycle representatives and the reduction of
+cycles to coordinates in a chosen homology basis are separate, for the
+product structure alone; they use the dense Smith normal form with
+explicit unimodular transforms over Z, and row reduction over a field,
+written once for Q and F_p.  Everything is arbitrary-precision: Python
+ints over Z and F_p, fractions.Fraction over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -34,13 +38,45 @@ class Integers:
         return "Z"
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < n < _PRIME_LIMIT."""
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
         p = self.p
-        if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not isinstance(p, int) or p < 2:
+            raise ValueError(f"{p!r} is not a prime")
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"{p} is too large: primes are checked exactly only below {_PRIME_LIMIT}")
+        if not _is_prime(p):
             raise ValueError(f"{p!r} is not a prime")
 
     def __str__(self) -> str:
@@ -322,15 +358,19 @@ class _SnfState:
                 self.negate_row(i)
 
 
+def _check_invariant_factors(diag: list[int]) -> None:
+    """Raise unless diag is positive with d_1 | d_2 | ...; a kernel fault
+    would show here, so the check survives python -O."""
+    if any(d <= 0 for d in diag) or any(b % a for a, b in zip(diag, diag[1:])):
+        raise AssertionError(f"invariant factors out of order: {diag}")
+
+
 def _snf_state(M: Matrix, track_u: bool = True, track_v: bool = True) -> tuple[_SnfState, int]:
     st = _SnfState(M, track_u, track_v)
     rank = st.diagonalize()
     st.enforce_divisibility(rank)
     st.normalize_signs(rank)
-    if __debug__:
-        diag = [st.d[i][i] for i in range(rank)]
-        assert all(d > 0 for d in diag)
-        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    _check_invariant_factors([st.d[i][i] for i in range(rank)])
     return st, rank
 
 
@@ -347,10 +387,91 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return U, D, V
 
 
+def _sparse_rows(M: Matrix) -> list[dict[int, int]]:
+    """Column -> value for the nonzero entries of each row of M."""
+    index = list(range(M.ncols))  # reused int objects keep compress cheap
+    return [{j: row[j] for j in compress(index, row)} for row in M.rows]
+
+
+def _eliminate_units(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
+    """Pivot on +-1 entries of the sparse matrix (rows, cols) until none
+    is left; returns the number of pivots.
+
+    Each pivot is the unit of the shortest row whose column has the
+    fewest entries.  Clearing its column by row operations and then its
+    row by column operations (which touch nothing else) is unimodular,
+    so the matrix is equivalent to I_units plus the residual left in
+    rows and cols.
+    """
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, r = heappop(heap)
+        row = rows.get(r)
+        if row is None or len(row) != length:
+            continue  # stale: the row was eliminated or pushed again
+        pivot = None
+        fewest = 0
+        for j, x in row.items():
+            if (x == 1 or x == -1) and (pivot is None or len(cols[j]) < fewest):
+                pivot, fewest = j, len(cols[j])
+        if pivot is None:
+            continue  # pushed again if a later pivot changes the row
+        del rows[r]
+        u = row.pop(pivot)
+        for j in row:
+            cols[j].discard(r)
+        hit = cols.pop(pivot)
+        hit.discard(r)
+        for i in hit:
+            target = rows[i]
+            f = target.pop(pivot) * u
+            for j, x in row.items():
+                v = target.get(j, 0) - f * x
+                if v:
+                    if j not in target:
+                        cols[j].add(i)
+                    target[j] = v
+                else:
+                    del target[j]
+                    cols[j].discard(i)
+            if target:
+                heappush(heap, (len(target), i))
+            else:
+                del rows[i]
+        units += 1
+    return units
+
+
+def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors of the matrix with these sparse rows,
+    which are consumed.  Unit pivots come first, then the dense Smith
+    form of the unit-free residual: 1 for each unit pivot, followed by
+    the residual's factors, which 1 divides."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(sparse_rows):
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    diag = [1] * _eliminate_units(rows, cols)
+    if rows:
+        col_index = {j: k for k, j in enumerate(sorted(j for j, hit in cols.items() if hit))}
+        residual = Matrix(len(rows), len(col_index))
+        for dense, row in zip(residual.rows, rows.values()):
+            for j, x in row.items():
+                dense[col_index[j]] = x
+        st, rank = _snf_state(residual, track_u=False, track_v=False)
+        diag += [st.d[i][i] for i in range(rank)]
+    _check_invariant_factors(diag)
+    return diag
+
+
 def snf_diagonal(M: Matrix) -> list[int]:
     """Nonzero invariant factors of M, in divisibility order."""
-    st, rank = _snf_state(M, track_u=False, track_v=False)
-    return [st.d[i][i] for i in range(rank)]
+    return _invariant_factors(_sparse_rows(M))
 
 
 @dataclass(frozen=True)
@@ -507,11 +628,21 @@ def _column_space_pivot_rows(X: list[list], ncols_x: int, k: int, p: int) -> set
     return {c for _, c in pivots}
 
 
-def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
+def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Raise ValueError unless d_out @ d_in is defined and zero; returns
+    the sparse rows of d_in and d_out, read once for the check."""
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
+    in_rows = _sparse_rows(d_in)
+    out_rows = _sparse_rows(d_out)
+    for out_row in out_rows:
+        product: dict[int, int] = {}
+        for k, a in out_row.items():
+            for j, x in in_rows[k].items():
+                product[j] = product.get(j, 0) + a * x
+        if any(product.values()):
+            raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
+    return in_rows, out_rows
 
 
 def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:
@@ -524,12 +655,12 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
     both factor counts and the torsion is the factors of d_in above 1;
     over F_p only the factors p does not divide count toward the ranks.
     """
-    _check_chain_pair(d_in, d_out)
+    in_rows, out_rows = _check_chain_pair(d_in, d_out)
     n = d_out.ncols
     if n == 0:
         return ZERO_GROUP
-    out_factors = snf_diagonal(d_out)
-    in_factors = snf_diagonal(d_in)
+    out_factors = _invariant_factors(out_rows)
+    in_factors = _invariant_factors(in_rows)
     if isinstance(coeff, PrimeField):
         p = coeff.p
         return HomologyGroup(

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .bitsets import bit_positions, popcount, sort_key
 from .complexes import Complement
-from .linalg import CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
+from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
 
 MAX_GENERATORS = 24
 
@@ -40,7 +40,7 @@ class TaylorComplex:
 
     def __init__(self, complement: Complement):
         if complement.s > MAX_GENERATORS:
-            raise ValueError(
+            raise CapabilityError(
                 f"{complement.s} members exceed the supported maximum {MAX_GENERATORS}"
             )
         self.complement = complement

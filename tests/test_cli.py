@@ -263,6 +263,22 @@ class TestInputValidity:
         assert code == 3
         assert "void" in err
 
+    def test_member_limit_capability(self, capsys, tmp_path):
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"m": 5, "complement": [[1]] * 25}))
+        code, _, err = run(capsys, "tor", str(path))
+        assert code == 3
+        assert err.startswith("capability error: 25 members exceed")
+
+    def test_large_prime_coefficients(self, capsys, fig1_path):
+        code, out, _ = run(capsys, "tor", fig1_path, "--coeff", f"f:{2**61 - 1}")
+        assert code == 0
+        assert out.endswith("total rank 12\n")
+        with pytest.raises(SystemExit) as err:
+            main(["tor", fig1_path, "--coeff", f"f:{2**89 - 1}"])
+        assert err.value.code == 2
+        assert "too large" in capsys.readouterr().err
+
     def test_verify_output_deterministic(self, capsys, fig1_path):
         code, out, _ = run(capsys, "verify", fig1_path)
         assert code == 0

@@ -1,8 +1,9 @@
 import random
-from math import gcd
+import time
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from facetor.linalg import (
     QQ,
@@ -17,15 +18,17 @@ from facetor.linalg import (
     reduce_cycle,
     smith_normal_form,
     snf_diagonal,
+    _PRIME_LIMIT,
 )
 
 from helpers import bareiss_determinant, random_matrix
 
 
-def int_matrices(max_dim=6, bound=9):
+def int_matrices(max_dim=6, bound=9, entries=None):
+    entries = st.integers(-bound, bound) if entries is None else entries
     return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
         lambda shape: st.lists(
-            st.lists(st.integers(-bound, bound), min_size=shape[1], max_size=shape[1]),
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
             max_size=shape[0],
         ).map(lambda rows: Matrix(shape[0], shape[1], rows))
@@ -75,6 +78,40 @@ class TestSmithNormalForm:
         assert snf_diagonal(Matrix(2, 2)) == []
 
 
+# Boundary matrices are mostly 0 and +-1; the larger entries and the
+# unit-free block leave a residual for the dense Smith form.
+MOSTLY_UNIT_ENTRIES = (0,) * 8 + (1, -1) * 3 + (2, -2, 3, -3, 4, -4, 6)
+UNIT_FREE_ENTRIES = (0, 0, 0, 2, -2, 3, -3, 4, -4, 6)
+
+
+@st.composite
+def mostly_unit_matrices(draw):
+    """A mostly 0/+-1 matrix beside a unit-free block, with rows and
+    columns shuffled."""
+    a = draw(int_matrices(max_dim=7, entries=st.sampled_from(MOSTLY_UNIT_ENTRIES)))
+    b = draw(int_matrices(max_dim=3, entries=st.sampled_from(UNIT_FREE_ENTRIES)))
+    rows = [r + [0] * b.ncols for r in a.rows] + [[0] * a.ncols + r for r in b.rows]
+    nrows, ncols = a.nrows + b.nrows, a.ncols + b.ncols
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return Matrix(nrows, ncols, [[rows[i][j] for j in col_order] for i in row_order])
+
+
+@given(mostly_unit_matrices())
+@example(Matrix(0, 0))
+@example(Matrix(0, 4))
+@example(Matrix(3, 0))
+@example(Matrix(3, 3, [[1, 0, 0], [0, 0, 0], [1, 0, 0]]))
+@example(Matrix(2, 2, [[2, 4], [6, 8]]))
+@example(Matrix(4, 4, [[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 2, 4], [0, 0, 6, 8]]))
+def test_snf_diagonal_matches_dense_snf(M):
+    # unit pivots first, then the dense SNF on the residual, must give
+    # the diagonal of the retained dense SNF
+    _, D, _ = smith_normal_form(M)
+    dense = [D.rows[i][i] for i in range(min(M.nrows, M.ncols)) if D.rows[i][i]]
+    assert snf_diagonal(M) == dense
+
+
 def _chain_pair(rng, n_mid=5):
     """Random pair (d_in, d_out) with d_out @ d_in == 0: d_in factors
     through an integer kernel basis of d_out."""
@@ -122,6 +159,19 @@ class TestHomologyAt:
         for route in (homology_at, homology_representatives):
             with pytest.raises(ValueError, match="not a chain complex"):
                 route(Matrix(1, 1, [[1]]), Matrix(1, 1, [[1]]), QQ)
+
+    def test_chain_check_sums_products(self):
+        # [1, 1] . [1, -1]^T cancels to 0; [1, 1, 1] . [1, -1, 1]^T cancels
+        # only partly
+        for route in (homology_at, homology_representatives):
+            g = route(Matrix(2, 1, [[1], [-1]]), Matrix(1, 2, [[1, 1]]), ZZ)
+            assert g.signature == (0, ())
+            with pytest.raises(ValueError, match="not a chain complex: d_out composed with d_in is nonzero"):
+                route(Matrix(3, 1, [[1], [-1], [1]]), Matrix(1, 3, [[1, 1, 1]]), ZZ)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch: d_out is 1x2, d_in is 3x1"):
+            homology_at(Matrix(3, 1), Matrix(1, 2), QQ)
 
     def test_rank_nullity_over_fields(self):
         rng = random.Random(5)
@@ -254,3 +304,38 @@ def test_signature_matches_representatives_route(rng):
         g = homology_representatives(d_in, d_out, coeff)
         assert len(g.representatives) == g.rank
         assert homology_at(d_in, d_out, coeff).signature == g.signature
+
+
+def _accepted(n):
+    try:
+        PrimeField(n)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPrimeField:
+    def test_agrees_with_trial_division(self):
+        for n in range(10_000):
+            is_prime = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+            assert _accepted(n) == is_prime, n
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert PrimeField(2**61 - 1).p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprimes_rejected(self):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime
+        # to the bases 2, 3, 5 and 7
+        for n in (561, 3215031751):
+            with pytest.raises(ValueError, match="not a prime"):
+                PrimeField(n)
+
+    def test_beyond_exact_range_rejected(self):
+        # the bound is the least composite that passes all 13 bases; the
+        # prime 2^89 - 1 lies above it too
+        assert _PRIME_LIMIT == 1287836182261 * 2575672364521
+        for n in (_PRIME_LIMIT, 2**89 - 1):
+            with pytest.raises(ValueError, match="too large"):
+                PrimeField(n)

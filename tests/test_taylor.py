@@ -207,5 +207,7 @@ class TestExteriorProduct:
 def test_generator_cap():
     import pytest
 
-    with pytest.raises(ValueError):
+    from facetor.linalg import CapabilityError
+
+    with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
         taylor_complex(Complement(1, (1,) * 25))
