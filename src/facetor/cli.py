@@ -27,7 +27,7 @@ from .complexes import (
 )
 from .hochster import CochainComplex
 from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
-from .moment_angle import PairSpec, maz_cohomology
+from .moment_angle import PairSpec, maz_cohomology, star_tor
 from .polynomials import pstr, psorted, ptotal
 from .sampling import random_complement
 from .taylor import taylor_complex
@@ -267,7 +267,7 @@ def _cmd_star_link(args, which: str) -> int:
         raise CapabilityError("the void complex has no star or link")
     result = star(K, omega) if which == "star" else link(K, omega)
     if which == "star":
-        tor = tor_bigraded(compress(P, omega), args.coeff)
+        tor = star_tor(P, omega, args.coeff)
     else:
         if result.is_void:
             tor = tor_bigraded(Complement(P.m, (0,)), args.coeff)

@@ -4,12 +4,14 @@ Homology groups of chain complex slices are read off the integer
 invariant factors of their two boundary maps, whatever the coefficient
 ring.  The factors come from sparse elimination on +-1 pivots followed
 by a dense Smith normal form of the unit-free residual, which is
-usually small or empty.  Cycle representatives and the reduction of
-cycles to coordinates in a chosen homology basis are separate, for the
+usually small or empty.  Cycle representatives are separate, for the
 product structure alone; they use the dense Smith normal form with
 explicit unimodular transforms over Z, and row reduction over a field,
-written once for Q and F_p.  Everything is arbitrary-precision: Python
-ints over Z and F_p, fractions.Fraction over Q.
+written once for Q and F_p.  The same eliminations yield linear forms
+that test whether a vector is a cycle and read off its coordinates in
+the representative basis, so reducing a cycle takes dot products only.
+Everything is arbitrary-precision: Python ints over Z and F_p,
+fractions.Fraction over Q.
 """
 
 from __future__ import annotations
@@ -115,9 +117,6 @@ class Matrix:
         for i in range(n):
             M.rows[i][i] = 1
         return M
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.nrows, self.ncols, self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -498,13 +497,18 @@ class HomologyGroup:
 @dataclass(frozen=True)
 class HomologyBasis(HomologyGroup):
     """A homology group together with integer cycle vectors spanning its
-    free part in the block basis (residues over F_p)."""
+    free part in the block basis (residues over F_p), and linear forms
+    on the block: a vector is a cycle exactly when every relation
+    vanishes on it, and the coordinates of a cycle's class in the
+    representative basis are the values of the coordinate forms, one per
+    representative (over F_p, reduced mod p)."""
 
     representatives: tuple[tuple, ...] = ()
+    coordinates: tuple[tuple, ...] = ()
+    relations: tuple[tuple, ...] = ()
 
 
 ZERO_GROUP = HomologyGroup(0)
-ZERO_BASIS = HomologyBasis(0)
 
 
 def _modulus(coeff: CoefficientSpec) -> int:
@@ -563,33 +567,14 @@ def field_rank(M: Matrix, coeff: CoefficientSpec) -> int:
     return len(pivots)
 
 
-def _nullspace_columns(M: Matrix, p: int) -> list[list]:
-    """Canonical nullspace basis (one vector per free column of the RREF)."""
-    rr, pivots = _rref(M.rows, M.ncols, p)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(M.ncols):
-        if f in pivot_cols:
-            continue
-        v = [0] * M.ncols
-        v[f] = 1
-        for r, c in pivots:
-            v[c] = -rr[r][f] % p if p else -rr[r][f]
-        basis.append(v)
-    return basis
-
-
-def _solve_columns(a_rows: list[list], na: int, b_rows: list[list], nb: int, p: int):
-    """Solve A X = B columnwise; None if inconsistent.  Free variables are 0."""
-    aug = [ar + br for ar, br in zip(a_rows, b_rows)]
-    rr, pivots = _rref(aug, na + nb, p)
-    if any(c >= na for _, c in pivots):
-        return None
-    X = [[0] * nb for _ in range(na)]
+def _null_vector(rr: list[list], pivots: list[tuple[int, int]], f: int, ncols: int, p: int) -> list:
+    """The nullspace vector of a reduced row echelon form that is 1 at
+    the free column f and 0 at the other free columns."""
+    v = [0] * ncols
+    v[f] = 1
     for r, c in pivots:
-        for j in range(nb):
-            X[c][j] = rr[r][na + j]
-    return X
+        v[c] = -rr[r][f] % p if p else -rr[r][f]
+    return v
 
 
 def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
@@ -614,18 +599,14 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def _sign_normalized(vec: list[int]) -> tuple[int, ...]:
-    for x in vec:
-        if x:
-            return tuple(-y for y in vec) if x < 0 else tuple(vec)
-    return tuple(vec)
-
-
-def _column_space_pivot_rows(X: list[list], ncols_x: int, k: int, p: int) -> set[int]:
-    """Leading coordinate positions of the column space of the k x n matrix X."""
-    transposed = [[X[i][j] for i in range(k)] for j in range(ncols_x)]
-    _, pivots = _rref(transposed, k, p)
-    return {c for _, c in pivots}
+def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """sum(c * v) over the paired coefficients and length-n vectors."""
+    out = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return out
 
 
 def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
@@ -672,10 +653,9 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
 
 def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
     """The group of homology_at together with cycle representatives of
-    its free part; only the product structure needs them."""
+    its free part and the forms reduce_cycle evaluates; only the product
+    structure needs them."""
     _check_chain_pair(d_in, d_out)
-    if d_out.ncols == 0:
-        return ZERO_BASIS
     if isinstance(coeff, Integers):
         return _homology_integers(d_in, d_out)
     return _homology_field(d_in, d_out, coeff)
@@ -683,109 +663,77 @@ def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec
 
 def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
     p = _modulus(coeff)
-    kernel = _nullspace_columns(d_out, p)
-    k = len(kernel)
-    if k == 0:
-        return ZERO_BASIS
-    krows = [[kernel[j][i] for j in range(k)] for i in range(d_out.ncols)]
-    X = _solve_columns(krows, k, d_in.rows, d_in.ncols, p)
-    if X is None:
-        raise ValueError("not a chain complex: image does not lie in the kernel")
-    pivot_rows = _column_space_pivot_rows(X, d_in.ncols, k, p)
-    reps = tuple(
-        _primitive_int_vector(kernel[j], p) for j in range(k) if j not in pivot_rows
-    )
-    return HomologyBasis(len(reps), (), reps)
+    n = d_out.ncols
+    rr, pivots = _rref(d_out.rows, n, p)
+    pivot_cols = {c for _, c in pivots}
+    free = [f for f in range(n) if f not in pivot_cols]
+    # A cycle's coordinates in the nullspace basis are its entries at the
+    # free columns, so those of the image are the rows of d_in there.
+    image = [[d_in.rows[f][c] for f in free] for c in range(d_in.ncols)]
+    rr_image, image_pivots = _rref(image, len(free), p)
+    image_cols = {c for _, c in image_pivots}
+    reps = []
+    coordinates = []
+    for g, f in enumerate(free):
+        if g in image_cols:
+            continue
+        rep = _primitive_int_vector(_null_vector(rr, pivots, f, n, p), p)
+        # Modulo the image, a cycle with nullspace coordinates x is the sum
+        # of (v_g . x) e_g over the free columns g of rr_image, v_g the
+        # nullspace vector of rr_image at g; rep is rep[f] e_g, and
+        # rep[f] == 1 over F_p.
+        form = [0] * n
+        for h, x in zip(free, _null_vector(rr_image, image_pivots, g, len(free), p)):
+            form[h] = x if p else Fraction(x, rep[f])
+        reps.append(rep)
+        coordinates.append(tuple(form))
+    relations = tuple(tuple(rr[r]) for r, _ in pivots)
+    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates), relations)
 
 
 def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     n = d_out.ncols
-    if d_out.is_zero():
-        # kernel is everything; image coordinates are d_in itself
-        k = n
-        kernel_cols = None
-        X = d_in
-    else:
-        st, rank_out = _snf_state(d_out, track_u=False)
-        ker_positions = [j for j in range(n) if j >= rank_out]
-        k = len(ker_positions)
-        if k == 0:
-            return ZERO_BASIS
-        kernel_cols = [[st.v[i][j] for i in range(n)] for j in ker_positions]
-        # coordinates of d_in columns in the kernel basis: the kernel rows
-        # of Vinv @ d_in (the other rows must vanish by the chain condition)
-        rows = []
-        for j in range(n):
-            vrow = st.vinv[j]
-            row = [
-                sum(vrow[i] * d_in.rows[i][c] for i in range(n) if vrow[i])
-                for c in range(d_in.ncols)
-            ]
-            if j < rank_out:
-                if any(row):
-                    raise ValueError("not a chain complex: image does not lie in the kernel")
-            else:
-                rows.append(row)
-        X = Matrix(k, d_in.ncols, rows)
-    if X.ncols == 0 or X.is_zero():
-        rank_in = 0
-        torsion: tuple[int, ...] = ()
-        uinv2 = None
-    else:
-        st2, rank_in = _snf_state(X, track_v=False)
-        factors = [st2.d[i][i] for i in range(rank_in)]
-        torsion = tuple(f for f in factors if f > 1)
-        uinv2 = st2.uinv
+    st, rank_out = _snf_state(d_out, track_u=False)
+    # z = V (Vinv z), and d_out V is zero beyond its first rank_out
+    # columns, which are independent: z is a cycle exactly when the first
+    # rank_out entries of Vinv z vanish, and the others are its
+    # coordinates in the kernel basis of the remaining columns of V.
+    kernel_forms = st.vinv[rank_out:]
+    kernel_cols = [[row[j] for row in st.v] for j in range(rank_out, n)]
+    k = n - rank_out
+    X = Matrix(k, d_in.ncols, [_combine(v, d_in.rows, d_in.ncols) for v in kernel_forms])
+    # U2 X V2 = D2, so kernel coordinates x = Uinv2 (U2 x): the image is
+    # spanned by multiples of the first rank_in columns of Uinv2, and the
+    # class of x has coordinate (U2 x)_j on the column j beyond them
+    st2, rank_in = _snf_state(X, track_v=False)
+    torsion = tuple(d for d in (st2.d[i][i] for i in range(rank_in)) if d > 1)
     reps = []
+    coordinates = []
     for j in range(rank_in, k):
-        coeffs = [uinv2[t][j] for t in range(k)] if uinv2 is not None else None
-        if kernel_cols is None:
-            # kernel basis is the standard basis
-            if coeffs is None:
-                vec = [1 if i == j else 0 for i in range(n)]
-            else:
-                vec = coeffs
-        else:
-            vec = [0] * n
-            if coeffs is None:
-                vec = list(kernel_cols[j])
-            else:
-                for t, c in enumerate(coeffs):
-                    if c:
-                        col = kernel_cols[t]
-                        for i in range(n):
-                            vec[i] += c * col[i]
-        reps.append(_sign_normalized(vec))
-    return HomologyBasis(k - rank_in, torsion, tuple(reps))
+        vec = _combine([row[j] for row in st2.uinv], kernel_cols, n)
+        form = _combine(st2.u[j], kernel_forms, n)
+        sign = -1 if next(x for x in vec if x) < 0 else 1
+        reps.append(tuple(sign * x for x in vec))
+        coordinates.append(tuple(sign * x for x in form))
+    relations = tuple(tuple(row) for row in st.vinv[:rank_out])
+    return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates), relations)
 
 
-def reduce_cycle(
-    z: Sequence,
-    group: HomologyBasis,
-    boundaries: Matrix,
-    coeff: CoefficientSpec,
-) -> tuple:
+def _form_value(form: tuple, z: Sequence, p: int):
+    value = sum(a * x for a, x in zip(form, z, strict=True) if x)
+    return value % p if p else value
+
+
+def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> tuple:
     """Coordinates of the class of z in the group's representative basis.
 
-    Solves z = sum(c_i rep_i) + boundary exactly; the representative
-    part is unique because the representatives are independent modulo
-    boundaries.  Over Z this is only defined in torsion-free blocks.
+    z is a cycle exactly when every relation of the group vanishes on
+    it; each coordinate is then the value of one coordinate form (mod p
+    over F_p).  Over Z this is only defined in torsion-free blocks.
     """
     if isinstance(coeff, Integers) and group.torsion:
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
-    n = len(z)
-    if boundaries.nrows != n:
-        raise ValueError("boundary matrix does not match the chain length")
-    p = _modulus(QQ if isinstance(coeff, Integers) else coeff)
-    reps = group.representatives
-    a_rows = [[rep[i] for rep in reps] + boundaries.rows[i] for i in range(n)]
-    b_rows = [[z[i]] for i in range(n)]
-    X = _solve_columns(a_rows, len(reps) + boundaries.ncols, b_rows, 1, p)
-    if X is None:
+    p = coeff.p if isinstance(coeff, PrimeField) else 0
+    if any(_form_value(form, z, p) for form in group.relations):
         raise ValueError("not a cycle: no expression in representatives modulo boundaries")
-    coords = [X[i][0] for i in range(len(reps))]
-    if isinstance(coeff, Integers):
-        if any(c.denominator != 1 for c in coords):
-            raise AssertionError("non-integral coordinates in a torsion-free block")
-        return tuple(int(c) for c in coords)
-    return tuple(coords)
+    return tuple(_form_value(form, z, p) for form in group.coordinates)

@@ -2,12 +2,13 @@
 
 Each block (q, sigma) is the homology of the sigma slice of the reduced
 exterior complex; BigradedTor keeps only its signature (rank, torsion).
-TorRing alone builds representative cycles, for the nonzero blocks.
-The product of two classes is zero unless their supports are disjoint,
-in which case it is represented by the exterior product of
-representative cycles, reduced back to coordinates in the target
-block's basis.  Over Z the product is offered only in torsion-free
-blocks.
+TorRing alone builds representative cycles, for the nonzero blocks and
+for every block a product lands in.  The product of two classes is zero
+unless their supports are disjoint, in which case it is represented by
+the exterior product of representative cycles, reduced back to
+coordinates in the target block's basis by the block's linear forms,
+which also reject a product that is not a cycle.  Over Z the product is
+offered only in torsion-free blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .linalg import (
     HomologyGroup,
     Integers,
     PrimeField,
-    ZERO_BASIS,
     ZERO_GROUP,
     homology_representatives,
     is_field,
@@ -114,11 +114,7 @@ class TorRing:
         basis: list[tuple[str, TorClass]] = []
         names_used: set[str] = set()
         for (q, sigma), _ in self.tor.blocks():
-            group = self._groups[(q, sigma)] = homology_representatives(
-                self.taylor.boundary_matrix(sigma, q + 1),
-                self.taylor.boundary_matrix(sigma, q),
-                coeff,
-            )
+            group = self._group(q, sigma)
             if isinstance(coeff, Integers) and group.rank == 0:
                 continue
             gens = self.taylor.generators(sigma, q)
@@ -145,7 +141,16 @@ class TorRing:
         return name
 
     def _group(self, q: int, sigma: int) -> HomologyBasis:
-        return self._groups.get((q, sigma), ZERO_BASIS)
+        """Representatives and forms of any block, zero blocks included,
+        so that reduce_cycle can always reject a non-cycle."""
+        group = self._groups.get((q, sigma))
+        if group is None:
+            group = self._groups[(q, sigma)] = homology_representatives(
+                self.taylor.boundary_matrix(sigma, q + 1),
+                self.taylor.boundary_matrix(sigma, q),
+                self.coeff,
+            )
+        return group
 
     def class_by_name(self, name: str) -> TorClass:
         return self.basis[self._name_index[name]][1]
@@ -162,8 +167,7 @@ class TorRing:
             return self._zero_class(q, sigma)
         group = self._group(q, sigma)
         vec = self.taylor.chain_vector(chain, sigma, q)
-        boundaries = self.taylor.boundary_matrix(sigma, q + 1)
-        coords = reduce_cycle(vec, group, boundaries, self.coeff)
+        coords = reduce_cycle(vec, group, self.coeff)
         return TorClass(q, sigma, coords, _chain_key(chain))
 
     def class_from_coords(self, q: int, sigma: int, coords) -> TorClass:
@@ -189,21 +193,21 @@ class TorRing:
         rank = self.tor.group(q, sigma).rank
         return TorClass(q, sigma, (0,) * rank, ())
 
-    def multiplication_table(self, check_laws: bool = True) -> list[dict]:
+    def multiplication_table(self) -> list[dict]:
         """All pairwise products of basis classes, in basis coordinates.
 
         Entries are reported for unordered pairs (i <= j); graded
         commutativity, the unit law, and associativity on basis triples
-        are asserted along the way (associativity is skipped above a
-        desk-scale cap on the number of triples).
+        are checked along the way, raising AssertionError on a failure
+        (associativity is skipped above a desk-scale cap on the number of
+        triples).
         """
         n = len(self.basis)
         products: dict[tuple[int, int], TorClass] = {}
         for i in range(n):
             for j in range(n):
                 products[(i, j)] = self.product(self.basis[i][1], self.basis[j][1])
-        if check_laws:
-            self._assert_laws(products)
+        self._assert_laws(products)
         table = []
         for i in range(n):
             for j in range(i, n):
@@ -220,13 +224,12 @@ class TorRing:
         return table
 
     def _coords_terms(self, cls: TorClass) -> list[tuple[str, object]]:
-        group = self._group(cls.q, cls.sigma)
         names = [
             name
             for name, tc in self.basis
             if tc.q == cls.q and tc.sigma == cls.sigma
         ]
-        if len(names) != len(group.representatives):
+        if len(names) != len(cls.coords):
             names = [f"<{cls.q},{set_str(cls.sigma)}>[{i}]" for i in range(len(cls.coords))]
         return [(names[i], c) for i, c in enumerate(cls.coords) if c]
 
@@ -246,12 +249,14 @@ class TorRing:
                 ab = products[(i, j)]
                 ba = products[(j, i)]
                 sign = -1 if (classes[i].q * classes[j].q) % 2 else 1
-                assert ab.coords == self._scaled(ba.coords, sign), (
-                    f"graded commutativity fails at ({self.basis[i][0]}, {self.basis[j][0]})"
-                )
+                if ab.coords != self._scaled(ba.coords, sign):
+                    raise AssertionError(
+                        f"graded commutativity fails at ({self.basis[i][0]}, {self.basis[j][0]})"
+                    )
         if self.basis and classes[0].q == 0 and classes[0].sigma == 0:
             for j in range(n):
-                assert products[(0, j)].coords == classes[j].coords, "unit law fails"
+                if products[(0, j)].coords != classes[j].coords:
+                    raise AssertionError("unit law fails")
         positive = [i for i in range(n) if classes[i].q > 0]
         if len(positive) ** 3 > 20000:
             return
@@ -270,9 +275,8 @@ class TorRing:
                             products[(j, k)].q, products[(j, k)].sigma, products[(j, k)].coords
                         ),
                     )
-                    assert left.coords == right.coords, (
-                        f"associativity fails at triple ({i}, {j}, {k})"
-                    )
+                    if left.coords != right.coords:
+                        raise AssertionError(f"associativity fails at triple ({i}, {j}, {k})")
 
 
 def _bits_key(u: int) -> tuple[int, ...]:

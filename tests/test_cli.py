@@ -286,3 +286,25 @@ class TestInputValidity:
         code1, out1, _ = run(capsys, "verify", fig1_path)
         assert code1 == 0
         assert out == out1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tor",),
+        ("zk",),
+        ("ring",),
+        ("star", "--omega", "1"),
+        ("link", "--omega", "1"),
+        ("maz", "--preset", "s2s1"),
+        ("compress", "--omega", "1"),
+        ("verify",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_output_deterministic(capsys, fig1_path, argv):
+    first = run(capsys, argv[0], fig1_path, *argv[1:])
+    taylor_complex.cache_clear()  # the second run recomputes every block
+    second = run(capsys, argv[0], fig1_path, *argv[1:])
+    assert first[0] == 0
+    assert second == first

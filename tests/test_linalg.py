@@ -226,11 +226,11 @@ class TestReduceCycle:
     def test_representative_reduces_to_unit_vector(self):
         assert len(self.group.representatives) == self.group.rank == 2
         for i, rep in enumerate(self.group.representatives):
-            coords = reduce_cycle(rep, self.group, self.d_in, QQ)
+            coords = reduce_cycle(rep, self.group, QQ)
             assert [int(c) for c in coords] == [1 if j == i else 0 for j in range(self.group.rank)]
 
     def test_boundary_reduces_to_zero(self):
-        coords = reduce_cycle([2, -2, 0], self.group, self.d_in, QQ)
+        coords = reduce_cycle([2, -2, 0], self.group, QQ)
         assert len(coords) == 2 and all(c == 0 for c in coords)
 
     def test_non_cycle_rejected(self):
@@ -238,17 +238,29 @@ class TestReduceCycle:
         group = homology_representatives(Matrix(2, 0), d_out, QQ)
         assert len(group.representatives) == group.rank == 1
         with pytest.raises(ValueError, match="not a cycle"):
-            reduce_cycle([1, 1], group, Matrix(2, 0), QQ)
+            reduce_cycle([1, 1], group, QQ)
+
+    def test_zero_homology_block_with_cycles(self):
+        # ker d_out = im d_in = span(1, -1): no homology, but the forms
+        # still tell a boundary from a non-cycle
+        d_in = Matrix(2, 1, [[1], [-1]])
+        d_out = Matrix(1, 2, [[1, 1]])
+        for coeff in (QQ, PrimeField(2), PrimeField(3), ZZ):
+            group = homology_representatives(d_in, d_out, coeff)
+            assert group.rank == 0
+            assert reduce_cycle([3, -3], group, coeff) == ()
+            with pytest.raises(ValueError, match="not a cycle"):
+                reduce_cycle([1, 0], group, coeff)
 
     def test_torsion_over_integers_rejected(self):
         group = HomologyBasis(0, (2,), ())
         with pytest.raises(CapabilityError, match="torsion"):
-            reduce_cycle([1], group, Matrix(1, 1, [[2]]), ZZ)
+            reduce_cycle([1], group, ZZ)
 
     def test_integer_coordinates(self):
         group = homology_representatives(self.d_in, self.d_out, ZZ)
         assert len(group.representatives) == group.rank == 2
-        coords = reduce_cycle([1, 0, 1], group, self.d_in, ZZ)
+        coords = reduce_cycle([1, 0, 1], group, ZZ)
         assert all(isinstance(c, int) for c in coords)
         combo = [0, 0, 0]
         for c, rep in zip(coords, group.representatives):
@@ -280,9 +292,35 @@ def test_representatives_reduce_to_unit_vectors():
             if isinstance(coeff, type(ZZ)) and g.torsion:
                 continue
             for i, rep in enumerate(g.representatives):
-                coords = reduce_cycle(rep, g, d_in, coeff)
+                coords = reduce_cycle(rep, g, coeff)
                 expected = [1 if j == i else 0 for j in range(g.rank)]
                 assert [int(c) for c in coords] == expected
+
+
+@given(st.randoms(use_true_random=False))
+def test_reduce_cycle_reads_coordinates(rng):
+    # sum(c_i rep_i) + d_in y reduces to exactly c; adding a vector that
+    # d_out does not kill makes it a non-cycle
+    d_in, d_out = _chain_pair(rng)
+    n = d_out.ncols
+    for coeff in (QQ, PrimeField(2), PrimeField(3), ZZ):
+        g = homology_representatives(d_in, d_out, coeff)
+        if g.torsion:
+            continue
+        p = coeff.p if isinstance(coeff, PrimeField) else 0
+        c = [rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(g.rank)]
+        y = [rng.randint(-3, 3) for _ in range(d_in.ncols)]
+        z = [
+            sum(ci * rep[i] for ci, rep in zip(c, g.representatives))
+            + sum(d_in.rows[i][j] * y[j] for j in range(d_in.ncols))
+            for i in range(n)
+        ]
+        assert list(reduce_cycle(z, g, coeff)) == c
+        escaping = [i for i in range(n) if any(row[i] % p if p else row[i] for row in d_out.rows)]
+        if escaping:
+            z[escaping[0]] += 1
+            with pytest.raises(ValueError, match="not a cycle"):
+                reduce_cycle(z, g, coeff)
 
 
 @given(int_matrices(max_dim=5, bound=6))

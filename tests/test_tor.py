@@ -4,6 +4,7 @@ import pytest
 
 from facetor import (
     Complement,
+    TorClass,
     TorRing,
     minimalize,
     tor_bigraded,
@@ -173,6 +174,20 @@ class TestProducts:
             P = random_complement(rng, 5, 4, allow_empty_member=False)
             TorRing(P, QQ).multiplication_table()
             TorRing(P, PrimeField(3)).multiplication_table()
+
+    def test_broken_commutativity_raises(self, monkeypatch):
+        # the laws are contracts: they must fail loudly under python -O too
+        product = TorRing.product
+
+        def lopsided(self, a, b):
+            result = product(self, a, b)
+            if a.sigma == 0 and b.sigma != 0:
+                return TorClass(result.q, result.sigma, tuple(2 * c for c in result.coords), result.chain)
+            return result
+
+        monkeypatch.setattr(TorRing, "product", lopsided)
+        with pytest.raises(AssertionError, match="graded commutativity fails"):
+            TorRing(FIG1, QQ).multiplication_table()
 
 
 class TestFieldChoice:
