@@ -37,8 +37,7 @@ from .linalg import (
     reduce_cycle,
     smith_normal_form,
 )
-from .moment_angle import PairSpec, link_cohomology, maz_cohomology, s2s1_poincare, star_tor
-from .support import SupportFunction, char_fn, compress_fn, delta, mu
+from .moment_angle import PairSpec, link_cohomology, maz_cohomology, star_tor
 from .taylor import (
     TaylorComplex,
     chain_product,
@@ -62,19 +61,15 @@ __all__ = [
     "QQ",
     "Rationals",
     "SimplicialComplex",
-    "SupportFunction",
     "TaylorComplex",
     "TorClass",
     "TorRing",
     "ZZ",
     "baskakov_check",
     "chain_product",
-    "char_fn",
     "complement_from_complex",
     "complex_from_complement",
     "compress",
-    "compress_fn",
-    "delta",
     "equivalent",
     "full_mask",
     "full_subcomplex",
@@ -84,11 +79,9 @@ __all__ = [
     "mask_of",
     "maz_cohomology",
     "minimalize",
-    "mu",
     "popcount",
     "reduce_cycle",
     "reduced_cohomology",
-    "s2s1_poincare",
     "set_str",
     "smith_normal_form",
     "star",

@@ -30,7 +30,7 @@ from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
 from .moment_angle import PairSpec, maz_cohomology, star_tor
 from .polynomials import pstr, psorted, ptotal
 from .sampling import random_complement
-from .taylor import taylor_complex
+from .taylor import MAX_GENERATORS, taylor_complex
 from .tor import TorRing, tor_bigraded, zk_poincare
 
 
@@ -46,6 +46,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _vertex_lists(doc, field: str, m: int) -> list[list[int]]:
@@ -137,6 +139,22 @@ def _parse_field_coeff(text: str) -> CoefficientSpec:
     if coeff == ZZ:
         raise argparse.ArgumentTypeError("this command needs field coefficients (q or f:<p>)")
     return coeff
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi (no upper bound when hi is None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_omega(text: str, m: int) -> int:
@@ -518,10 +536,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true", help="machine-readable output")
     p_ver.add_argument("--all-sigma", action="store_true", help="sweep every subset, not just supports")
     p_ver.add_argument("--random", action="store_true", help="randomized sweep instead of a file")
-    p_ver.add_argument("--trials", type=int, default=50)
+    p_ver.add_argument("--trials", type=_int_in(0), default=50)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-m", type=int, default=6)
-    p_ver.add_argument("--max-s", type=int, default=4)
+    p_ver.add_argument("--max-m", type=_int_in(1, MAX_AMBIENT), default=6)
+    p_ver.add_argument("--max-s", type=_int_in(0, MAX_GENERATORS), default=4)
     p_ver.set_defaults(fn=_cmd_verify)
 
     return parser

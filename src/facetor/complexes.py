@@ -23,7 +23,6 @@ from .bitsets import (
     check_subset,
     full_mask,
     mask_of,
-    popcount,
     sort_key,
     subsets_of,
     vertices,
@@ -115,12 +114,6 @@ class SimplicialComplex:
             for sub in subsets_of(f):
                 seen.add(sub)
         return sorted(seen, key=sort_key)
-
-    def dim(self) -> int:
-        """Top face dimension; -1 for EMPTY.  Undefined for VOID."""
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(popcount(f) for f in self.facets) - 1
 
     def facet_vertex_lists(self) -> list[list[int]]:
         return [list(vertices(f)) for f in self.facets]

@@ -4,7 +4,9 @@ Homology groups of chain complex slices are read off the integer
 invariant factors of their two boundary maps, whatever the coefficient
 ring.  The factors come from sparse elimination on +-1 pivots followed
 by a dense Smith normal form of the unit-free residual, which is
-usually small or empty.  Cycle representatives are separate, for the
+usually small or empty.  A matrix keeps its factors once computed, so a
+map shared by two neighbouring blocks, or read over several rings, is
+factored once.  Cycle representatives are separate, for the
 product structure alone; they use the dense Smith normal form with
 explicit unimodular transforms over Z, and row reduction over a field,
 written once for Q and F_p.  The same eliminations yield linear forms
@@ -96,9 +98,16 @@ def is_field(coeff: CoefficientSpec) -> bool:
 
 
 class Matrix:
-    """Dense matrix with explicit shape (shape survives zero dimensions)."""
+    """Dense matrix with explicit shape (shape survives zero dimensions).
 
-    __slots__ = ("nrows", "ncols", "rows")
+    factors holds the nonzero invariant factors once snf_diagonal or
+    homology_at has computed them, and None before.  A matrix must not
+    be changed after its factors are read; TaylorComplex.boundary_matrix,
+    CochainComplex.delta and Matrix.identity fill the rows right after
+    construction.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "factors")
 
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
@@ -110,6 +119,7 @@ class Matrix:
             if len(rows) != nrows or any(len(r) != ncols for r in rows):
                 raise ValueError("row data does not match the declared shape")
         self.rows = rows
+        self.factors: tuple[int, ...] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -468,9 +478,16 @@ def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
     return diag
 
 
+def _factors(M: Matrix, sparse_rows: list[dict[int, int]]) -> tuple[int, ...]:
+    """M.factors, computed from M's sparse rows (consumed) on first use."""
+    if M.factors is None:
+        M.factors = tuple(_invariant_factors(sparse_rows))
+    return M.factors
+
+
 def snf_diagonal(M: Matrix) -> list[int]:
     """Nonzero invariant factors of M, in divisibility order."""
-    return _invariant_factors(_sparse_rows(M))
+    return list(M.factors if M.factors is not None else _factors(M, _sparse_rows(M)))
 
 
 @dataclass(frozen=True)
@@ -640,8 +657,8 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
     n = d_out.ncols
     if n == 0:
         return ZERO_GROUP
-    out_factors = _invariant_factors(out_rows)
-    in_factors = _invariant_factors(in_rows)
+    out_factors = _factors(d_out, out_rows)
+    in_factors = _factors(d_in, in_rows)
     if isinstance(coeff, PrimeField):
         p = coeff.p
         return HomologyGroup(

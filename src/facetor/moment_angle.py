@@ -5,9 +5,8 @@ polynomials of a pair (X_i, A_i).  The answer is assembled face by
 face: each face omega contributes the block homology of the
 omega-compressed complement, shifted by |tau| - q and tensored with one
 reduced X class per vertex of omega and one reduced A class per vertex
-of tau.  Summation can be pruned to faces because compressing by a
-non-face puts the empty set into the complement and kills every block;
-a debug mode walks all of 2^[m] and checks that vanishing.
+of tau.  Summation is pruned to faces because compressing by a
+non-face puts the empty set into the complement and kills every block.
 """
 
 from __future__ import annotations
@@ -67,29 +66,15 @@ class PairSpec:
         return {deg: rank for deg, rank in self.a_polys[i] if rank}
 
 
-def maz_cohomology(
-    P: Complement,
-    pairs: PairSpec,
-    coeff: CoefficientSpec,
-    check_all_omega: bool = False,
-) -> Poly:
+def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Poly:
     """Graded dimensions of the moment-angle cohomology, degree -> rank."""
     if not is_field(coeff):
         raise ValueError("graded dimensions need field coefficients")
     if pairs.m != P.m:
         raise ValueError(f"pair spec covers {pairs.m} vertices, ambient is {P.m}")
-    K = complex_from_complement(P)
-    if check_all_omega:
-        omegas = list(range(1 << P.m))
-    else:
-        omegas = K.faces()
     acc: Poly = {}
-    for omega in omegas:
+    for omega in complex_from_complement(P).faces():
         tor = tor_bigraded(compress(P, omega), coeff)
-        if check_all_omega and not K.has_face(omega):
-            if tor.entries:
-                raise AssertionError("nonzero block survived compression by a non-face")
-            continue
         x_factor: Poly = {0: 1}
         for v in vertices(omega):
             x_factor = pmul(x_factor, pairs.x_poly(v - 1))
@@ -104,22 +89,6 @@ def maz_cohomology(
             for v in vertices(tau):
                 contrib = pmul(contrib, pairs.a_poly(v - 1))
             acc = padd(acc, contrib)
-    return dict(sorted(acc.items()))
-
-
-def s2s1_poincare(P: Complement, coeff: CoefficientSpec) -> Poly:
-    """(S^2, S^1) graded dimensions straight from the degree rule
-    2|omega| + 2|tau| - q; an independent path cross-checking
-    maz_cohomology with the sphere pair spec."""
-    if not is_field(coeff):
-        raise ValueError("graded dimensions need field coefficients")
-    K = complex_from_complement(P)
-    acc: Poly = {}
-    for omega in K.faces():
-        tor = tor_bigraded(compress(P, omega), coeff)
-        for (q, tau), group in tor.entries.items():
-            deg = 2 * popcount(omega) + 2 * popcount(tau) - q
-            acc = padd(acc, {deg: group.rank})
     return dict(sorted(acc.items()))
 
 

@@ -7,25 +7,10 @@ import random
 from .complexes import Complement
 
 
-def random_complement(
-    rng: random.Random,
-    max_m: int,
-    max_s: int,
-    allow_empty_member: bool = True,
-) -> Complement:
+def random_complement(rng: random.Random, max_m: int, max_s: int) -> Complement:
     """Uniform-ish random complement: ambient in 1..max_m, 0..max_s
     members drawn uniformly from the power set (so the empty member,
     which voids the complex, shows up occasionally)."""
     m = rng.randint(1, max_m)
     s = rng.randint(0, max_s)
-    members = []
-    for _ in range(s):
-        mem = rng.getrandbits(m)
-        if mem == 0 and not allow_empty_member:
-            mem = 1 << rng.randrange(m)
-        members.append(mem)
-    return Complement(m, tuple(members))
-
-
-def random_subset(rng: random.Random, m: int) -> int:
-    return rng.getrandbits(m)
+    return Complement(m, tuple(rng.getrandbits(m) for _ in range(s)))

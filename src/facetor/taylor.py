@@ -5,13 +5,13 @@ union of the selected members and its bidegree is (popcount, total).
 The reduced differential deletes one selected member at a time, keeps
 only the terms whose total subset is unchanged, and signs the i-th
 deletion (1-based, members in increasing position order) with (-1)^i.
-The full differential on generators tensored with monomials keeps every
-term, weighting it by the monomial on the lost vertices; it exists here
-for cross-checks only.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
-chain complex of free modules with integer matrices.
+chain complex of free modules with integer matrices.  A complex builds
+each boundary matrix on first request and keeps it, together with the
+invariant factors linalg computes for it, for as long as the complex
+lives; taylor_complex keeps recently used complexes.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZER
 
 MAX_GENERATORS = 24
 
-# chains are dicts generator-mask -> coefficient; monomial chains are
-# dicts (generator-mask, exponent-tuple) -> coefficient
+# chains are dicts generator-mask -> coefficient
 
 Chain = dict
-MonomialChain = dict
-
-
-def _index_key(u: int) -> tuple[int, ...]:
-    return bit_positions(u)
 
 
 class TaylorComplex:
@@ -57,7 +51,7 @@ class TaylorComplex:
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         for blocks in by_support.values():
             for gens in blocks.values():
-                gens.sort(key=_index_key)
+                gens.sort(key=bit_positions)
         self._by_support = by_support
         self._matrices: dict[tuple[int, int], Matrix] = {}
 
@@ -123,28 +117,6 @@ class TaylorComplex:
                 raise ValueError("chain term outside the requested block")
             vec[index[u]] = c
         return vec
-
-    def full_differential(self, t: MonomialChain) -> MonomialChain:
-        """Differential on generators tensored with monomial exponent vectors."""
-        m = self.complement.m
-        out: MonomialChain = {}
-        for (u, exps), coeff in t.items():
-            total = self.totals[u]
-            for i, b in enumerate(bit_positions(u), start=1):
-                v = u & ~(1 << b)
-                lost = total & ~self.totals[v]
-                new_exps = tuple(
-                    e + (1 if lost >> k & 1 else 0) for k, e in enumerate(exps)
-                )
-                if len(new_exps) != m:
-                    raise ValueError("exponent vector does not match the ambient size")
-                key = (v, new_exps)
-                c = out.get(key, 0) + (-coeff if i % 2 else coeff)
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return out
 
 
 @lru_cache(maxsize=256)

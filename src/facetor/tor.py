@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import popcount, set_str, sort_key
+from .bitsets import bit_positions, popcount, set_str, sort_key
 from .complexes import Complement
 from .linalg import (
     CoefficientSpec,
@@ -131,7 +131,7 @@ class TorRing:
 
     @staticmethod
     def _name_for(chain: Chain, used: set[str]) -> str:
-        lead = min(chain, key=_bits_key)
+        lead = min(chain, key=bit_positions)
         name = _monomial_name(lead)
         if name in used:
             k = 2
@@ -278,6 +278,3 @@ class TorRing:
                     if left.coords != right.coords:
                         raise AssertionError(f"associativity fails at triple ({i}, {j}, {k})")
 
-
-def _bits_key(u: int) -> tuple[int, ...]:
-    return tuple(b for b in range(u.bit_length()) if u >> b & 1)

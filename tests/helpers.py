@@ -2,13 +2,20 @@
 
 The brute-force functions here deliberately avoid the library's clever
 paths (transversal dualities, facet calculus) so tests compare two
-independent routes to the same answer.
+independent routes to the same answer.  The verification-only paths
+the package does not ship live here too: the monomial full differential
+and the (S^2, S^1) series.  Helpers return values or raise and never
+check with a bare assert, which python -O would strip outside test
+modules.
 """
 
 from __future__ import annotations
 
-from facetor import Complement, SimplicialComplex
-from facetor.bitsets import sort_key
+from facetor import Complement, SimplicialComplex, complex_from_complement, compress, tor_bigraded
+from facetor.bitsets import bit_positions, popcount, sort_key
+from facetor.linalg import is_field
+from facetor.polynomials import padd
+from facetor.taylor import TaylorComplex
 
 # pentagon-with-two-triangles complex on 5 vertices
 FIG1 = Complement.from_vertex_lists(5, [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]])
@@ -72,15 +79,53 @@ def brute_force_link(faces: list[int], omega: int) -> list[int]:
     )
 
 
-def all_small_complements(m: int, max_s: int) -> list[Complement]:
-    """Every complement with up to max_s distinct members over [m],
-    members in canonical order (order is irrelevant to the identities
-    these are used for)."""
-    masks = list(range(1 << m))
-    out = []
-    for s in range(max_s + 1):
-        for combo in combinations(masks, s):
-            out.append(Complement(m, combo))
+def full_differential(tc: TaylorComplex, t: dict) -> dict:
+    """Differential of the exterior complex tensored with monomials: t
+    maps (generator mask, exponent tuple) to a coefficient, and each
+    deletion keeps its term, weighted by the monomial on the vertices
+    the total subset loses."""
+    m = tc.complement.m
+    out: dict = {}
+    for (u, exps), coeff in t.items():
+        total = tc.totals[u]
+        for i, b in enumerate(bit_positions(u), start=1):
+            v = u & ~(1 << b)
+            lost = total & ~tc.totals[v]
+            new_exps = tuple(e + (1 if lost >> k & 1 else 0) for k, e in enumerate(exps))
+            if len(new_exps) != m:
+                raise ValueError("exponent vector does not match the ambient size")
+            key = (v, new_exps)
+            c = out.get(key, 0) + (-coeff if i % 2 else coeff)
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def s2s1_poincare(P: Complement, coeff) -> dict[int, int]:
+    """(S^2, S^1) graded dimensions straight from the degree rule
+    2|omega| + 2|tau| - q, as a second path to maz_cohomology with the
+    sphere pair spec."""
+    if not is_field(coeff):
+        raise ValueError("graded dimensions need field coefficients")
+    acc: dict[int, int] = {}
+    for omega in complex_from_complement(P).faces():
+        for (q, tau), group in tor_bigraded(compress(P, omega), coeff).entries.items():
+            acc = padd(acc, {2 * popcount(omega) + 2 * popcount(tau) - q: group.rank})
+    return dict(sorted(acc.items()))
+
+
+def nonface_blocks(P: Complement, coeff) -> dict:
+    """Nonzero Tor blocks of P compressed by each non-face omega, keyed
+    by omega; compression by a non-face must leave none."""
+    K = complex_from_complement(P)
+    out = {}
+    for omega in range(1 << P.m):
+        if not K.has_face(omega):
+            entries = tor_bigraded(compress(P, omega), coeff).entries
+            if entries:
+                out[omega] = entries
     return out
 
 

@@ -2,8 +2,8 @@
 
 A function is stored as a 2**m-bit table packed into one int: bit
 index(tau) holds f(tau), where index(tau) is tau's subset mask.
-Addition is XOR, multiplication is AND.  This module is a verification
-layer (identity tests against the facet and Taylor machinery), so the
+Addition is XOR, multiplication is AND.  The tests use this algebra
+for identity checks against the facet and Taylor machinery, so the
 exhaustive tables are fine; m is capped at 20.
 """
 
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitsets import check_subset, sort_key, subsets_of
-from .complexes import SimplicialComplex
+from facetor.bitsets import check_subset, sort_key, subsets_of
+from facetor.complexes import SimplicialComplex
 
 MAX_SUPPORT_AMBIENT = 20
 

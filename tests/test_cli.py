@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facetor.cli import main
 from facetor.taylor import taylor_complex
@@ -207,6 +210,31 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-m", "30", "--max-s", "2", "--trials", "40", "--seed", "1"),
+            ("--max-m", "0"),
+            ("--trials", "-5"),
+            ("--max-s", "25", "--trials", "0"),
+        ],
+        ids=["max-m-30", "max-m-0", "trials-negative", "max-s-25"],
+    )
+    def test_random_mode_rejects_bad_numbers(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--random", *argv])
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected an integer" in out.err
+
+    def test_random_mode_accepts_bounds(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--random", "--trials", "0", "--max-m", "24", "--max-s", "24"
+        )
+        assert code == 0
+        assert out == "random sweep: 0 trials, 0 blocks, 0 failures\n"
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
@@ -229,6 +257,14 @@ class TestInputValidity:
         code, _, err = run(capsys, "tor", str(path))
         assert code == 2
         assert "JSON" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "tor", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
 
     def test_vertex_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -308,3 +344,94 @@ def test_subcommand_output_deterministic(capsys, fig1_path, argv):
     second = run(capsys, argv[0], fig1_path, *argv[1:])
     assert first[0] == 0
     assert second == first
+
+
+# Fuzzing the loaders: arbitrary JSON values, and valid documents with
+# at most one fault each.  Integer leaves stay in -1..6, so an accepted
+# document has m <= 6; complements have at most 6 members, and facet
+# lists live on m <= 4, whose minimal non-faces number at most 6, so no
+# run is slow.
+_leaves = st.none() | st.booleans() | st.integers(-1, 6) | st.floats() | st.text(max_size=3)
+_keys = st.sampled_from(["m", "complement", "facets", "X", "A"]) | st.text(max_size=3)
+json_values = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_keys, children, max_size=4),
+    max_leaves=12,
+)
+_bad = st.sampled_from([0, 7, -1, 25, True, 1.0, "1", None, [1], {}])
+
+
+@st.composite
+def near_miss_inputs(draw):
+    key = draw(st.sampled_from(["complement", "facets"]))
+    m = draw(st.integers(1, 6 if key == "complement" else 4))
+    lists = draw(st.lists(st.lists(st.integers(1, m), max_size=4), max_size=6 if key == "complement" else 4))
+    doc = {"m": m, key: lists}
+    fault = draw(st.sampled_from(["none", "m", "vertex", "member", "both", "no m", "extra"]))
+    if fault == "m":
+        doc["m"] = draw(_bad)
+    elif fault == "vertex" and lists:
+        lists[draw(st.integers(0, len(lists) - 1))].append(draw(_bad))
+    elif fault == "member":
+        lists.append(draw(_bad))
+    elif fault == "both":
+        doc["facets" if key == "complement" else "complement"] = []
+    elif fault == "no m":
+        del doc["m"]
+    elif fault == "extra":
+        doc[draw(st.text(max_size=3))] = draw(json_values)
+    return doc
+
+
+@st.composite
+def near_miss_pairs(draw, m=2):
+    term = st.tuples(st.integers(1, 3), st.integers(0, 3)).map(list)
+    side = st.lists(term, max_size=3)
+    doc = draw(st.lists(st.fixed_dictionaries({}, optional={"X": side, "A": side}), min_size=m, max_size=m))
+    fault = draw(st.sampled_from(["none", "length", "degree", "rank", "term", "side", "entry", "key"]))
+    entry = doc[draw(st.integers(0, m - 1))]
+    if fault == "length":
+        doc = doc + doc[:1] if draw(st.booleans()) else doc[1:]
+    elif fault == "degree":
+        entry["X"] = [[draw(st.integers(-1, 0) | _bad), 1]]
+    elif fault == "rank":
+        entry["A"] = [[1, draw(st.integers(-2, -1) | _bad)]]
+    elif fault == "term":
+        entry["X"] = [draw(_bad | st.just([1, 1, 1]))]
+    elif fault == "side":
+        entry["A"] = draw(_bad)
+    elif fault == "entry":
+        doc[0] = draw(_bad)
+    elif fault == "key":
+        entry[draw(st.text(max_size=2))] = []
+    return doc
+
+
+def _run_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_exit(code: int, out: str, err: str) -> None:
+    assert code in (0, 2, 3)
+    if code:
+        assert out == ""
+        assert err.startswith(("input error:", "capability error:"))
+
+
+@given(doc=json_values | near_miss_inputs())
+def test_load_input_fuzz(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    _check_exit(*_run_quietly(["tor", str(path)]))
+
+
+@given(doc=json_values | near_miss_pairs())
+def test_load_pairs_fuzz(tmp_path_factory, doc):
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "input.json").write_text(json.dumps({"m": 2, "complement": [[1, 2]]}))
+    (folder / "pairs.json").write_text(json.dumps(doc))
+    argv = ["maz", str(folder / "input.json"), "--pairs", str(folder / "pairs.json")]
+    _check_exit(*_run_quietly(argv))

@@ -173,6 +173,26 @@ class TestHomologyAt:
         with pytest.raises(ValueError, match="shape mismatch: d_out is 1x2, d_in is 3x1"):
             homology_at(Matrix(3, 1), Matrix(1, 2), QQ)
 
+    def test_each_map_factored_once(self, monkeypatch):
+        # the three rings read the same two maps' factors, kept on the
+        # matrices; fresh copies must give the same groups
+        from facetor import linalg
+
+        real = linalg._invariant_factors
+        calls = []
+        monkeypatch.setattr(linalg, "_invariant_factors", lambda rows: calls.append(1) or real(rows))
+        rng = random.Random(17)
+        for _ in range(20):
+            d_in, d_out = _chain_pair(rng)
+            calls.clear()
+            groups = [homology_at(d_in, d_out, coeff) for coeff in (QQ, PrimeField(2), ZZ)]
+            assert len(calls) == 2
+            assert snf_diagonal(d_out) == list(d_out.factors) and len(calls) == 2
+            for coeff, group in zip((QQ, PrimeField(2), ZZ), groups):
+                fresh_in = Matrix(d_in.nrows, d_in.ncols, d_in.rows)
+                fresh_out = Matrix(d_out.nrows, d_out.ncols, d_out.rows)
+                assert homology_at(fresh_in, fresh_out, coeff) == group
+
     def test_rank_nullity_over_fields(self):
         rng = random.Random(5)
         for _ in range(40):

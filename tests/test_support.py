@@ -7,7 +7,7 @@ from facetor import (
     compress,
     star,
 )
-from facetor.support import (
+from support import (
     SupportFunction,
     char_fn,
     compress_fn,
