@@ -3,8 +3,9 @@
 Input documents are JSON: {"m": <int>, "complement": [[...], ...]} or
 {"m": <int>, "facets": [[...], ...]}, vertices 1-indexed.  Every
 subcommand takes --json for a machine-readable rendering of the same
-data.  Exit codes: 0 success, 2 parse/usage error, 3 capability error,
-4 verification failure.
+data.  Exit codes: 0 success, 1 internal fault (an uncaught exception,
+with its traceback), 2 parse/usage error, 3 capability error, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ def load_input(path: str) -> Complement:
     if has_c:
         return Complement(m, tuple(mask_of(vs, m) for vs in _vertex_lists(doc, "complement", m)))
     K = SimplicialComplex(m, tuple(mask_of(vs, m) for vs in _vertex_lists(doc, "facets", m)))
-    return complement_from_complex(K)
+    try:
+        return complement_from_complex(K)
+    except ValueError as exc:  # a void facet list
+        raise InputError(str(exc)) from exc
 
 
 def load_pairs(path: str, m: int) -> PairSpec:
@@ -551,9 +555,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

@@ -7,7 +7,9 @@ cohomology of a full subcomplex on sigma in degree |sigma| - q - 1 must
 agree with the (q, sigma) block homology of the complement's exterior
 complex; baskakov_check compares the two sides as abstract groups.
 The two paths share no linear-algebra input: one reduces generator
-masks of the complement, the other coboundaries of actual faces.
+masks of the complement, the other coboundaries of actual faces.  A
+coboundary matrix is built from its nonzero entries alone, one face and
+coface pair at a time, and kept with its invariant factors.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class CochainComplex:
                 tau = rho & ~(1 << (v - 1))
                 c = index.get(tau)
                 if c is not None:
-                    M.rows[r][c] = -1 if j % 2 else 1
+                    M[r, c] = -1 if j % 2 else 1
         self._matrices[n] = M
         return M
 

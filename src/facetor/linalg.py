@@ -1,10 +1,13 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-Homology groups of chain complex slices are read off the integer
-invariant factors of their two boundary maps, whatever the coefficient
-ring.  The factors come from sparse elimination on +-1 pivots followed
-by a dense Smith normal form of the unit-free residual, which is
-usually small or empty.  A matrix keeps its factors once computed, so a
+Matrices store only their nonzero entries, one dict per row; the
+builders set entries one at a time, and only the dense routines below
+ask for a dense copy of the rows.  Homology groups of chain complex
+slices are read off the integer invariant factors of their two boundary
+maps, whatever the coefficient ring.  The factors come from sparse
+elimination on +-1 pivots, run on a copy of the stored entries,
+followed by a dense Smith normal form of the unit-free residual, which
+is usually small or empty.  A matrix keeps its factors once computed, so a
 map shared by two neighbouring blocks, or read over several rings, is
 factored once.  Cycle representatives are separate, for the
 product structure alone; they use the dense Smith normal form with
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -98,60 +100,79 @@ def is_field(coeff: CoefficientSpec) -> bool:
 
 
 class Matrix:
-    """Dense matrix with explicit shape (shape survives zero dimensions).
+    """Integer (or field) matrix with explicit shape (shape survives zero
+    dimensions) that stores only its nonzero entries.
+
+    Each row is a dict from column to nonzero value.  M[i, j] = x sets
+    an entry, and setting 0 removes it, so equal matrices store equal
+    dicts.  rows returns a fresh dense list of lists, for the code that
+    works on dense rows; changing that copy leaves M unchanged.
+    Matrix(nrows, ncols, dense_rows) builds a matrix from dense rows.
 
     factors holds the nonzero invariant factors once snf_diagonal or
-    homology_at has computed them, and None before.  A matrix must not
-    be changed after its factors are read; TaylorComplex.boundary_matrix,
-    CochainComplex.delta and Matrix.identity fill the rows right after
-    construction.
+    homology_at has computed them, and None before; setting an entry
+    resets it.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "factors")
+    __slots__ = ("nrows", "ncols", "_entries", "factors")
 
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:
-            rows = [[0] * ncols for _ in range(nrows)]
+            self._entries: list[dict] = [{} for _ in range(nrows)]
         else:
             rows = [list(r) for r in rows]
             if len(rows) != nrows or any(len(r) != ncols for r in rows):
                 raise ValueError("row data does not match the declared shape")
-        self.rows = rows
+            self._entries = [{j: x for j, x in enumerate(r) if x} for r in rows]
         self.factors: tuple[int, ...] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         M = cls(n, n)
         for i in range(n):
-            M.rows[i][i] = 1
+            M[i, i] = 1
         return M
+
+    def __setitem__(self, index: tuple[int, int], x) -> None:
+        i, j = index
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+        if x:
+            self._entries[i][j] = x
+        else:
+            self._entries[i].pop(j, None)
+        self.factors = None
+
+    @property
+    def rows(self) -> list[list]:
+        dense = [[0] * self.ncols for _ in range(self.nrows)]
+        for out, row in zip(dense, self._entries):
+            for j, x in row.items():
+                out[j] = x
+        return dense
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         out = Matrix(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            srow = self.rows[i]
-            orow = out.rows[i]
-            for k in range(self.ncols):
-                a = srow[k]
-                if a:
-                    brow = other.rows[k]
-                    for j in range(other.ncols):
-                        orow[j] += a * brow[j]
+        for srow, orow in zip(self._entries, out._entries):
+            for k, a in srow.items():
+                for j, b in other._entries[k].items():
+                    orow[j] = orow.get(j, 0) + a * b
+        out._entries = [{j: x for j, x in row.items() if x} for row in out._entries]
         return out
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self._entries)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._entries == other._entries
         )
 
     def __repr__(self) -> str:
@@ -183,13 +204,11 @@ class _SnfState:
     def __init__(self, M: Matrix, track_u: bool = True, track_v: bool = True):
         self.nr = M.nrows
         self.nc = M.ncols
-        self.d = [row.copy() for row in M.rows]
-        ident_r = Matrix.identity(self.nr).rows
-        ident_c = Matrix.identity(self.nc).rows
-        self.u = [row.copy() for row in ident_r] if track_u else None
-        self.uinv = [row.copy() for row in ident_r] if track_u else None
-        self.v = [row.copy() for row in ident_c] if track_v else None
-        self.vinv = [row.copy() for row in ident_c] if track_v else None
+        self.d = M.rows
+        self.u = Matrix.identity(self.nr).rows if track_u else None
+        self.uinv = Matrix.identity(self.nr).rows if track_u else None
+        self.v = Matrix.identity(self.nc).rows if track_v else None
+        self.vinv = Matrix.identity(self.nc).rows if track_v else None
 
     # Row ops apply E on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -396,12 +415,6 @@ def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return U, D, V
 
 
-def _sparse_rows(M: Matrix) -> list[dict[int, int]]:
-    """Column -> value for the nonzero entries of each row of M."""
-    index = list(range(M.ncols))  # reused int objects keep compress cheap
-    return [{j: row[j] for j in compress(index, row)} for row in M.rows]
-
-
 def _eliminate_units(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
     """Pivot on +-1 entries of the sparse matrix (rows, cols) until none
     is left; returns the number of pivots.
@@ -469,25 +482,25 @@ def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
     if rows:
         col_index = {j: k for k, j in enumerate(sorted(j for j, hit in cols.items() if hit))}
         residual = Matrix(len(rows), len(col_index))
-        for dense, row in zip(residual.rows, rows.values()):
+        for i, row in enumerate(rows.values()):
             for j, x in row.items():
-                dense[col_index[j]] = x
+                residual[i, col_index[j]] = x
         st, rank = _snf_state(residual, track_u=False, track_v=False)
         diag += [st.d[i][i] for i in range(rank)]
     _check_invariant_factors(diag)
     return diag
 
 
-def _factors(M: Matrix, sparse_rows: list[dict[int, int]]) -> tuple[int, ...]:
-    """M.factors, computed from M's sparse rows (consumed) on first use."""
+def _factors(M: Matrix) -> tuple[int, ...]:
+    """M.factors, computed from a copy of M's entries on first use."""
     if M.factors is None:
-        M.factors = tuple(_invariant_factors(sparse_rows))
+        M.factors = tuple(_invariant_factors([row.copy() for row in M._entries]))
     return M.factors
 
 
 def snf_diagonal(M: Matrix) -> list[int]:
     """Nonzero invariant factors of M, in divisibility order."""
-    return list(M.factors if M.factors is not None else _factors(M, _sparse_rows(M)))
+    return list(_factors(M))
 
 
 @dataclass(frozen=True)
@@ -579,11 +592,6 @@ def _rref(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[tuple[
     return rows, pivots
 
 
-def field_rank(M: Matrix, coeff: CoefficientSpec) -> int:
-    _, pivots = _rref(M.rows, M.ncols, _modulus(coeff))
-    return len(pivots)
-
-
 def _null_vector(rr: list[list], pivots: list[tuple[int, int]], f: int, ncols: int, p: int) -> list:
     """The nullspace vector of a reduced row echelon form that is 1 at
     the free column f and 0 at the other free columns."""
@@ -626,21 +634,12 @@ def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) ->
     return out
 
 
-def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Raise ValueError unless d_out @ d_in is defined and zero; returns
-    the sparse rows of d_in and d_out, read once for the check."""
+def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
+    """Raise ValueError unless d_out @ d_in is defined and zero."""
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
-    in_rows = _sparse_rows(d_in)
-    out_rows = _sparse_rows(d_out)
-    for out_row in out_rows:
-        product: dict[int, int] = {}
-        for k, a in out_row.items():
-            for j, x in in_rows[k].items():
-                product[j] = product.get(j, 0) + a * x
-        if any(product.values()):
-            raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
-    return in_rows, out_rows
+    if not (d_out @ d_in).is_zero():
+        raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
 
 
 def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:
@@ -653,12 +652,12 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
     both factor counts and the torsion is the factors of d_in above 1;
     over F_p only the factors p does not divide count toward the ranks.
     """
-    in_rows, out_rows = _check_chain_pair(d_in, d_out)
+    _check_chain_pair(d_in, d_out)
     n = d_out.ncols
     if n == 0:
         return ZERO_GROUP
-    out_factors = _factors(d_out, out_rows)
-    in_factors = _factors(d_in, in_rows)
+    out_factors = _factors(d_out)
+    in_factors = _factors(d_in)
     if isinstance(coeff, PrimeField):
         p = coeff.p
         return HomologyGroup(
@@ -686,7 +685,8 @@ def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homo
     free = [f for f in range(n) if f not in pivot_cols]
     # A cycle's coordinates in the nullspace basis are its entries at the
     # free columns, so those of the image are the rows of d_in there.
-    image = [[d_in.rows[f][c] for f in free] for c in range(d_in.ncols)]
+    in_rows = d_in.rows
+    image = [[in_rows[f][c] for f in free] for c in range(d_in.ncols)]
     rr_image, image_pivots = _rref(image, len(free), p)
     image_cols = {c for _, c in image_pivots}
     reps = []
@@ -718,7 +718,8 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     kernel_forms = st.vinv[rank_out:]
     kernel_cols = [[row[j] for row in st.v] for j in range(rank_out, n)]
     k = n - rank_out
-    X = Matrix(k, d_in.ncols, [_combine(v, d_in.rows, d_in.ncols) for v in kernel_forms])
+    in_rows = d_in.rows
+    X = Matrix(k, d_in.ncols, [_combine(v, in_rows, d_in.ncols) for v in kernel_forms])
     # U2 X V2 = D2, so kernel coordinates x = Uinv2 (U2 x): the image is
     # spanned by multiples of the first rank_in columns of Uinv2, and the
     # class of x has coordinate (U2 x)_j on the column j beyond them

@@ -9,9 +9,10 @@ deletion (1-based, members in increasing position order) with (-1)^i.
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
 chain complex of free modules with integer matrices.  A complex builds
-each boundary matrix on first request and keeps it, together with the
-invariant factors linalg computes for it, for as long as the complex
-lives; taylor_complex keeps recently used complexes.
+each boundary matrix on first request, setting only its nonzero entries
+(a slice is mostly zeros), and keeps it, together with the invariant
+factors linalg computes for it, for as long as the complex lives;
+taylor_complex keeps recently used complexes.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class TaylorComplex:
         self._by_support = by_support
         self._matrices: dict[tuple[int, int], Matrix] = {}
 
-    def total_subset(self, u: int) -> int:
-        return self.totals[u]
-
     def supports(self) -> list[int]:
         return sorted(self._by_support, key=sort_key)
 
@@ -93,13 +91,9 @@ class TaylorComplex:
         M = Matrix(len(dst), len(src))
         for j, u in enumerate(src):
             for v, c in self.reduced_differential(u).items():
-                M.rows[index[v]][j] = c
+                M[index[v], j] = c
         self._matrices[key] = M
         return M
-
-    def boundary_matrices(self, sigma: int) -> list[Matrix]:
-        """Matrices of d for q = 1 .. top degree of the sigma block."""
-        return [self.boundary_matrix(sigma, q) for q in range(1, self.max_degree(sigma) + 1)]
 
     def block_homology(self, sigma: int, q: int, coeff: CoefficientSpec) -> HomologyGroup:
         if q < 0 or not self.generators(sigma, q):

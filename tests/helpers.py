@@ -3,8 +3,9 @@
 The brute-force functions here deliberately avoid the library's clever
 paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
-the package does not ship live here too: the monomial full differential
-and the (S^2, S^1) series.  Helpers return values or raise and never
+the package does not ship live here too: the monomial full differential,
+the (S^2, S^1) series, and the accessors only tests read (field_rank,
+total_subset, boundary_matrices).  Helpers return values or raise and never
 check with a bare assert, which python -O would strip outside test
 modules.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from facetor import Complement, SimplicialComplex, complex_from_complement, compress, tor_bigraded
 from facetor.bitsets import bit_positions, popcount, sort_key
-from facetor.linalg import is_field
+from facetor.linalg import Matrix, _modulus, _rref, is_field
 from facetor.polynomials import padd
 from facetor.taylor import TaylorComplex
 
@@ -77,6 +78,20 @@ def brute_force_link(faces: list[int], omega: int) -> list[int]:
     return sorted(
         (t for t in faces if (t | omega) in face_set and t & omega == 0), key=sort_key
     )
+
+
+def total_subset(tc: TaylorComplex, u: int) -> int:
+    return tc.totals[u]
+
+
+def boundary_matrices(tc: TaylorComplex, sigma: int) -> list[Matrix]:
+    """Matrices of d for q = 1 .. top degree of the sigma block."""
+    return [tc.boundary_matrix(sigma, q) for q in range(1, tc.max_degree(sigma) + 1)]
+
+
+def field_rank(M: Matrix, coeff) -> int:
+    _, pivots = _rref(M.rows, M.ncols, _modulus(coeff))
+    return len(pivots)
 
 
 def full_differential(tc: TaylorComplex, t: dict) -> dict:
@@ -154,8 +169,6 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
 
 
 def random_matrix(rng, max_dim: int = 12, lo: int = -9, hi: int = 9):
-    from facetor.linalg import Matrix
-
     nr = rng.randint(0, max_dim)
     nc = rng.randint(0, max_dim)
     return Matrix(nr, nc, [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)])

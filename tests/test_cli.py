@@ -287,6 +287,27 @@ class TestInputValidity:
         assert code == 2
         assert "exactly one" in err
 
+    def test_void_facet_list(self, capsys, tmp_path):
+        path = tmp_path / "void.json"
+        path.write_text(json.dumps({"m": 3, "facets": []}))
+        code, out, err = run(capsys, "tor", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "input error: void complex has no missing-face presentation; use Complement(m, (0,))\n"
+
+    def test_internal_fault_is_not_an_input_error(self, fig1_path, monkeypatch):
+        # a ValueError raised inside the computation is a fault of the
+        # program, not of the input: it must escape main (exit 1), not
+        # be reported as exit 2
+        import facetor.taylor as taylor_mod
+
+        def broken(*_args):
+            raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
+
+        monkeypatch.setattr(taylor_mod, "homology_at", broken)
+        with pytest.raises(ValueError, match="not a chain complex"):
+            main(["tor", fig1_path])
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -10,11 +10,11 @@ from facetor import (
 )
 from facetor.bitsets import full_mask, mask_of, popcount
 from facetor.hochster import CochainComplex
-from facetor.linalg import QQ, ZZ, PrimeField, field_rank
+from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.sampling import random_complement
 from facetor.taylor import taylor_complex
 
-from helpers import FIG1, EX513, rp2_complex
+from helpers import FIG1, EX513, field_rank, rp2_complex
 
 
 class TestConventions:

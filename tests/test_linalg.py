@@ -12,7 +12,6 @@ from facetor.linalg import (
     HomologyBasis,
     Matrix,
     PrimeField,
-    field_rank,
     homology_at,
     homology_representatives,
     reduce_cycle,
@@ -21,7 +20,7 @@ from facetor.linalg import (
     _PRIME_LIMIT,
 )
 
-from helpers import bareiss_determinant, random_matrix
+from helpers import bareiss_determinant, field_rank, random_matrix
 
 
 def int_matrices(max_dim=6, bound=9, entries=None):
@@ -78,6 +77,54 @@ class TestSmithNormalForm:
         assert snf_diagonal(Matrix(2, 2)) == []
 
 
+class TestMatrixStorage:
+    @given(int_matrices(), st.data())
+    def test_entries_match_dense_rows(self, M, data):
+        dense = M.rows
+        N = Matrix(M.nrows, M.ncols)
+        for i, row in enumerate(dense):
+            for j, x in enumerate(row):
+                N[i, j] = x
+        assert N == M and N.rows == dense and N.is_zero() == M.is_zero()
+        nonzero = [(i, j) for i, row in enumerate(dense) for j, x in enumerate(row) if x]
+        if nonzero:
+            i, j = data.draw(st.sampled_from(nonzero))
+            snf_diagonal(N)
+            N[i, j] = 0
+            assert N.factors is None
+            dense[i][j] = 0
+            expected = Matrix(M.nrows, M.ncols, dense)
+            assert N == expected and N.rows == dense and N.is_zero() == expected.is_zero()
+        with pytest.raises(IndexError):
+            N[M.nrows, 0] = 1
+        with pytest.raises(IndexError):
+            N[0, M.ncols] = 1
+
+    @given(int_matrices(), st.integers(0, 6), st.data())
+    def test_product_matches_dense(self, A, b, data):
+        rows_b = data.draw(
+            st.lists(st.lists(st.integers(-9, 9), min_size=b, max_size=b), min_size=A.ncols, max_size=A.ncols)
+        )
+        rows_a = A.rows
+        expected = [
+            [sum(rows_a[i][t] * rows_b[t][j] for t in range(A.ncols)) for j in range(b)]
+            for i in range(A.nrows)
+        ]
+        product = A @ Matrix(A.ncols, b, rows_b)
+        assert product == Matrix(A.nrows, b, expected) and product.rows == expected
+
+    @given(int_matrices())
+    def test_rows_is_a_copy(self, M):
+        before = M.rows
+        expected = snf_diagonal(Matrix(M.nrows, M.ncols, before))
+        copy = M.rows
+        for row in copy:
+            for j in range(len(row)):
+                row[j] += 1
+        assert M.rows == before
+        assert snf_diagonal(M) == expected
+
+
 # Boundary matrices are mostly 0 and +-1; the larger entries and the
 # unit-free block leave a residual for the dense Smith form.
 MOSTLY_UNIT_ENTRIES = (0,) * 8 + (1, -1) * 3 + (2, -2, 3, -3, 4, -4, 6)
@@ -122,14 +169,14 @@ def _chain_pair(rng, n_mid=5):
     d_out = Matrix(a, n_mid, [[rng.randint(-3, 3) for _ in range(n_mid)] for _ in range(a)])
     st_, rank = _snf_state(d_out)
     ker = [[st_.v[i][j] for i in range(n_mid)] for j in range(rank, n_mid)]
-    d_in = Matrix(n_mid, b)
+    in_rows = [[0] * b for _ in range(n_mid)]
     for j in range(b):
         for vec in ker:
             c = rng.randint(-2, 2)
             if c:
                 for i in range(n_mid):
-                    d_in.rows[i][j] += c * vec[i]
-    return d_in, d_out
+                    in_rows[i][j] += c * vec[i]
+    return Matrix(n_mid, b, in_rows), d_out
 
 
 class TestHomologyAt:
