@@ -7,6 +7,10 @@ omega-compressed complement, shifted by |tau| - q and tensored with one
 reduced X class per vertex of omega and one reduced A class per vertex
 of tau.  Summation is pruned to faces because compressing by a
 non-face puts the empty set into the complement and kills every block.
+Only block ranks enter, so every face (and star and link) reads its
+blocks through tor_bigraded, off the Lyubeznik subcomplex of the
+minimalized compressed complement; compression makes members redundant
+(one contains another, or two coincide), and minimalizing drops them.
 """
 
 from __future__ import annotations

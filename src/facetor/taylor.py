@@ -6,6 +6,17 @@ The reduced differential deletes one selected member at a time, keeps
 only the terms whose total subset is unchanged, and signs the i-th
 deletion (1-based, members in increasing position order) with (-1)^i.
 
+The full complex (the reduced Taylor resolution) has all 2^s subsets
+as generators; TorRing and the oracle comparison use it on the given
+presentation.  The Lyubeznik build minimalizes the presentation first
+and keeps only the L-admissible subsets: a set may take a new smallest
+member i when no earlier member lies in the union of the set and i.
+Admissible sets are closed under taking subsets, and they span a
+subcomplex that is still a free resolution over Z (Lyubeznik 1988), so
+every sigma slice has the homology of the Taylor slice, torsion
+included, from far fewer generators (368 against 16,384 for the
+7-cycle).  The rank-only commands use it.
+
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
 chain complex of free modules with integer matrices.  A complex builds
@@ -20,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bitsets import bit_positions, popcount, sort_key
-from .complexes import Complement
+from .complexes import Complement, minimalize
 from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
 
 MAX_GENERATORS = 24
@@ -31,24 +42,22 @@ Chain = dict
 
 
 class TaylorComplex:
-    """All bigraded data derived from one complement."""
+    """All bigraded data derived from one complement, on all subsets of
+    its members or, with lyubeznik, on the admissible subsets of its
+    minimal members."""
 
-    def __init__(self, complement: Complement):
+    def __init__(self, complement: Complement, lyubeznik: bool = False):
         if complement.s > MAX_GENERATORS:
             raise CapabilityError(
                 f"{complement.s} members exceed the supported maximum {MAX_GENERATORS}"
             )
+        if lyubeznik:
+            complement = minimalize(complement)
         self.complement = complement
         self.s = complement.s
-        members = complement.members
-        totals = [0] * (1 << self.s)
-        for u in range(1, 1 << self.s):
-            low = u & -u
-            totals[u] = totals[u ^ low] | members[low.bit_length() - 1]
-        self.totals = totals
+        self.totals = _generator_totals(complement.members, lyubeznik)
         by_support: dict[int, dict[int, list[int]]] = {}
-        for u in range(1 << self.s):
-            sigma = totals[u]
+        for u, sigma in self.totals.items():
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         for blocks in by_support.values():
             for gens in blocks.values():
@@ -113,9 +122,23 @@ class TaylorComplex:
         return vec
 
 
+def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, int]:
+    """Generator mask -> total subset.  Sets grow by a new smallest
+    member, last member first, so each set is reached once; with
+    lyubeznik only admissible sets grow."""
+    totals = {0: 0}
+    for i in reversed(range(len(members))):
+        member, earlier = members[i], members[:i]
+        for u, total in list(totals.items()):
+            t = total | member
+            if not (lyubeznik and any(mem & ~t == 0 for mem in earlier)):
+                totals[u | 1 << i] = t
+    return totals
+
+
 @lru_cache(maxsize=256)
-def taylor_complex(P: Complement) -> TaylorComplex:
-    return TaylorComplex(P)
+def taylor_complex(P: Complement, lyubeznik: bool = False) -> TaylorComplex:
+    return TaylorComplex(P, lyubeznik)
 
 
 def generator_sign(u: int, v: int) -> int:

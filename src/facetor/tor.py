@@ -2,6 +2,12 @@
 
 Each block (q, sigma) is the homology of the sigma slice of the reduced
 exterior complex; BigradedTor keeps only its signature (rank, torsion).
+tor_bigraded, which every rank-only command goes through, reads the
+blocks off the Lyubeznik subcomplex of the minimalized presentation;
+the signatures depend only on the ideal, so they equal those of the
+full complex.  TorRing keeps the full complex on the given presentation,
+because admissible sets are not closed under the exterior product and
+its basis names follow member order.
 TorRing alone builds representative cycles, for the nonzero blocks and
 for every block a product lands in.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
@@ -32,12 +38,15 @@ from .taylor import Chain, TaylorComplex, chain_product, taylor_complex
 
 
 class BigradedTor:
-    """Map (q, sigma) -> homology group, over a fixed coefficient ring."""
+    """Map (q, sigma) -> homology group, over a fixed coefficient ring,
+    read off the full complex or, with lyubeznik, its Lyubeznik
+    subcomplex."""
 
-    def __init__(self, complement: Complement, coeff: CoefficientSpec):
+    def __init__(self, complement: Complement, coeff: CoefficientSpec, lyubeznik: bool = False):
         self.complement = complement
         self.coeff = coeff
-        self.taylor = taylor_complex(complement)
+        # one cache key per build: the full one is cached under (P,)
+        self.taylor = taylor_complex(complement, True) if lyubeznik else taylor_complex(complement)
         entries: dict[tuple[int, int], HomologyGroup] = {}
         for sigma in self.taylor.supports():
             for q in self.taylor.block_dims(sigma):
@@ -61,7 +70,7 @@ class BigradedTor:
 
 
 def tor_bigraded(P: Complement, coeff: CoefficientSpec) -> BigradedTor:
-    return BigradedTor(P, coeff)
+    return BigradedTor(P, coeff, lyubeznik=True)
 
 
 def zk_poincare(P: Complement, coeff: CoefficientSpec) -> dict[int, int]:

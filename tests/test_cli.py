@@ -323,9 +323,17 @@ class TestInputValidity:
     def test_member_limit_capability(self, capsys, tmp_path):
         path = tmp_path / "many.json"
         path.write_text(json.dumps({"m": 5, "complement": [[1]] * 25}))
-        code, _, err = run(capsys, "tor", str(path))
+        # the cap applies to the given presentation, although the
+        # rank-only commands minimalize it to one member
+        for argv in (("tor",), ("zk",), ("maz", "--preset", "s2s1"), ("star", "--omega", "2")):
+            code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 3, argv
+            assert err == "capability error: 25 members exceed the supported maximum 24\n", argv
+        c9 = tmp_path / "c9.json"
+        c9.write_text(json.dumps({"m": 9, "facets": [[i, i % 9 + 1] for i in range(1, 10)]}))
+        code, _, err = run(capsys, "tor", str(c9))
         assert code == 3
-        assert err.startswith("capability error: 25 members exceed")
+        assert err.startswith("capability error: 27 members exceed")
 
     def test_large_prime_coefficients(self, capsys, fig1_path):
         code, out, _ = run(capsys, "tor", fig1_path, "--coeff", f"f:{2**61 - 1}")
@@ -343,6 +351,64 @@ class TestInputValidity:
         code1, out1, _ = run(capsys, "verify", fig1_path)
         assert code1 == 0
         assert out == out1
+
+
+def _cycle_path(tmp_path, n: int) -> str:
+    path = tmp_path / f"c{n}.json"
+    path.write_text(json.dumps({"m": n, "facets": [[i, i % n + 1] for i in range(1, n + 1)]}))
+    return str(path)
+
+
+class TestCycleReach:
+    # the full Taylor complex of the 8-cycle has 2^20 generators, so
+    # these run only on the Lyubeznik subcomplex (1,296 generators)
+    def test_c8_zk_series(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "zk", _cycle_path(tmp_path, 8))
+        assert code == 0
+        assert out == "1 + 20x^3 + 64x^4 + 90x^5 + 64x^6 + 20x^7 + x^10 (total 260)\n"
+
+    def test_c8_integer_tor_matches_oracle(self, capsys, tmp_path):
+        from facetor import CochainComplex, SimplicialComplex, full_subcomplex
+        from facetor.bitsets import mask_of, popcount
+        from facetor.linalg import ZZ
+
+        code, out, _ = run(capsys, "tor", _cycle_path(tmp_path, 8), "--coeff", "z", "--json")
+        assert code == 0
+        got = {
+            (b["q"], mask_of(b["sigma"], 8)): (b["rank"], tuple(b["torsion"]))
+            for b in json.loads(out)["blocks"]
+        }
+        K = SimplicialComplex.from_facets(8, [[i, i % 8 + 1] for i in range(1, 9)])
+        expected = {}
+        for sigma in range(1 << 8):
+            oracle = CochainComplex(full_subcomplex(K, sigma))
+            for q in range(popcount(sigma) + 1):
+                group = oracle.cohomology(popcount(sigma) - q - 1, ZZ)
+                if not group.is_zero:
+                    expected[(q, sigma)] = group.signature
+        assert got == expected
+
+    def test_c7_maz_series_in_bounded_memory(self, capsys, tmp_path):
+        # the full Taylor complexes of C7's 15 faces sum to 245,760
+        # generators; the Lyubeznik ones keep the traced peak small
+        import tracemalloc
+
+        path = _cycle_path(tmp_path, 7)
+        expected = {
+            "s2s1": "1 + 7x^2 + 42x^3 + 84x^4 + 105x^5 + 119x^6 + 112x^7 + 63x^8 + 15x^9 (total 548)\n",
+            "d2s1": "1 + 14x^3 + 35x^4 + 35x^5 + 14x^6 + x^9 (total 100)\n",
+        }
+        for preset, series in expected.items():
+            taylor_complex.cache_clear()
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "maz", path, "--preset", preset)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert out == series
+            assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-from facetor import Complement
-from facetor.bitsets import popcount
+from facetor import QQ, BigradedTor, Complement, minimalize, tor_bigraded
+from facetor.bitsets import bit_positions, popcount
 from facetor.taylor import (
     chain_product,
     generator_sign,
@@ -125,6 +125,53 @@ class TestSupports:
             assert sum(len(tc.generators(s, q)) for s in tc.supports()) == comb(P.s, q)
 
 
+def _l_admissible(members: tuple[int, ...], u: int) -> bool:
+    """Every tail {i_j, ..., i_p} of u avoids multiples of the members
+    before i_j (the definition, tail by tail)."""
+    positions = bit_positions(u)
+    for j, i in enumerate(positions):
+        lcm = 0
+        for b in positions[j:]:
+            lcm |= members[b]
+        if any(mem & ~lcm == 0 for mem in members[:i]):
+            return False
+    return True
+
+
+class TestLyubeznik:
+    @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=7))
+    def test_generators_are_the_admissible_subsets(self, m, members):
+        P = Complement(m, tuple(mem & ((1 << m) - 1) for mem in members))
+        tc = taylor_complex(P, True)
+        minimal = minimalize(P).members
+        assert tc.complement.members == minimal
+        expected = {u for u in range(1 << len(minimal)) if _l_admissible(minimal, u)}
+        assert set(tc.totals) == expected
+        for u in expected:
+            assert all(u & ~(1 << b) in expected for b in bit_positions(u))
+        for sigma in tc.supports():
+            for q in tc.block_dims(sigma):
+                assert all(total_subset(tc, u) == sigma and popcount(u) == q for u in tc.generators(sigma, q))
+
+    def test_cycle_generator_counts(self):
+        from facetor import SimplicialComplex, complement_from_complex
+
+        for n, s, count in ((5, 5, 24), (6, 9, 100), (7, 14, 368), (8, 20, 1296)):
+            cycle = SimplicialComplex.from_facets(n, [[i, i % n + 1] for i in range(1, n + 1)])
+            tc = taylor_complex(complement_from_complex(cycle), True)
+            assert (tc.s, len(tc.totals)) == (s, count)
+
+    def test_builds_are_cached_apart(self):
+        P = Complement.from_vertex_lists(3, [[1, 2], [1, 2], [1, 2, 3]])
+        full, lyubeznik = taylor_complex(P), taylor_complex(P, True)
+        assert full is not lyubeznik
+        assert taylor_complex(P, True) is lyubeznik
+        assert BigradedTor(P, QQ).taylor is full
+        assert tor_bigraded(P, QQ).taylor is lyubeznik
+        assert (full.s, len(full.totals)) == (3, 8)
+        assert (lyubeznik.s, len(lyubeznik.totals)) == (1, 2)
+
+
 class TestBoundaryMatrices:
     def test_single_generator_blocks_are_zero(self):
         P = Complement.from_vertex_lists(4, [[1, 2], [3, 4]])
@@ -211,6 +258,9 @@ def test_generator_cap():
 
     with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
         taylor_complex(Complement(1, (1,) * 25))
+    # checked on the given presentation, before it is minimalized
+    with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
+        taylor_complex(Complement(1, (1,) * 25), True)
 
 
 def test_c7_largest_slice_matrices_stay_small():

@@ -2,10 +2,17 @@ import random
 
 import pytest
 
+from hypothesis import example, given, strategies as st
+
 from facetor import (
+    BigradedTor,
+    CochainComplex,
     Complement,
     TorClass,
     TorRing,
+    complement_from_complex,
+    complex_from_complement,
+    full_subcomplex,
     minimalize,
     tor_bigraded,
     zk_poincare,
@@ -14,7 +21,7 @@ from facetor.bitsets import full_mask, mask_of, popcount
 from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.sampling import random_complement
 
-from helpers import EX513, FIG1
+from helpers import EX513, FIG1, rp2_complex
 
 
 class TestBigradedTable:
@@ -60,15 +67,66 @@ class TestBigradedTable:
                 assert t.group(0, 0).rank == 1
 
     def test_presentation_independence(self):
+        # the full complex on the given presentation against the
+        # Lyubeznik subcomplex of the minimal one
         rng = random.Random(31)
         for _ in range(25):
             P = random_complement(rng, 6, 5)
-            a = tor_bigraded(P, QQ).signature()
+            a = BigradedTor(P, QQ).signature()
             b = tor_bigraded(minimalize(P), QQ).signature()
             assert a == b
-            az = tor_bigraded(P, ZZ).signature()
+            az = BigradedTor(P, ZZ).signature()
             bz = tor_bigraded(minimalize(P), ZZ).signature()
             assert az == bz
+
+
+def _oracle_signature(P: Complement, coeff) -> dict:
+    """Nonzero Hochster blocks: the cohomology of every full subcomplex."""
+    K = complex_from_complement(P)
+    out = {}
+    if K.is_void:
+        return out
+    for sigma in range(1 << P.m):
+        oracle = CochainComplex(full_subcomplex(K, sigma))
+        for q in range(popcount(sigma) + 1):
+            group = oracle.cohomology(popcount(sigma) - q - 1, coeff)
+            if not group.is_zero:
+                out[(q, sigma)] = group.signature
+    return out
+
+
+@st.composite
+def redundant_presentations(draw):
+    """Up to 5 drawn members (the empty one included), then possibly a
+    duplicate and a member containing another, in a random order."""
+    m = draw(st.integers(1, 6))
+    members = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=5))
+    if members and draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)))
+    if members and draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)) | draw(st.integers(0, (1 << m) - 1)))
+    return Complement(m, tuple(draw(st.permutations(members))))
+
+
+@given(redundant_presentations())
+@example(Complement(4, (0b0011, 0b0011, 0b0111, 0b1100)))
+@example(Complement(3, (0b011, 0, 0b110)))
+def test_lyubeznik_taylor_and_oracle_agree(P):
+    reversed_P = Complement(P.m, P.members[::-1])
+    for coeff in (QQ, PrimeField(2), ZZ):
+        oracle = _oracle_signature(P, coeff)
+        assert tor_bigraded(P, coeff).signature() == oracle
+        assert BigradedTor(P, coeff).signature() == oracle
+        assert tor_bigraded(reversed_P, coeff).signature() == oracle
+
+
+def test_lyubeznik_keeps_rp2_torsion():
+    P = complement_from_complex(rp2_complex())
+    lyubeznik = tor_bigraded(P, ZZ)
+    assert lyubeznik.taylor.s == P.s == 10
+    assert len(lyubeznik.taylor.totals) < 1 << P.s
+    assert lyubeznik.group(3, full_mask(6)).signature == (0, (2,))
+    assert lyubeznik.signature() == BigradedTor(P, ZZ).signature() == _oracle_signature(P, ZZ)
 
 
 class TestPoincare:
