@@ -22,7 +22,7 @@ from .complexes import (
     minimalize,
     star,
 )
-from .hochster import CochainComplex, baskakov_check, reduced_cohomology
+from .hochster import CochainComplex, compare_blocks, reduced_cohomology
 from .linalg import (
     QQ,
     ZZ,
@@ -65,8 +65,8 @@ __all__ = [
     "TorClass",
     "TorRing",
     "ZZ",
-    "baskakov_check",
     "chain_product",
+    "compare_blocks",
     "complement_from_complex",
     "complex_from_complement",
     "compress",

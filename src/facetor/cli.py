@@ -15,23 +15,23 @@ import json
 import random
 import sys
 
-from .bitsets import MAX_AMBIENT, mask_of, popcount, set_str, sort_key, vertices
+from .bitsets import MAX_AMBIENT, mask_of, popcount, set_str, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
     complement_from_complex,
     complex_from_complement,
     compress,
-    full_subcomplex,
+    full_subcomplex,  # unused here; perfbench/tracer.py patches it by this name
     link,
     star,
 )
-from .hochster import CochainComplex
+from .hochster import compare_blocks
 from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
 from .moment_angle import PairSpec, maz_cohomology, star_tor
 from .polynomials import pstr, psorted, ptotal
 from .sampling import random_complement
-from .taylor import MAX_GENERATORS, taylor_complex
+from .taylor import MAX_GENERATORS
 from .tor import TorRing, tor_bigraded, zk_poincare
 
 
@@ -348,37 +348,8 @@ def _cmd_compress(args) -> int:
 VERIFY_COEFFS: tuple[CoefficientSpec, ...] = (QQ, PrimeField(2), ZZ)
 
 
-def _verify_complement(P: Complement, all_sigma: bool):
-    """Compare Taylor block homology against full-subcomplex cohomology
-    for every (q, sigma); returns per-block results."""
-    tc = taylor_complex(P)
-    K = complex_from_complement(P)
-    if all_sigma:
-        sigmas = list(range(1 << P.m))
-        sigmas.sort(key=sort_key)
-    else:
-        sigmas = tc.supports()
-
-    out = []
-    for sigma in sigmas:
-        oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
-        qmax = max(tc.max_degree(sigma), popcount(sigma))
-        for q in range(0, qmax + 1):
-            groups = {}
-            ok = True
-            for coeff in VERIFY_COEFFS:
-                left = tc.block_homology(sigma, q, coeff)
-                if oracle is None:
-                    right_sig = (0, ())
-                else:
-                    right_sig = oracle.cohomology(popcount(sigma) - q - 1, coeff).signature
-                groups[str(coeff)] = {
-                    "left": left.signature,
-                    "right": right_sig,
-                }
-                ok = ok and left.signature == right_sig
-            out.append((q, sigma, groups, ok))
-    return out
+def _agrees(pairs) -> bool:
+    return all(full == oracle for full, oracle in pairs)
 
 
 def _group_str(sig) -> str:
@@ -387,53 +358,44 @@ def _group_str(sig) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def _sig_json(sig) -> dict:
+    return {"rank": sig[0], "torsion": list(sig[1])}
+
+
 def _render_verify_results(results, as_json: bool, header: dict) -> int:
-    failed = [r for r in results if not r[3]]
-    interesting = [
-        r
-        for r in results
-        if not r[3]
-        or any(g["left"] != (0, ()) or g["right"] != (0, ()) for g in r[2].values())
-    ]
+    names = [str(c) for c in VERIFY_COEFFS]
+    failed = [b for b in results if not _agrees(b[2])]
+    # a failing block has a nonzero side, so it is always shown
+    shown = [b for b in results if any(sig != (0, ()) for pair in b[2] for sig in pair)]
     if as_json:
-        blocks = []
-        for q, sigma, groups, ok in interesting:
-            blocks.append(
-                {
-                    "q": q,
-                    "sigma": list(vertices(sigma)),
-                    "groups": {
-                        name: {
-                            "left": {"rank": sig["left"][0], "torsion": list(sig["left"][1])},
-                            "right": {"rank": sig["right"][0], "torsion": list(sig["right"][1])},
-                        }
-                        for name, sig in groups.items()
-                    },
-                    "ok": ok,
-                }
-            )
+        blocks = [
+            {
+                "q": q,
+                "sigma": list(vertices(sigma)),
+                "groups": {
+                    name: {"left": _sig_json(left), "right": _sig_json(right)}
+                    for name, (left, right) in zip(names, pairs)
+                },
+                "ok": _agrees(pairs),
+            }
+            for q, sigma, pairs in shown
+        ]
         payload = dict(header)
         payload.update(
-            {
-                "coeffs": [str(c) for c in VERIFY_COEFFS],
-                "blocks": blocks,
-                "checked": len(results),
-                "failed": len(failed),
-            }
+            {"coeffs": names, "blocks": blocks, "checked": len(results), "failed": len(failed)}
         )
         print(json.dumps(payload, indent=2))
     else:
-        for q, sigma, groups, ok in interesting:
-            tag = "PASS" if ok else "FAIL"
+        for q, sigma, pairs in shown:
+            ok = _agrees(pairs)
             detail = ", ".join(
-                f"{name}:{_group_str(sig['left'])}"
-                + ("" if ok else f"|oracle:{_group_str(sig['right'])}")
-                for name, sig in groups.items()
+                f"{name}:{_group_str(left)}" + ("" if ok else f"|oracle:{_group_str(right)}")
+                for name, (left, right) in zip(names, pairs)
             )
-            print(f"{tag} q={q} sigma={set_str(sigma)} [{detail}]")
+            print(f"{'PASS' if ok else 'FAIL'} q={q} sigma={set_str(sigma)} [{detail}]")
         print(
             f"checked {len(results)} (q, sigma) blocks over "
-            + ", ".join(str(c) for c in VERIFY_COEFFS)
+            + ", ".join(names)
             + f": {len(results) - len(failed)} passed, {len(failed)} failed"
         )
     return 4 if failed else 0
@@ -442,22 +404,18 @@ def _render_verify_results(results, as_json: bool, header: dict) -> int:
 def _cmd_verify(args) -> int:
     if args.random:
         rng = random.Random(args.seed)
-        all_results = []
-        failed_trials = 0
+        checked = failed = 0
         for trial in range(args.trials):
             P = random_complement(rng, args.max_m, args.max_s)
-            results = _verify_complement(P, all_sigma=False)
-            bad = [r for r in results if not r[3]]
-            all_results.extend(results)
-            if bad:
-                failed_trials += 1
+            results = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
+            bad = sum(not _agrees(pairs) for _, _, pairs in results)
+            checked += len(results)
+            failed += bad
             if not args.json:
-                status = "PASS" if not bad else "FAIL"
                 print(
                     f"trial {trial}: m={P.m} s={P.s} P={P} "
-                    f"{len(results)} blocks {status}"
+                    f"{len(results)} blocks {'FAIL' if bad else 'PASS'}"
                 )
-        failed = [r for r in all_results if not r[3]]
         if args.json:
             print(
                 json.dumps(
@@ -466,22 +424,19 @@ def _cmd_verify(args) -> int:
                         "mode": "random",
                         "trials": args.trials,
                         "seed": args.seed,
-                        "checked": len(all_results),
-                        "failed": len(failed),
+                        "checked": checked,
+                        "failed": failed,
                     },
                     indent=2,
                 )
             )
         else:
-            print(
-                f"random sweep: {args.trials} trials, {len(all_results)} blocks, "
-                f"{len(failed)} failures"
-            )
+            print(f"random sweep: {args.trials} trials, {checked} blocks, {failed} failures")
         return 4 if failed else 0
     if not args.input:
         raise InputError("an input file is required unless --random is given")
     P = load_input(args.input)
-    results = _verify_complement(P, all_sigma=args.all_sigma)
+    results = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
     return _render_verify_results(
         results, args.json, {"command": "verify", "mode": "file", "m": P.m}
     )

@@ -5,7 +5,8 @@ so the degree -1 cohomology of the EMPTY complex {phi} is the ground
 ring, and the VOID complex has zero cohomology everywhere.  Reduced
 cohomology of a full subcomplex on sigma in degree |sigma| - q - 1 must
 agree with the (q, sigma) block homology of the complement's exterior
-complex; baskakov_check compares the two sides as abstract groups.
+complex; compare_blocks reads both sides' signatures (rank, torsion),
+the full complex on the given presentation against the oracle.
 The two paths share no linear-algebra input: one reduces generator
 masks of the complement, the other coboundaries of actual faces.  A
 coboundary matrix is built from its nonzero entries alone, one face and
@@ -14,7 +15,7 @@ coface pair at a time, and kept with its invariant factors.
 
 from __future__ import annotations
 
-from .bitsets import popcount, vertices
+from .bitsets import popcount, sort_key, vertices
 from .complexes import Complement, SimplicialComplex, complex_from_complement, full_subcomplex
 from .linalg import CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
 from .taylor import taylor_complex
@@ -69,13 +70,27 @@ def reduced_cohomology(K: SimplicialComplex, n: int, coeff: CoefficientSpec) -> 
     return CochainComplex(K).cohomology(n, coeff)
 
 
-def baskakov_check(P: Complement, sigma: int, q: int, coeff: CoefficientSpec) -> bool:
-    """Do the (q, sigma) block homology and the full-subcomplex
-    cohomology in degree |sigma| - q - 1 agree as abstract groups?"""
-    left = taylor_complex(P).block_homology(sigma, q, coeff)
+def compare_blocks(
+    P: Complement, coeffs: tuple[CoefficientSpec, ...], all_sigma: bool = False
+) -> list[tuple]:
+    """(q, sigma, pairs) for every sigma (the supports of the full
+    complex, or with all_sigma every subset of [m]) and every q up to
+    max(top degree, |sigma|); pairs holds, per ring of coeffs, the
+    (q, sigma) block signature of the full complex and the oracle's in
+    degree |sigma| - q - 1.  Blocks come in (card, lex) order of sigma,
+    then q."""
+    tc = taylor_complex(P)
     K = complex_from_complement(P)
-    if K.is_void:
-        right = ZERO_GROUP
-    else:
-        right = reduced_cohomology(full_subcomplex(K, sigma), popcount(sigma) - q - 1, coeff)
-    return left.signature == right.signature
+    sigmas = sorted(range(1 << P.m), key=sort_key) if all_sigma else tc.supports()
+    out = []
+    for sigma in sigmas:
+        n = popcount(sigma)
+        oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
+        for q in range(max([n, *tc.block_dims(sigma)]) + 1):
+            pairs = []
+            for coeff in coeffs:
+                left = tc.block_homology(sigma, q, coeff)
+                right = ZERO_GROUP if oracle is None else oracle.cohomology(n - q - 1, coeff)
+                pairs.append((left.signature, right.signature))
+            out.append((q, sigma, tuple(pairs)))
+    return out

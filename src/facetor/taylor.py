@@ -7,15 +7,16 @@ only the terms whose total subset is unchanged, and signs the i-th
 deletion (1-based, members in increasing position order) with (-1)^i.
 
 The full complex (the reduced Taylor resolution) has all 2^s subsets
-as generators; TorRing and the oracle comparison use it on the given
-presentation.  The Lyubeznik build minimalizes the presentation first
-and keeps only the L-admissible subsets: a set may take a new smallest
-member i when no earlier member lies in the union of the set and i.
-Admissible sets are closed under taking subsets, and they span a
-subcomplex that is still a free resolution over Z (Lyubeznik 1988), so
-every sigma slice has the homology of the Taylor slice, torsion
-included, from far fewer generators (368 against 16,384 for the
-7-cycle).  The rank-only commands use it.
+as generators; TorRing takes its chains and the oracle comparison its
+blocks from it, on the given presentation.  The Lyubeznik build
+minimalizes the presentation first and keeps only the L-admissible
+subsets: a set may take a new smallest member i when no earlier member
+lies in the union of the set and i.  Admissible sets are closed under
+taking subsets, and they span a subcomplex that is still a free
+resolution over Z (Lyubeznik 1988), so every sigma slice has the
+homology of the Taylor slice, torsion included, from far fewer
+generators (368 against 16,384 for the 7-cycle).  tor_bigraded reads
+its blocks, and with it every command but verify.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
@@ -73,10 +74,6 @@ class TaylorComplex:
 
     def block_dims(self, sigma: int) -> dict[int, int]:
         return {q: len(g) for q, g in sorted(self._by_support.get(sigma, {}).items())}
-
-    def max_degree(self, sigma: int) -> int:
-        block = self._by_support.get(sigma)
-        return max(block) if block else -1
 
     def reduced_differential(self, u: int) -> Chain:
         """d(u) as a chain; zero for the empty generator."""

@@ -2,12 +2,12 @@
 
 Each block (q, sigma) is the homology of the sigma slice of the reduced
 exterior complex; BigradedTor keeps only its signature (rank, torsion).
-tor_bigraded, which every rank-only command goes through, reads the
-blocks off the Lyubeznik subcomplex of the minimalized presentation;
-the signatures depend only on the ideal, so they equal those of the
-full complex.  TorRing keeps the full complex on the given presentation,
-because admissible sets are not closed under the exterior product and
-its basis names follow member order.
+It reads the blocks off the Lyubeznik subcomplex of the minimalized
+presentation; the signatures depend only on the ideal, so they equal
+those of the full complex.  TorRing takes its block list and ranks from
+tor_bigraded too, and builds the full complex on the given presentation
+for chains alone, because admissible sets are not closed under the
+exterior product and its basis names follow member order.
 TorRing alone builds representative cycles, for the nonzero blocks and
 for every block a product lands in.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
@@ -27,7 +27,6 @@ from .linalg import (
     CoefficientSpec,
     HomologyBasis,
     HomologyGroup,
-    Integers,
     PrimeField,
     ZERO_GROUP,
     homology_representatives,
@@ -39,14 +38,12 @@ from .taylor import Chain, TaylorComplex, chain_product, taylor_complex
 
 class BigradedTor:
     """Map (q, sigma) -> homology group, over a fixed coefficient ring,
-    read off the full complex or, with lyubeznik, its Lyubeznik
-    subcomplex."""
+    read off the Lyubeznik subcomplex."""
 
-    def __init__(self, complement: Complement, coeff: CoefficientSpec, lyubeznik: bool = False):
+    def __init__(self, complement: Complement, coeff: CoefficientSpec):
         self.complement = complement
         self.coeff = coeff
-        # one cache key per build: the full one is cached under (P,)
-        self.taylor = taylor_complex(complement, True) if lyubeznik else taylor_complex(complement)
+        self.taylor = taylor_complex(complement, True)
         entries: dict[tuple[int, int], HomologyGroup] = {}
         for sigma in self.taylor.supports():
             for q in self.taylor.block_dims(sigma):
@@ -70,7 +67,7 @@ class BigradedTor:
 
 
 def tor_bigraded(P: Complement, coeff: CoefficientSpec) -> BigradedTor:
-    return BigradedTor(P, coeff, lyubeznik=True)
+    return BigradedTor(P, coeff)
 
 
 def zk_poincare(P: Complement, coeff: CoefficientSpec) -> dict[int, int]:
@@ -116,16 +113,16 @@ class TorRing:
     """Basis of Tor classes with the support-disjoint product."""
 
     def __init__(self, complement: Complement, coeff: CoefficientSpec):
-        self.tor = BigradedTor(complement, coeff)
+        self.tor = tor_bigraded(complement, coeff)
         self.coeff = coeff
-        self.taylor: TaylorComplex = self.tor.taylor
+        self.taylor: TaylorComplex = taylor_complex(complement)
         self._groups: dict[tuple[int, int], HomologyBasis] = {}
         basis: list[tuple[str, TorClass]] = []
         names_used: set[str] = set()
-        for (q, sigma), _ in self.tor.blocks():
-            group = self._group(q, sigma)
-            if isinstance(coeff, Integers) and group.rank == 0:
+        for (q, sigma), block in self.tor.blocks():
+            if block.rank == 0:  # a torsion block over Z
                 continue
+            group = self._group(q, sigma)
             gens = self.taylor.generators(sigma, q)
             for idx, rep in enumerate(group.representatives):
                 chain = {gens[i]: c for i, c in enumerate(rep) if c}

@@ -5,9 +5,9 @@ paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full differential,
 the (S^2, S^1) series, and the accessors only tests read (field_rank,
-total_subset, boundary_matrices).  Helpers return values or raise and never
-check with a bare assert, which python -O would strip outside test
-modules.
+total_subset, boundary_matrices, full_signature).  Helpers return
+values or raise and never check with a bare assert, which python -O
+would strip outside test modules.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from facetor import Complement, SimplicialComplex, complex_from_complement, comp
 from facetor.bitsets import bit_positions, popcount, sort_key
 from facetor.linalg import Matrix, _modulus, _rref, is_field
 from facetor.polynomials import padd
-from facetor.taylor import TaylorComplex
+from facetor.taylor import TaylorComplex, taylor_complex
 
 # pentagon-with-two-triangles complex on 5 vertices
 FIG1 = Complement.from_vertex_lists(5, [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]])
@@ -86,7 +86,21 @@ def total_subset(tc: TaylorComplex, u: int) -> int:
 
 def boundary_matrices(tc: TaylorComplex, sigma: int) -> list[Matrix]:
     """Matrices of d for q = 1 .. top degree of the sigma block."""
-    return [tc.boundary_matrix(sigma, q) for q in range(1, tc.max_degree(sigma) + 1)]
+    top = max(tc.block_dims(sigma), default=0)
+    return [tc.boundary_matrix(sigma, q) for q in range(1, top + 1)]
+
+
+def full_signature(P: Complement, coeff) -> dict:
+    """Nonzero block signatures of the full complex on the given
+    presentation, the side the Lyubeznik build is checked against."""
+    tc = taylor_complex(P)
+    out = {}
+    for sigma in tc.supports():
+        for q in tc.block_dims(sigma):
+            group = tc.block_homology(sigma, q, coeff)
+            if not group.is_zero:
+                out[(q, sigma)] = group.signature
+    return out
 
 
 def field_rank(M: Matrix, coeff) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -7,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from facetor.cli import main
 from facetor.taylor import taylor_complex
+
+from helpers import RP2_FACETS
 
 FIG1_DOC = {"m": 5, "complement": [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]]}
 EX513_DOC = {"m": 6, "complement": [[1, 2], [3, 4], [5, 6]]}
@@ -205,6 +208,14 @@ class TestVerify:
         assert code == 0
         assert "5 trials" in out
 
+    def test_random_mode_honours_all_sigma(self, capsys):
+        argv = ("verify", "--random", "--trials", "3", "--seed", "1")
+        code, out, _ = run(capsys, *argv)
+        code_all, out_all, _ = run(capsys, *argv, "--all-sigma")
+        assert (code, code_all) == (0, 0)
+        assert out.endswith("random sweep: 3 trials, 28 blocks, 0 failures\n")
+        assert out_all.endswith("random sweep: 3 trials, 79 blocks, 0 failures\n")
+
     def test_random_mode_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
         _, out2, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
@@ -243,11 +254,59 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, fig1_path, monkeypatch):
         import facetor.cli as cli_mod
 
-        fake = [(0, 0, {"Q": {"left": (1, ()), "right": (0, ())}}, False)]
-        monkeypatch.setattr(cli_mod, "_verify_complement", lambda P, all_sigma: fake)
+        fake = [(0, 0, (((1, ()), (0, ())),))]
+        monkeypatch.setattr(cli_mod, "compare_blocks", lambda P, coeffs, all_sigma: fake)
         code, out, _ = run(capsys, "verify", fig1_path)
         assert code == 4
         assert "FAIL" in out
+
+
+FIG1_VERIFY_TEXT = """\
+PASS q=0 sigma={} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=1 sigma={1,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=1 sigma={2,4} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=1 sigma={1,2,3} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=1 sigma={3,4,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=2 sigma={1,2,3,4} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=2 sigma={1,2,3,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=2 sigma={1,2,4,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=2 sigma={1,3,4,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=2 sigma={2,3,4,5} [Q:Z^1, F2:Z^1, Z:Z^1]
+PASS q=3 sigma={1,2,3,4,5} [Q:Z^2, F2:Z^2, Z:Z^2]
+checked 46 (q, sigma) blocks over Q, F2, Z: 46 passed, 0 failed
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, flags, text, digest",
+    [
+        (FIG1_DOC, (), FIG1_VERIFY_TEXT, None),
+        (
+            {"m": 6, "facets": RP2_FACETS},
+            ("--json",),
+            None,
+            "ed7ed821fe0e715d693a80a85aa29e5f68b7cdef51356270af0fc598376b2145",
+        ),
+        (
+            FIG1_DOC,
+            ("--all-sigma", "--json"),
+            None,
+            "d77cfc58745d53b24e16eae7f5e30d40fde64cadd7afe44b15d1a1d8b8426d2e",
+        ),
+    ],
+    ids=["fig1-text", "rp2-json", "fig1-all-sigma-json"],
+)
+def test_verify_file_output_pinned(capsys, tmp_path, doc, flags, text, digest):
+    # recorded bytes of the file-mode report: block order, group
+    # rendering and the summary line all stay fixed
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), *flags)
+    assert (code, err) == (0, "")
+    if text is not None:
+        assert out == text
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInputValidity:

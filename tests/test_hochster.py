@@ -3,16 +3,15 @@ import random
 from facetor import (
     Complement,
     SimplicialComplex,
-    baskakov_check,
+    compare_blocks,
     complex_from_complement,
     full_subcomplex,
     reduced_cohomology,
 )
-from facetor.bitsets import full_mask, mask_of, popcount
+from facetor.bitsets import full_mask, mask_of
 from facetor.hochster import CochainComplex
 from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.sampling import random_complement
-from facetor.taylor import taylor_complex
 
 from helpers import FIG1, EX513, field_rank, rp2_complex
 
@@ -96,38 +95,47 @@ class TestComplexStructure:
         assert reduced_cohomology(sub, n=0, coeff=QQ).is_zero
 
 
+def _disagreements(blocks) -> list:
+    return [(q, sigma) for q, sigma, pairs in blocks if any(full != oracle for full, oracle in pairs)]
+
+
 class TestBaskakov:
     def test_trivial_complement(self):
-        assert baskakov_check(Complement(1, ()), 0, 0, QQ)
+        assert compare_blocks(Complement(1, ()), (QQ,)) == [(0, 0, (((1, ()), (1, ())),))]
 
     def test_pentagon_block_both_sides_rank_one(self):
         sigma = mask_of([1, 2, 4, 5], 5)
-        assert baskakov_check(FIG1, sigma, 2, QQ)
-        left = taylor_complex(FIG1).block_homology(sigma, 2, QQ)
+        pairs = {(q, s): p for q, s, p in compare_blocks(FIG1, (QQ,))}
+        assert pairs[(2, sigma)] == (((1, ()), (1, ())),)
         K = full_subcomplex(complex_from_complement(FIG1), sigma)
         # the full subcomplex is the 4-cycle 1-2-5-4
         assert sorted(K.facet_vertex_lists()) == [[1, 2], [1, 4], [2, 5], [4, 5]]
-        right = reduced_cohomology(K, 1, QQ)
-        assert left.signature == right.signature == (1, ())
+        assert reduced_cohomology(K, 1, QQ).signature == (1, ())
 
     def test_void_complement(self):
-        P = Complement(2, (0,))
-        for q in range(3):
-            for sigma in range(4):
-                assert baskakov_check(P, sigma, q, ZZ)
+        blocks = compare_blocks(Complement(2, (0,)), (ZZ,), all_sigma=True)
+        # sigma in (card, lex) order, then q up to max(top degree 1, |sigma|)
+        assert [(q, sigma) for q, sigma, _ in blocks] == [
+            (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)
+        ]
+        assert all(pairs == (((0, ()), (0, ())),) for _, _, pairs in blocks)
 
     def test_random_sweep(self):
         rng = random.Random(99)
         for _ in range(25):
             P = random_complement(rng, 6, 4)
-            tc = taylor_complex(P)
-            for sigma in tc.supports():
-                for q in range(0, max(tc.max_degree(sigma), popcount(sigma)) + 1):
-                    for coeff in (QQ, PrimeField(2), ZZ):
-                        assert baskakov_check(P, sigma, q, coeff)
+            assert _disagreements(compare_blocks(P, (QQ, PrimeField(2), ZZ))) == []
+
+    def test_full_complex_side_is_read(self):
+        # four copies of {1,2}: the full complex has degrees up to 4 on
+        # sigma = {1,2}, the Lyubeznik build (one member) only up to 1
+        blocks = compare_blocks(Complement.from_vertex_lists(2, [[1, 2]] * 4), (QQ, ZZ))
+        assert [(q, sigma) for q, sigma, _ in blocks] == [(0, 0)] + [(q, 3) for q in range(5)]
+        assert _disagreements(blocks) == []
 
     def test_projective_plane_torsion_block(self):
         from facetor import complement_from_complex
 
         P = complement_from_complex(rp2_complex())
-        assert baskakov_check(P, full_mask(6), 3, ZZ)
+        pairs = {(q, s): p for q, s, p in compare_blocks(P, (ZZ,))}
+        assert pairs[(3, full_mask(6))] == (((0, (2,)), (0, (2,))),)

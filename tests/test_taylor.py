@@ -4,7 +4,7 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-from facetor import QQ, BigradedTor, Complement, minimalize, tor_bigraded
+from facetor import QQ, BigradedTor, Complement, TorRing, minimalize, tor_bigraded
 from facetor.bitsets import bit_positions, popcount
 from facetor.taylor import (
     chain_product,
@@ -166,8 +166,9 @@ class TestLyubeznik:
         full, lyubeznik = taylor_complex(P), taylor_complex(P, True)
         assert full is not lyubeznik
         assert taylor_complex(P, True) is lyubeznik
-        assert BigradedTor(P, QQ).taylor is full
+        assert BigradedTor(P, QQ).taylor is lyubeznik
         assert tor_bigraded(P, QQ).taylor is lyubeznik
+        assert TorRing(P, QQ).taylor is full
         assert (full.s, len(full.totals)) == (3, 8)
         assert (lyubeznik.s, len(lyubeznik.totals)) == (1, 2)
 

@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
 from hypothesis import example, given, strategies as st
 
 from facetor import (
-    BigradedTor,
     CochainComplex,
     Complement,
+    SimplicialComplex,
     TorClass,
     TorRing,
     complement_from_complex,
@@ -18,10 +19,11 @@ from facetor import (
     zk_poincare,
 )
 from facetor.bitsets import full_mask, mask_of, popcount
-from facetor.linalg import QQ, ZZ, PrimeField
+from facetor.linalg import QQ, ZZ, PrimeField, homology_representatives
 from facetor.sampling import random_complement
+from facetor.taylor import TaylorComplex, taylor_complex
 
-from helpers import EX513, FIG1, rp2_complex
+from helpers import EX513, FIG1, full_signature, rp2_complex
 
 
 class TestBigradedTable:
@@ -72,12 +74,8 @@ class TestBigradedTable:
         rng = random.Random(31)
         for _ in range(25):
             P = random_complement(rng, 6, 5)
-            a = BigradedTor(P, QQ).signature()
-            b = tor_bigraded(minimalize(P), QQ).signature()
-            assert a == b
-            az = BigradedTor(P, ZZ).signature()
-            bz = tor_bigraded(minimalize(P), ZZ).signature()
-            assert az == bz
+            for coeff in (QQ, ZZ):
+                assert full_signature(P, coeff) == tor_bigraded(minimalize(P), coeff).signature()
 
 
 def _oracle_signature(P: Complement, coeff) -> dict:
@@ -116,7 +114,7 @@ def test_lyubeznik_taylor_and_oracle_agree(P):
     for coeff in (QQ, PrimeField(2), ZZ):
         oracle = _oracle_signature(P, coeff)
         assert tor_bigraded(P, coeff).signature() == oracle
-        assert BigradedTor(P, coeff).signature() == oracle
+        assert full_signature(P, coeff) == oracle
         assert tor_bigraded(reversed_P, coeff).signature() == oracle
 
 
@@ -126,7 +124,39 @@ def test_lyubeznik_keeps_rp2_torsion():
     assert lyubeznik.taylor.s == P.s == 10
     assert len(lyubeznik.taylor.totals) < 1 << P.s
     assert lyubeznik.group(3, full_mask(6)).signature == (0, (2,))
-    assert lyubeznik.signature() == BigradedTor(P, ZZ).signature() == _oracle_signature(P, ZZ)
+    assert lyubeznik.signature() == full_signature(P, ZZ) == _oracle_signature(P, ZZ)
+
+
+def test_ring_takes_blocks_from_the_lyubeznik_build(monkeypatch):
+    # TorRing reads block ranks off tor_bigraded and the full complex
+    # only for chains: no block homology of the full complex is taken
+    P = complement_from_complex(SimplicialComplex.from_facets(6, [[i, i % 6 + 1] for i in range(1, 7)]))
+    called = []
+    block_homology = TaylorComplex.block_homology
+
+    def recording(self, sigma, q, coeff):
+        called.append(self)
+        return block_homology(self, sigma, q, coeff)
+
+    monkeypatch.setattr(TaylorComplex, "block_homology", recording)
+    TorRing(P, QQ).multiplication_table()
+    assert called
+    assert all(tc is not taylor_complex(P) for tc in called)
+
+
+@given(redundant_presentations())
+@example(Complement(4, (0b0011, 0b0011, 0b0111, 0b1100)))
+def test_ring_basis_matches_tor_bigraded(P):
+    full = taylor_complex(P)
+    for coeff in (QQ, PrimeField(2)):
+        tor = tor_bigraded(P, coeff)
+        for (q, sigma), group in tor.entries.items():
+            reps = homology_representatives(
+                full.boundary_matrix(sigma, q + 1), full.boundary_matrix(sigma, q), coeff
+            ).representatives
+            assert len(reps) == group.rank
+        basis = Counter((tc.q, tc.sigma) for _, tc in TorRing(P, coeff).basis)
+        assert basis == {key: group.rank for key, group in tor.entries.items()}
 
 
 class TestPoincare:
