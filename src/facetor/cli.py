@@ -26,7 +26,7 @@ from .complexes import (
     link,
     star,
 )
-from .hochster import compare_blocks
+from .hochster import check_all_sigma, compare_blocks
 from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
 from .moment_angle import PairSpec, maz_cohomology, star_tor
 from .polynomials import pstr, psorted, ptotal
@@ -403,6 +403,8 @@ def _render_verify_results(results, as_json: bool, header: dict) -> int:
 
 def _cmd_verify(args) -> int:
     if args.random:
+        if args.all_sigma:
+            check_all_sigma(args.max_m)
         rng = random.Random(args.seed)
         checked = failed = 0
         for trial in range(args.trials):

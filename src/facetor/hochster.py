@@ -17,8 +17,21 @@ from __future__ import annotations
 
 from .bitsets import popcount, sort_key, vertices
 from .complexes import Complement, SimplicialComplex, complex_from_complement, full_subcomplex
-from .linalg import CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
+from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
 from .taylor import taylor_complex
+
+# The all_sigma sweep reads every subset of [m]; its cost grows about
+# threefold per vertex and reaches seconds at m = 12.
+ALL_SIGMA_MAX_M = 12
+
+
+def check_all_sigma(m: int) -> None:
+    """Raise CapabilityError when an all_sigma sweep on m vertices is
+    beyond ALL_SIGMA_MAX_M."""
+    if m > ALL_SIGMA_MAX_M:
+        raise CapabilityError(
+            f"sweeping all 2^{m} subsets exceeds the supported maximum m = {ALL_SIGMA_MAX_M}"
+        )
 
 
 class CochainComplex:
@@ -78,7 +91,10 @@ def compare_blocks(
     max(top degree, |sigma|); pairs holds, per ring of coeffs, the
     (q, sigma) block signature of the full complex and the oracle's in
     degree |sigma| - q - 1.  Blocks come in (card, lex) order of sigma,
-    then q."""
+    then q.  With all_sigma, m above ALL_SIGMA_MAX_M raises
+    CapabilityError before any block is built."""
+    if all_sigma:
+        check_all_sigma(P.m)
     tc = taylor_complex(P)
     K = complex_from_complement(P)
     sigmas = sorted(range(1 << P.m), key=sort_key) if all_sigma else tc.supports()

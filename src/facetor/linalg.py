@@ -1,20 +1,22 @@
 """Exact linear algebra over Z, Q, and F_p.
 
 Matrices store only their nonzero entries, one dict per row; the
-builders set entries one at a time, and only the dense routines below
-ask for a dense copy of the rows.  Homology groups of chain complex
-slices are read off the integer invariant factors of their two boundary
-maps, whatever the coefficient ring.  The factors come from sparse
-elimination on +-1 pivots, run on a copy of the stored entries,
+builders set entries one at a time, and only the dense Smith normal
+form asks for a dense copy of the rows.  Homology groups of chain
+complex slices are read off the integer invariant factors of their two
+boundary maps, whatever the coefficient ring.  The factors come from
+sparse elimination on +-1 pivots, run on a copy of the stored entries,
 followed by a dense Smith normal form of the unit-free residual, which
 is usually small or empty.  A matrix keeps its factors once computed, so a
 map shared by two neighbouring blocks, or read over several rings, is
 factored once.  Cycle representatives are separate, for the
 product structure alone; they use the dense Smith normal form with
-explicit unimodular transforms over Z, and row reduction over a field,
-written once for Q and F_p.  The same eliminations yield linear forms
-that test whether a vector is a cycle and read off its coordinates in
-the representative basis, so reducing a cycle takes dot products only.
+explicit unimodular transforms over Z, and over a field the reduced
+row echelon form, computed on the stored nonzeros and written once for
+Q and F_p.  The same eliminations yield linear forms, kept as their
+nonzero entries, that test whether a vector is a cycle and read off its
+coordinates in the representative basis, so reducing a cycle takes
+sparse dot products only.
 Everything is arbitrary-precision: Python ints over Z and F_p,
 fractions.Fraction over Q.
 """
@@ -528,14 +530,17 @@ class HomologyGroup:
 class HomologyBasis(HomologyGroup):
     """A homology group together with integer cycle vectors spanning its
     free part in the block basis (residues over F_p), and linear forms
-    on the block: a vector is a cycle exactly when every relation
-    vanishes on it, and the coordinates of a cycle's class in the
-    representative basis are the values of the coordinate forms, one per
-    representative (over F_p, reduced mod p)."""
+    on the block, each kept as the (position, value) pairs of its
+    nonzeros: a vector is a cycle exactly when every relation vanishes
+    on it, and the coordinates of a cycle's class in the representative
+    basis are the values of the coordinate forms, one per representative
+    (over F_p, reduced mod p).  size is the length of the block's
+    vectors."""
 
     representatives: tuple[tuple, ...] = ()
     coordinates: tuple[tuple, ...] = ()
     relations: tuple[tuple, ...] = ()
+    size: int = 0
 
 
 ZERO_GROUP = HomologyGroup(0)
@@ -550,56 +555,44 @@ def _modulus(coeff: CoefficientSpec) -> int:
     raise ValueError(f"{coeff} is not a field")
 
 
-def _rref(rows: list[list], ncols: int, p: int) -> tuple[list[list], list[tuple[int, int]]]:
-    """Reduced row echelon form over F_p, or over Q when p == 0.
-
-    Integer or rational input is copied into residues mod p or
-    Fractions; the pivots are (row, column) pairs.
-    """
-    if p:
-        rows = [[x % p for x in r] for r in rows]
-    else:
-        rows = [[Fraction(x) for x in r] for r in rows]
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for c in range(ncols):
-        pv = None
-        for r in range(pr, len(rows)):
-            if rows[r][c]:
-                pv = r
-                break
-        if pv is None:
-            continue
-        rows[pr], rows[pv] = rows[pv], rows[pr]
+def _subtract(target: dict, f, row: dict, p: int) -> None:
+    """target -= f * row on sparse rows, reduced mod p when p; entries
+    that cancel are dropped."""
+    for j, y in row.items():
+        x = target.get(j, 0) - f * y
         if p:
-            inv = pow(rows[pr][c], -1, p)
-            prow = [x * inv % p for x in rows[pr]]
+            x %= p
+        if x:
+            target[j] = x
         else:
-            inv = 1 / rows[pr][c]
-            prow = [x * inv for x in rows[pr]]
-        rows[pr] = prow
-        for r in range(len(rows)):
-            f = rows[r][c]
-            if r != pr and f:
-                if p:
-                    rows[r] = [(x - f * y) % p if y else x for x, y in zip(rows[r], prow)]
-                else:
-                    rows[r] = [x - f * y if y else x for x, y in zip(rows[r], prow)]
-        pivots.append((pr, c))
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
+            del target[j]
 
 
-def _null_vector(rr: list[list], pivots: list[tuple[int, int]], f: int, ncols: int, p: int) -> list:
-    """The nullspace vector of a reduced row echelon form that is 1 at
-    the free column f and 0 at the other free columns."""
-    v = [0] * ncols
-    v[f] = 1
-    for r, c in pivots:
-        v[c] = -rr[r][f] % p if p else -rr[r][f]
-    return v
+def _rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
+    """Reduced row echelon form over F_p, or over Q when p == 0, of the
+    matrix with these sparse rows, which are left unchanged.
+
+    The result maps each pivot column to the nonzeros of its row: 1 at
+    the pivot, and no entry left of it or at another pivot column.
+    Each row is reduced by the pivot rows found so far, scaled to 1 on
+    its least column, and that column is cleared from the other pivot
+    rows.  Entries are residues mod p or Fractions.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        r = {j: x % p for j, x in row.items() if x % p} if p else {j: Fraction(x) for j, x in row.items()}
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r[c], pivots[c], p)
+        if not r:
+            continue
+        lead = min(r)
+        inv = pow(r[lead], -1, p) if p else 1 / r[lead]
+        r = {j: x * inv % p if p else x * inv for j, x in r.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], r, p)
+        pivots[lead] = r
+    return pivots
 
 
 def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
@@ -622,16 +615,6 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
                 ints = [-y for y in ints]
             break
     return tuple(ints)
-
-
-def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
-    """sum(c * v) over the paired coefficients and length-n vectors."""
-    out = [0] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return out
 
 
 def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
@@ -680,32 +663,42 @@ def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec
 def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
     p = _modulus(coeff)
     n = d_out.ncols
-    rr, pivots = _rref(d_out.rows, n, p)
-    pivot_cols = {c for _, c in pivots}
-    free = [f for f in range(n) if f not in pivot_cols]
+    rr = _rref(d_out._entries, p)
+    free = [f for f in range(n) if f not in rr]
     # A cycle's coordinates in the nullspace basis are its entries at the
-    # free columns, so those of the image are the rows of d_in there.
-    in_rows = d_in.rows
-    image = [[in_rows[f][c] for f in free] for c in range(d_in.ncols)]
-    rr_image, image_pivots = _rref(image, len(free), p)
-    image_cols = {c for _, c in image_pivots}
+    # free columns, so those of the image are the columns of d_in there.
+    position = {f: g for g, f in enumerate(free)}
+    image: list[dict] = [{} for _ in range(d_in.ncols)]
+    for f, row in enumerate(d_in._entries):
+        if f in position:
+            for c, x in row.items():
+                image[c][position[f]] = x
+    rr_image = _rref(image, p)
     reps = []
     coordinates = []
     for g, f in enumerate(free):
-        if g in image_cols:
+        if g in rr_image:
             continue
-        rep = _primitive_int_vector(_null_vector(rr, pivots, f, n, p), p)
+        # the nullspace vector at f: 1 at f, -rr[c][f] at each pivot column c
+        null = [0] * n
+        null[f] = 1
+        for c, row in rr.items():
+            if f in row:
+                null[c] = -row[f] % p if p else -row[f]
+        rep = _primitive_int_vector(null, p)
         # Modulo the image, a cycle with nullspace coordinates x is the sum
         # of (v_g . x) e_g over the free columns g of rr_image, v_g the
         # nullspace vector of rr_image at g; rep is rep[f] e_g, and
         # rep[f] == 1 over F_p.
-        form = [0] * n
-        for h, x in zip(free, _null_vector(rr_image, image_pivots, g, len(free), p)):
-            form[h] = x if p else Fraction(x, rep[f])
+        scale = 1 if p else Fraction(1, rep[f])
+        form = {f: scale}
+        for c, row in rr_image.items():
+            if g in row:
+                form[free[c]] = -row[g] % p if p else -row[g] * scale
         reps.append(rep)
-        coordinates.append(tuple(form))
-    relations = tuple(tuple(rr[r]) for r, _ in pivots)
-    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates), relations)
+        coordinates.append(tuple(sorted(form.items())))
+    relations = tuple(tuple(sorted(rr[c].items())) for c in sorted(rr))
+    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates), relations, n)
 
 
 def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
@@ -715,30 +708,31 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     # columns, which are independent: z is a cycle exactly when the first
     # rank_out entries of Vinv z vanish, and the others are its
     # coordinates in the kernel basis of the remaining columns of V.
-    kernel_forms = st.vinv[rank_out:]
-    kernel_cols = [[row[j] for row in st.v] for j in range(rank_out, n)]
     k = n - rank_out
-    in_rows = d_in.rows
-    X = Matrix(k, d_in.ncols, [_combine(v, in_rows, d_in.ncols) for v in kernel_forms])
+    kernel_forms = Matrix(k, n, st.vinv[rank_out:])
+    X = kernel_forms @ d_in
     # U2 X V2 = D2, so kernel coordinates x = Uinv2 (U2 x): the image is
     # spanned by multiples of the first rank_in columns of Uinv2, and the
-    # class of x has coordinate (U2 x)_j on the column j beyond them
+    # class of x has coordinate (U2 x)_j on the column j beyond them,
+    # whose image under the kernel columns of V is its representative
     st2, rank_in = _snf_state(X, track_v=False)
     torsion = tuple(d for d in (st2.d[i][i] for i in range(rank_in)) if d > 1)
+    forms = Matrix(k - rank_in, k, st2.u[rank_in:]) @ kernel_forms
+    kernel_cols = Matrix(n, k, [row[rank_out:] for row in st.v])
+    vecs = kernel_cols @ Matrix(k, k - rank_in, [row[rank_in:] for row in st2.uinv])
     reps = []
     coordinates = []
-    for j in range(rank_in, k):
-        vec = _combine([row[j] for row in st2.uinv], kernel_cols, n)
-        form = _combine(st2.u[j], kernel_forms, n)
+    for j, form in enumerate(forms._entries):
+        vec = [row.get(j, 0) for row in vecs._entries]
         sign = -1 if next(x for x in vec if x) < 0 else 1
         reps.append(tuple(sign * x for x in vec))
-        coordinates.append(tuple(sign * x for x in form))
-    relations = tuple(tuple(row) for row in st.vinv[:rank_out])
-    return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates), relations)
+        coordinates.append(tuple((i, sign * x) for i, x in sorted(form.items())))
+    relations = tuple(tuple(sorted(row.items())) for row in Matrix(rank_out, n, st.vinv[:rank_out])._entries)
+    return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates), relations, n)
 
 
 def _form_value(form: tuple, z: Sequence, p: int):
-    value = sum(a * x for a, x in zip(form, z, strict=True) if x)
+    value = sum(a * z[j] for j, a in form if z[j])
     return value % p if p else value
 
 
@@ -751,6 +745,8 @@ def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> t
     """
     if isinstance(coeff, Integers) and group.torsion:
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
+    if len(z) != group.size:
+        raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
     p = coeff.p if isinstance(coeff, PrimeField) else 0
     if any(_form_value(form, z, p) for form in group.relations):
         raise ValueError("not a cycle: no expression in representatives modulo boundaries")

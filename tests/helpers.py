@@ -104,8 +104,7 @@ def full_signature(P: Complement, coeff) -> dict:
 
 
 def field_rank(M: Matrix, coeff) -> int:
-    _, pivots = _rref(M.rows, M.ncols, _modulus(coeff))
-    return len(pivots)
+    return len(_rref(M._entries, _modulus(coeff)))
 
 
 def full_differential(tc: TaylorComplex, t: dict) -> dict:

@@ -216,6 +216,38 @@ class TestVerify:
         assert out.endswith("random sweep: 3 trials, 28 blocks, 0 failures\n")
         assert out_all.endswith("random sweep: 3 trials, 79 blocks, 0 failures\n")
 
+    def test_all_sigma_gated_above_twelve_vertices(self, capsys, tmp_path, monkeypatch):
+        # 2^m subsets, about threefold per vertex: m = 13 exits 3 before
+        # any block is built, and in random mode before the first trial
+        import facetor.cli as cli_mod
+        import facetor.hochster as hochster_mod
+        from facetor.hochster import ALL_SIGMA_MAX_M, check_all_sigma
+
+        assert ALL_SIGMA_MAX_M == 12
+        check_all_sigma(12)
+        built = []
+        monkeypatch.setattr(hochster_mod, "taylor_complex", lambda P: built.append(P))
+        monkeypatch.setattr(cli_mod, "random_complement", lambda *a: built.append(a))
+        path = tmp_path / "m13.json"
+        path.write_text(json.dumps({"m": 13, "complement": [[1, 2]]}))
+        message = "capability error: sweeping all 2^13 subsets exceeds the supported maximum m = 12\n"
+        for argv in (
+            ("verify", str(path), "--all-sigma"),
+            ("verify", "--random", "--all-sigma", "--max-m", "13", "--trials", "1"),
+        ):
+            assert run(capsys, *argv) == (3, "", message)
+        assert built == []
+
+    def test_random_mode_without_all_sigma_keeps_max_m(self, capsys):
+        # the bound concerns the all-sigma sweep only
+        assert run(capsys, "verify", "--random", "--max-m", "13", "--max-s", "2", "--trials", "2") == (
+            0,
+            "trial 0: m=7 s=1 P={{1,3}} 4 blocks PASS\n"
+            "trial 1: m=5 s=2 P={{1,2,3,4}, {3,4}} 9 blocks PASS\n"
+            "random sweep: 2 trials, 13 blocks, 0 failures\n",
+            "",
+        )
+
     def test_random_mode_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
         _, out2, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
@@ -307,6 +339,55 @@ def test_verify_file_output_pinned(capsys, tmp_path, doc, flags, text, digest):
         assert out == text
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_RING_DOCS = {
+    "fig1": FIG1_DOC,
+    "ex513": EX513_DOC,
+    "c5": {"m": 5, "facets": [[i, i % 5 + 1] for i in range(1, 6)]},
+    "c6": {"m": 6, "facets": [[i, i % 6 + 1] for i in range(1, 7)]},
+    "rp2": {"m": 6, "facets": RP2_FACETS},
+    "c7": {"m": 7, "facets": [[i, i % 7 + 1] for i in range(1, 8)]},
+}
+
+
+_RING_PINS = [
+    ("fig1", "q", (), "82d7d0b82895f2b32eda5871f9d0d235968048b6bdddcbee847626de4f9fb51b"),
+    ("fig1", "f:2", (), "82d7d0b82895f2b32eda5871f9d0d235968048b6bdddcbee847626de4f9fb51b"),
+    ("fig1", "f:3", (), "82d7d0b82895f2b32eda5871f9d0d235968048b6bdddcbee847626de4f9fb51b"),
+    ("ex513", "q", (), "17fceb7473d6832157c0eb79eab8b8835141e7e9d61ddf6abfc9bb13f3573ab3"),
+    ("ex513", "f:2", (), "cb893cf87a141a10ae2d016678c32cfc8363d5c0a6341bdad714b82b165d7559"),
+    ("ex513", "f:3", (), "5524b908fe624458c5941421a75ea94f697c3d1591be2c6f6a509be01426da2d"),
+    ("c5", "q", (), "8ff956116ddabd0fd82a89de633945d2888fad1ca284259599d1b1959bd2c952"),
+    ("c5", "f:2", (), "11eb1469571dbddda5686d8eb41fdb1964bff16cd9495c378cfd6e24cbf21914"),
+    ("c5", "f:3", (), "10e28bceeeac5d654438e18d0d3f33af68c0be7276b24fede4c02b3da66af3c7"),
+    ("c6", "q", (), "ede4691f4310b03d9e3cf13b6821e816069fbf70475eca61783a1945e2d69669"),
+    ("c6", "f:2", (), "75982dd3f228edd51e9425ca1b3dccf716252917b214e0810eed19e0d9cd233e"),
+    ("c6", "f:3", (), "5d038f9ba029f67562f704c5f5db183965b3039b26a6692f9f8da9f8cc4bf7a2"),
+    ("rp2", "q", (), "aabe40e8911091d0c25cd321d2d019e8b82586dafc4997c7cf882519b6a6c5c8"),
+    ("rp2", "f:2", (), "f1a09acdac38c8bd4cd4e32b73df93a0bf6a611a756b3acbac8b668ebc843f4c"),
+    ("rp2", "f:3", (), "aabe40e8911091d0c25cd321d2d019e8b82586dafc4997c7cf882519b6a6c5c8"),
+    ("fig1", "q", ("--json",), "c00b990dd57bec62c2ab9bcf18d99bcaa6bd04a111e36c91f302d13b9ff0872a"),
+    ("rp2", "q", ("--json",), "e3fd3d9b13376736a41dcfd01b6fa31e9bb24f2621cdbede0beb8fac65d90148"),
+    ("c7", "q", (), "c412967ac80bd5fdd50b4209eaeb1167d79402c97d8f884af7b82ecabeb41f2c"),
+    ("c7", "f:2", (), "0d5b3ba742cc41b75d882f5adc542094d52b0a46a48604123936f93ed46242b2"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, coeff, flags, digest",
+    _RING_PINS,
+    ids=[f"{name}-{coeff}" + "".join(flags) for name, coeff, flags, _ in _RING_PINS],
+)
+def test_ring_output_pinned(capsys, tmp_path, name, coeff, flags, digest):
+    # recorded bytes of the ring report: basis names, representatives'
+    # coordinates and the product table stay fixed whatever elimination
+    # produces the representatives
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_RING_DOCS[name]))
+    code, out, err = run(capsys, "ring", str(path), "--coeff", coeff, *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestInputValidity:

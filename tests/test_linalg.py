@@ -18,6 +18,7 @@ from facetor.linalg import (
     smith_normal_form,
     snf_diagonal,
     _PRIME_LIMIT,
+    _rref,
 )
 
 from helpers import bareiss_determinant, field_rank, random_matrix
@@ -319,6 +320,23 @@ class TestReduceCycle:
             with pytest.raises(ValueError, match="not a cycle"):
                 reduce_cycle([1, 0], group, coeff)
 
+    @pytest.mark.parametrize("coeff", [QQ, PrimeField(3), ZZ], ids=str)
+    def test_wrong_length_rejected(self, coeff):
+        group = homology_representatives(self.d_in, self.d_out, coeff)
+        assert group.coordinates
+        for z in ([1, 0], [1, 0, 1, 0]):
+            with pytest.raises(ValueError):
+                reduce_cycle(z, group, coeff)
+
+    def test_length_checked_without_forms(self):
+        # a block with neither relations nor coordinates still knows its size
+        for coeff in (QQ, PrimeField(3), ZZ):
+            group = homology_representatives(Matrix(1, 1, [[1]]), Matrix(0, 1), coeff)
+            assert not group.relations and not group.coordinates
+            assert reduce_cycle([5], group, coeff) == ()
+            with pytest.raises(ValueError, match="length 3 in a block of size 1"):
+                reduce_cycle([5, 6, 7], group, coeff)
+
     def test_torsion_over_integers_rejected(self):
         group = HomologyBasis(0, (2,), ())
         with pytest.raises(CapabilityError, match="torsion"):
@@ -392,12 +410,22 @@ def test_reduce_cycle_reads_coordinates(rng):
 
 @given(int_matrices(max_dim=5, bound=6))
 def test_rank_matches_over_q_and_fraction_free(M):
-    r = field_rank(M, QQ)
+    # the sparse RREF over Q (p == 0) and F_p is reduced and echelon,
+    # spans every input row, and has as many rows as the invariant
+    # factors p does not divide: the identity F_p block signatures rely on
     diag = snf_diagonal(M)
-    assert r == len(diag)
-    # the identity F_p block signatures rely on
-    for p in (2, 3, 5):
-        assert field_rank(M, PrimeField(p)) == sum(d % p != 0 for d in diag)
+    dense = M.rows
+    for p in (0, 2, 3, 5):
+        rr = _rref(M._entries, p)
+        for c, row in rr.items():
+            assert row[c] == 1 and min(row) == c
+            assert all(j == c or j not in rr for j in row)
+            assert all(0 < x < p if p else x for x in row.values())
+        assert len(rr) == (sum(d % p != 0 for d in diag) if p else len(diag))
+        for row in dense:
+            residual = [x - sum(row[c] * rr[c].get(j, 0) for c in rr) for j, x in enumerate(row)]
+            assert all((x % p if p else x) == 0 for x in residual)
+    assert M.rows == dense
 
 
 @given(st.randoms(use_true_random=False))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -279,6 +280,27 @@ class TestProducts:
         monkeypatch.setattr(TorRing, "product", lopsided)
         with pytest.raises(AssertionError, match="graded commutativity fails"):
             TorRing(FIG1, QQ).multiplication_table()
+
+
+def _cycle(n: int) -> Complement:
+    return complement_from_complex(SimplicialComplex.from_facets(n, [[i, i % n + 1] for i in range(1, n + 1)]))
+
+
+@pytest.mark.parametrize(
+    "P, digest",
+    [
+        (FIG1, "22436fd62ba4d2a43f75cff78ba6b7d996b696355b915f5a3c5af6ac41cb7de1"),
+        (EX513, "3762957153d82a305019ddc2f6941a75833f1e40aa50cf40fb76c17001aed733"),
+        (_cycle(5), "51e5b24e5ec7bc60ff6c02c17c62942b4e93c7b2686ebcbe6c468fb9bf1bb38d"),
+        (_cycle(6), "30b3ec665fbfd77b216a062bdfd2e308efe6af72324f6d9827797520ff3ed75a"),
+    ],
+    ids=["fig1", "ex513", "c5", "c6"],
+)
+def test_integer_table_pinned(P, digest):
+    # recorded repr of the Z product table, coefficient types included:
+    # the integer route's forms must keep reducing to the same ints
+    table = repr(TorRing(P, ZZ).multiplication_table())
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
 class TestFieldChoice:
