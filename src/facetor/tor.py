@@ -14,7 +14,8 @@ unless their supports are disjoint, in which case it is represented by
 the exterior product of representative cycles, reduced back to
 coordinates in the target block's basis by the block's linear forms,
 which also reject a product that is not a cycle.  Over Z the product is
-offered only in torsion-free blocks.
+offered only in torsion-free blocks.  The ring laws are checked on the
+product table; associativity is read off it by bilinearity.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ class TorRing:
         self.coeff = coeff
         self.taylor: TaylorComplex = taylor_complex(complement)
         self._groups: dict[tuple[int, int], HomologyBasis] = {}
+        self._p = coeff.p if isinstance(coeff, PrimeField) else 0
+        # (q, sigma) -> the basis positions of that block, in basis order
+        self._blocks: dict[tuple[int, int], range] = {}
         basis: list[tuple[str, TorClass]] = []
         names_used: set[str] = set()
         for (q, sigma), block in self.tor.blocks():
@@ -132,6 +136,7 @@ class TorRing:
                 name = self._name_for(chain, names_used)
                 names_used.add(name)
                 basis.append((name, TorClass(q, sigma, coords, _chain_key(chain))))
+            self._blocks[(q, sigma)] = range(len(basis) - len(group.representatives), len(basis))
         self.basis = basis
         self._name_index = {name: i for i, (name, _) in enumerate(basis)}
 
@@ -176,25 +181,6 @@ class TorRing:
         coords = reduce_cycle(vec, group, self.coeff)
         return TorClass(q, sigma, coords, _chain_key(chain))
 
-    def class_from_coords(self, q: int, sigma: int, coords) -> TorClass:
-        """Rebuild a class whose chain is the coordinate combination of
-        the block representatives (used to test representative
-        independence of products)."""
-        group = self._group(q, sigma)
-        gens = self.taylor.generators(sigma, q)
-        chain: Chain = {}
-        for c, rep in zip(coords, group.representatives):
-            if c:
-                for i, r in enumerate(rep):
-                    if r:
-                        u = gens[i]
-                        val = chain.get(u, 0) + c * r
-                        if val:
-                            chain[u] = val
-                        else:
-                            chain.pop(u, None)
-        return TorClass(q, sigma, tuple(coords), _chain_key(chain))
-
     def _zero_class(self, q: int, sigma: int) -> TorClass:
         rank = self.tor.group(q, sigma).rank
         return TorClass(q, sigma, (0,) * rank, ())
@@ -205,8 +191,10 @@ class TorRing:
         Entries are reported for unordered pairs (i <= j); graded
         commutativity, the unit law, and associativity on basis triples
         are checked along the way, raising AssertionError on a failure
-        (associativity is skipped above a desk-scale cap on the number of
-        triples).
+        (associativity is skipped above a desk-scale cap of 20,000
+        triples).  Associativity is read off the table by bilinearity:
+        with c the coordinates of i*j, (i*j)*k is the sum of c_l (l*k)
+        over the basis classes l of i*j's block, and i*(j*k) likewise.
         """
         n = len(self.basis)
         products: dict[tuple[int, int], TorClass] = {}
@@ -230,11 +218,7 @@ class TorRing:
         return table
 
     def _coords_terms(self, cls: TorClass) -> list[tuple[str, object]]:
-        names = [
-            name
-            for name, tc in self.basis
-            if tc.q == cls.q and tc.sigma == cls.sigma
-        ]
+        names = [self.basis[i][0] for i in self._blocks.get((cls.q, cls.sigma), ())]
         if len(names) != len(cls.coords):
             names = [f"<{cls.q},{set_str(cls.sigma)}>[{i}]" for i in range(len(cls.coords))]
         return [(names[i], c) for i, c in enumerate(cls.coords) if c]
@@ -242,10 +226,19 @@ class TorRing:
     def _scaled(self, coords, sign: int) -> tuple:
         if sign == 1:
             return tuple(coords)
-        if isinstance(self.coeff, PrimeField):
-            p = self.coeff.p
-            return tuple((-c) % p for c in coords)
+        if self._p:
+            return tuple((-c) % self._p for c in coords)
         return tuple(-c for c in coords)
+
+    def _table_sum(self, cls: TorClass, rows: list[TorClass], rank: int) -> list:
+        """The sum of c_l * rows[l] over the coordinates c of cls, as a
+        vector of length rank (mod p over F_p)."""
+        total = [0] * rank
+        for c, row in zip(cls.coords, rows, strict=True):
+            if c:
+                for t, x in enumerate(row.coords):
+                    total[t] += c * x
+        return [x % self._p for x in total] if self._p else total
 
     def _assert_laws(self, products: dict[tuple[int, int], TorClass]) -> None:
         n = len(self.basis)
@@ -268,19 +261,11 @@ class TorRing:
             return
         for i in positive:
             for j in positive:
+                ij = products[(i, j)]
                 for k in positive:
-                    left = self.product(
-                        self.class_from_coords(
-                            products[(i, j)].q, products[(i, j)].sigma, products[(i, j)].coords
-                        ),
-                        classes[k],
-                    )
-                    right = self.product(
-                        classes[i],
-                        self.class_from_coords(
-                            products[(j, k)].q, products[(j, k)].sigma, products[(j, k)].coords
-                        ),
-                    )
-                    if left.coords != right.coords:
+                    jk = products[(j, k)]
+                    rank = self.tor.group(ij.q + classes[k].q, ij.sigma | classes[k].sigma).rank
+                    left = [products[(l, k)] for l in self._blocks.get((ij.q, ij.sigma), ())]
+                    right = [products[(i, l)] for l in self._blocks.get((jk.q, jk.sigma), ())]
+                    if self._table_sum(ij, left, rank) != self._table_sum(jk, right, rank):
                         raise AssertionError(f"associativity fails at triple ({i}, {j}, {k})")
-

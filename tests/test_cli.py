@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -388,6 +391,18 @@ def test_ring_output_pinned(capsys, tmp_path, name, coeff, flags, digest):
     code, out, err = run(capsys, "ring", str(path), "--coeff", coeff, *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_worked_examples_output_pinned():
+    # recorded stdout of the worked-examples script; its pentagon ring
+    # table is the one worked input whose associativity is checked
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "scripts/worked_examples.py"], cwd=root, capture_output=True, check=True
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == (
+        "3a718d36b40b52bb5308607ab1e5c492d0ae435e202875407e3a1e983bb3c06f"
+    )
 
 
 class TestInputValidity:

@@ -281,6 +281,60 @@ class TestProducts:
         with pytest.raises(AssertionError, match="graded commutativity fails"):
             TorRing(FIG1, QQ).multiplication_table()
 
+    def test_broken_associativity_raises(self, monkeypatch):
+        # doubling every positive product with an s1*s2 factor keeps
+        # commutativity and the unit law but breaks (s1*s2)*s3 = s1*(s2*s3)
+        product = TorRing.product
+        s12 = TorRing(EX513, QQ).class_by_name("s1*s2").sigma
+
+        def lopsided(self, a, b):
+            result = product(self, a, b)
+            if a.q > 0 and b.q > 0 and s12 in (a.sigma, b.sigma):
+                return TorClass(result.q, result.sigma, tuple(2 * c for c in result.coords), result.chain)
+            return result
+
+        monkeypatch.setattr(TorRing, "product", lopsided)
+        with pytest.raises(AssertionError, match="associativity fails"):
+            TorRing(EX513, QQ).multiplication_table()
+
+    def test_products_are_bilinear_on_chains(self):
+        # a chain combining a block's representatives multiplies to the
+        # same combination of basis products: the identity that lets the
+        # associativity check read (i*j)*k and i*(j*k) off the table
+        rng = random.Random(17)
+        for _ in range(30):
+            m, s = rng.randint(1, 5), rng.randint(0, 4)
+            P = Complement(m, tuple(rng.getrandbits(m) or 1 << rng.randrange(m) for _ in range(s)))
+            for coeff in (QQ, PrimeField(3), ZZ):
+                if coeff is ZZ and any(g.torsion for g in tor_bigraded(P, ZZ).entries.values()):
+                    continue
+                p = coeff.p if isinstance(coeff, PrimeField) else 0
+                ring = TorRing(P, coeff)
+                positive = [tc for _, tc in ring.basis if tc.q > 0]
+                for q, sigma in {(tc.q, tc.sigma) for tc in positive}:
+                    block = [tc for _, tc in ring.basis if (tc.q, tc.sigma) == (q, sigma)]
+                    reps = ring._group(q, sigma).representatives
+                    gens = ring.taylor.generators(sigma, q)
+                    cs = [rng.randint(-2, 2) % p if p else rng.randint(-2, 2) for _ in reps]
+                    chain = {}
+                    for i, u in enumerate(gens):
+                        value = sum(c * rep[i] for c, rep in zip(cs, reps))
+                        if p:
+                            value %= p
+                        if value:
+                            chain[u] = value
+                    x = TorClass(q, sigma, tuple(cs), tuple(sorted(chain.items())))
+                    for b in positive:
+                        sides = (
+                            (ring.product(x, b).coords, [ring.product(tc, b).coords for tc in block]),
+                            (ring.product(b, x).coords, [ring.product(b, tc).coords for tc in block]),
+                        )
+                        for got, rows in sides:
+                            want = tuple(sum(c * row[t] for c, row in zip(cs, rows)) for t in range(len(rows[0])))
+                            if p:
+                                want = tuple(v % p for v in want)
+                            assert got == want
+
 
 def _cycle(n: int) -> Complement:
     return complement_from_complex(SimplicialComplex.from_facets(n, [[i, i % n + 1] for i in range(1, n + 1)]))
