@@ -5,8 +5,9 @@ so the degree -1 cohomology of the EMPTY complex {phi} is the ground
 ring, and the VOID complex has zero cohomology everywhere.  Reduced
 cohomology of a full subcomplex on sigma in degree |sigma| - q - 1 must
 agree with the (q, sigma) block homology of the complement's exterior
-complex; compare_blocks reads both sides' signatures (rank, torsion),
-the full complex on the given presentation against the oracle.
+complex; compare_blocks reads both sides' signatures (rank, torsion):
+the Tor that tor_bigraded reports, off the Lyubeznik build (any free
+resolution of the ideal gives the same blocks), against the oracle.
 The two paths share no linear-algebra input: one reduces generator
 masks of the complement, the other coboundaries of actual faces.  A
 coboundary matrix is built from its nonzero entries alone, one face and
@@ -18,7 +19,7 @@ from __future__ import annotations
 from .bitsets import popcount, sort_key, vertices
 from .complexes import Complement, SimplicialComplex, complex_from_complement, full_subcomplex
 from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
-from .taylor import taylor_complex
+from .tor import tor_bigraded
 
 # The all_sigma sweep reads every subset of [m]; its cost grows about
 # threefold per vertex and reaches seconds at m = 12.
@@ -86,27 +87,31 @@ def reduced_cohomology(K: SimplicialComplex, n: int, coeff: CoefficientSpec) -> 
 def compare_blocks(
     P: Complement, coeffs: tuple[CoefficientSpec, ...], all_sigma: bool = False
 ) -> list[tuple]:
-    """(q, sigma, pairs) for every sigma (the supports of the full
-    complex, or with all_sigma every subset of [m]) and every q up to
-    max(top degree, |sigma|); pairs holds, per ring of coeffs, the
-    (q, sigma) block signature of the full complex and the oracle's in
-    degree |sigma| - q - 1.  Blocks come in (card, lex) order of sigma,
-    then q.  With all_sigma, m above ALL_SIGMA_MAX_M raises
-    CapabilityError before any block is built."""
+    """(q, sigma, pairs) for every sigma (the union-closure of the given
+    members, 0 included, or with all_sigma every subset of [m]) and
+    every q up to the top degree of the full complex's sigma slice, at
+    least |sigma|; pairs holds, per ring of coeffs, the (q, sigma)
+    signature of tor_bigraded and the oracle's in degree |sigma| - q - 1.
+    Blocks come in (card, lex) order of sigma, then q.  With all_sigma,
+    m above ALL_SIGMA_MAX_M raises CapabilityError before any block is
+    built."""
     if all_sigma:
         check_all_sigma(P.m)
-    tc = taylor_complex(P)
+    tors = [tor_bigraded(P, coeff) for coeff in coeffs]
     K = complex_from_complement(P)
-    sigmas = sorted(range(1 << P.m), key=sort_key) if all_sigma else tc.supports()
+    closure = {0}
+    for member in P.members:
+        closure |= {c | member for c in closure}
     out = []
-    for sigma in sigmas:
+    for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
         n = popcount(sigma)
+        # the full slice's top generator selects every member inside sigma
+        top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
         oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
-        for q in range(max([n, *tc.block_dims(sigma)]) + 1):
+        for q in range(max(n, top) + 1):
             pairs = []
-            for coeff in coeffs:
-                left = tc.block_homology(sigma, q, coeff)
-                right = ZERO_GROUP if oracle is None else oracle.cohomology(n - q - 1, coeff)
-                pairs.append((left.signature, right.signature))
+            for tor in tors:
+                right = ZERO_GROUP if oracle is None else oracle.cohomology(n - q - 1, tor.coeff)
+                pairs.append((tor.group(q, sigma).signature, right.signature))
             out.append((q, sigma, tuple(pairs)))
     return out

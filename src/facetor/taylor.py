@@ -7,8 +7,8 @@ only the terms whose total subset is unchanged, and signs the i-th
 deletion (1-based, members in increasing position order) with (-1)^i.
 
 The full complex (the reduced Taylor resolution) has all 2^s subsets
-as generators; TorRing takes its chains and the oracle comparison its
-blocks from it, on the given presentation.  The Lyubeznik build
+as generators; TorRing alone builds it, for chains on the given
+presentation.  The Lyubeznik build
 minimalizes the presentation first and keeps only the L-admissible
 subsets: a set may take a new smallest member i when no earlier member
 lies in the union of the set and i.  Admissible sets are closed under
@@ -16,7 +16,7 @@ taking subsets, and they span a subcomplex that is still a free
 resolution over Z (Lyubeznik 1988), so every sigma slice has the
 homology of the Taylor slice, torsion included, from far fewer
 generators (368 against 16,384 for the 7-cycle).  tor_bigraded reads
-its blocks, and with it every command but verify.
+its blocks, and with it every command, verify included.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite

@@ -4,10 +4,11 @@ Each block (q, sigma) is the homology of the sigma slice of the reduced
 exterior complex; BigradedTor keeps only its signature (rank, torsion).
 It reads the blocks off the Lyubeznik subcomplex of the minimalized
 presentation; the signatures depend only on the ideal, so they equal
-those of the full complex.  TorRing takes its block list and ranks from
-tor_bigraded too, and builds the full complex on the given presentation
-for chains alone, because admissible sets are not closed under the
-exterior product and its basis names follow member order.
+those of the full complex.  compare_blocks checks these blocks against
+the oracle.  TorRing takes its block list and ranks from tor_bigraded
+too, and is the one builder of the full complex on the given
+presentation, for chains alone, because admissible sets are not closed
+under the exterior product and its basis names follow member order.
 TorRing alone builds representative cycles, for the nonzero blocks and
 for every block a product lands in.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
@@ -15,7 +16,8 @@ the exterior product of representative cycles, reduced back to
 coordinates in the target block's basis by the block's linear forms,
 which also reject a product that is not a cycle.  Over Z the product is
 offered only in torsion-free blocks.  The ring laws are checked on the
-product table; associativity is read off it by bilinearity.
+product table; associativity is read off it by bilinearity, on every
+triple of pairwise disjoint supports.
 """
 
 from __future__ import annotations
@@ -191,8 +193,9 @@ class TorRing:
         Entries are reported for unordered pairs (i <= j); graded
         commutativity, the unit law, and associativity on basis triples
         are checked along the way, raising AssertionError on a failure
-        (associativity is skipped above a desk-scale cap of 20,000
-        triples).  Associativity is read off the table by bilinearity:
+        (associativity on the triples of pairwise disjoint supports, as
+        every other triple gives zero on both sides).  Associativity is
+        read off the table by bilinearity:
         with c the coordinates of i*j, (i*j)*k is the sum of c_l (l*k)
         over the basis classes l of i*j's block, and i*(j*k) likewise.
         """
@@ -257,12 +260,14 @@ class TorRing:
                 if products[(0, j)].coords != classes[j].coords:
                     raise AssertionError("unit law fails")
         positive = [i for i in range(n) if classes[i].q > 0]
-        if len(positive) ** 3 > 20000:
-            return
         for i in positive:
             for j in positive:
+                if classes[i].sigma & classes[j].sigma:
+                    continue
                 ij = products[(i, j)]
                 for k in positive:
+                    if ij.sigma & classes[k].sigma:
+                        continue
                     jk = products[(j, k)]
                     rank = self.tor.group(ij.q + classes[k].q, ij.sigma | classes[k].sigma).rank
                     left = [products[(l, k)] for l in self._blocks.get((ij.q, ij.sigma), ())]

@@ -18,6 +18,10 @@ FIG1_DOC = {"m": 5, "complement": [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]]}
 EX513_DOC = {"m": 6, "complement": [[1, 2], [3, 4], [5, 6]]}
 
 
+def _cycle_doc(n: int) -> dict:
+    return {"m": n, "facets": [[i, i % n + 1] for i in range(1, n + 1)]}
+
+
 @pytest.fixture
 def fig1_path(tmp_path):
     path = tmp_path / "fig1.json"
@@ -229,7 +233,7 @@ class TestVerify:
         assert ALL_SIGMA_MAX_M == 12
         check_all_sigma(12)
         built = []
-        monkeypatch.setattr(hochster_mod, "taylor_complex", lambda P: built.append(P))
+        monkeypatch.setattr(hochster_mod, "tor_bigraded", lambda P, coeff: built.append(P))
         monkeypatch.setattr(cli_mod, "random_complement", lambda *a: built.append(a))
         path = tmp_path / "m13.json"
         path.write_text(json.dumps({"m": 13, "complement": [[1, 2]]}))
@@ -250,6 +254,15 @@ class TestVerify:
             "random sweep: 2 trials, 13 blocks, 0 failures\n",
             "",
         )
+
+    def test_random_mode_reaches_the_member_limit(self, capsys):
+        # up to 24 members: the full complex would have up to 2^24
+        # generators, the Lyubeznik build that verify reads stays small
+        code, out, err = run(
+            capsys, "verify", "--random", "--trials", "30", "--seed", "7", "--max-m", "8", "--max-s", "24"
+        )
+        assert (code, err) == (0, "")
+        assert out.endswith(" 0 failures\n")
 
     def test_random_mode_deterministic(self, capsys):
         _, out1, _ = run(capsys, "verify", "--random", "--trials", "4", "--seed", "9")
@@ -328,8 +341,21 @@ checked 46 (q, sigma) blocks over Q, F2, Z: 46 passed, 0 failed
             None,
             "d77cfc58745d53b24e16eae7f5e30d40fde64cadd7afe44b15d1a1d8b8426d2e",
         ),
+        (_cycle_doc(7), (), None, "a65f7ffc35b2fc217c094cac120a693a7596bf8d12cce0c28076b3d6185cecac"),
+        (
+            _cycle_doc(7),
+            ("--json",),
+            None,
+            "24c64a01aa34fab3fedb41df39d4152f60af6ffd00fe02f54a4be7d11f131add",
+        ),
+        (
+            _cycle_doc(6),
+            ("--all-sigma",),
+            None,
+            "83eba764a0462c231814f34e787c299cbd31cf57a0b6fc6f69f94ce4702547cf",
+        ),
     ],
-    ids=["fig1-text", "rp2-json", "fig1-all-sigma-json"],
+    ids=["fig1-text", "rp2-json", "fig1-all-sigma-json", "c7-text", "c7-json", "c6-all-sigma"],
 )
 def test_verify_file_output_pinned(capsys, tmp_path, doc, flags, text, digest):
     # recorded bytes of the file-mode report: block order, group
@@ -342,6 +368,17 @@ def test_verify_file_output_pinned(capsys, tmp_path, doc, flags, text, digest):
         assert out == text
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_random_output_pinned(capsys):
+    # recorded bytes of the random sweep that CI runs
+    code, out, err = run(
+        capsys, "verify", "--random", "--trials", "50", "--seed", "7", "--max-m", "7", "--max-s", "5"
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85bdd4d24f7d717b35f80e7ee83e85188d3bf9bb8f509aba4bf324063bd86a0d"
+    )
 
 
 _RING_DOCS = {
@@ -394,8 +431,8 @@ def test_ring_output_pinned(capsys, tmp_path, name, coeff, flags, digest):
 
 
 def test_worked_examples_output_pinned():
-    # recorded stdout of the worked-examples script; its pentagon ring
-    # table is the one worked input whose associativity is checked
+    # recorded stdout of the worked-examples script, its pentagon ring
+    # table included
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "scripts/worked_examples.py"], cwd=root, capture_output=True, check=True
@@ -510,13 +547,20 @@ class TestInputValidity:
 
 def _cycle_path(tmp_path, n: int) -> str:
     path = tmp_path / f"c{n}.json"
-    path.write_text(json.dumps({"m": n, "facets": [[i, i % n + 1] for i in range(1, n + 1)]}))
+    path.write_text(json.dumps(_cycle_doc(n)))
     return str(path)
 
 
 class TestCycleReach:
     # the full Taylor complex of the 8-cycle has 2^20 generators, so
     # these run only on the Lyubeznik subcomplex (1,296 generators)
+    def test_c8_verify(self, capsys, tmp_path):
+        path = _cycle_path(tmp_path, 8)
+        for flags, summary in (((), "1564 passed, 0 failed"), (("--all-sigma",), "1636 passed, 0 failed")):
+            code, out, err = run(capsys, "verify", path, *flags)
+            assert (code, err) == (0, "")
+            assert out.endswith(f"{summary}\n")
+
     def test_c8_zk_series(self, capsys, tmp_path):
         code, out, _ = run(capsys, "zk", _cycle_path(tmp_path, 8))
         assert code == 0

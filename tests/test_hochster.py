@@ -7,11 +7,13 @@ from facetor import (
     complex_from_complement,
     full_subcomplex,
     reduced_cohomology,
+    tor_bigraded,
 )
 from facetor.bitsets import full_mask, mask_of
 from facetor.hochster import CochainComplex
 from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.sampling import random_complement
+from facetor.taylor import TaylorComplex, taylor_complex
 
 from helpers import FIG1, EX513, field_rank, rp2_complex
 
@@ -126,12 +128,34 @@ class TestBaskakov:
             P = random_complement(rng, 6, 4)
             assert _disagreements(compare_blocks(P, (QQ, PrimeField(2), ZZ))) == []
 
-    def test_full_complex_side_is_read(self):
-        # four copies of {1,2}: the full complex has degrees up to 4 on
-        # sigma = {1,2}, the Lyubeznik build (one member) only up to 1
+    def test_q_range_follows_full_slice(self):
+        # four copies of {1,2}: the full complex's slice on sigma = {1,2}
+        # has degrees up to 4, and q still runs that far, while the left
+        # side comes from the Lyubeznik build (one member, degrees up to 1)
         blocks = compare_blocks(Complement.from_vertex_lists(2, [[1, 2]] * 4), (QQ, ZZ))
         assert [(q, sigma) for q, sigma, _ in blocks] == [(0, 0)] + [(q, 3) for q in range(5)]
         assert _disagreements(blocks) == []
+
+    def test_reads_tor_bigraded(self, monkeypatch):
+        # the left side is the Tor that tor_bigraded reports: no full
+        # complex is built, and every nonzero block appears with its
+        # signature
+        built = []
+        init = TaylorComplex.__init__
+
+        def spy(self, complement, lyubeznik=False):
+            built.append(lyubeznik)
+            init(self, complement, lyubeznik)
+
+        monkeypatch.setattr(TaylorComplex, "__init__", spy)
+        coeffs = (QQ, PrimeField(2), ZZ)
+        for P in (FIG1, EX513, Complement.from_vertex_lists(3, [[1], [1, 2], [1, 2, 3], [2]])):
+            taylor_complex.cache_clear()
+            blocks = {(q, sigma): pairs for q, sigma, pairs in compare_blocks(P, coeffs)}
+            for i, coeff in enumerate(coeffs):
+                for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
+                    assert blocks[(q, sigma)][i][0] == group.signature
+        assert built and all(built)
 
     def test_projective_plane_torsion_block(self):
         from facetor import complement_from_complex

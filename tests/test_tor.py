@@ -297,6 +297,36 @@ class TestProducts:
         with pytest.raises(AssertionError, match="associativity fails"):
             TorRing(EX513, QQ).multiplication_table()
 
+    def test_associativity_checked_past_old_cap(self, monkeypatch):
+        # the join of C5 with a square: 47 positive classes give 103,823
+        # triples, far above the 20,000 that once skipped the check.
+        # Doubling every positive product with a factor supported on x*y,
+        # for disjoint x, y in the C5 part, breaks (x*y)*z = x*(y*z)
+        P = Complement.from_vertex_lists(9, [[1, 3], [1, 4], [2, 4], [2, 5], [3, 5], [6, 8], [7, 9]])
+        ring = TorRing(P, QQ)
+        positive = [tc for _, tc in ring.basis if tc.q > 0]
+        assert len(positive) ** 3 == 103823
+        c5 = mask_of([1, 2, 3, 4, 5], 9)
+        target = next(
+            a.sigma | b.sigma
+            for a in positive
+            for b in positive
+            if (a.sigma | b.sigma) & ~c5 == 0
+            and not a.sigma & b.sigma
+            and not ring.product(a, b).is_zero
+        )
+        product = TorRing.product
+
+        def lopsided(self, a, b):
+            result = product(self, a, b)
+            if a.q > 0 and b.q > 0 and target in (a.sigma, b.sigma):
+                return TorClass(result.q, result.sigma, tuple(2 * c for c in result.coords), result.chain)
+            return result
+
+        monkeypatch.setattr(TorRing, "product", lopsided)
+        with pytest.raises(AssertionError, match="associativity fails"):
+            TorRing(P, QQ).multiplication_table()
+
     def test_products_are_bilinear_on_chains(self):
         # a chain combining a block's representatives multiplies to the
         # same combination of basis products: the identity that lets the
