@@ -4,14 +4,15 @@ Input documents are JSON: {"m": <int>, "complement": [[...], ...]} or
 {"m": <int>, "facets": [[...], ...]}, vertices 1-indexed.  Every
 subcommand takes --json for a machine-readable rendering of the same
 data.  Exit codes: 0 success, 1 internal fault (an uncaught exception,
-with its traceback), 2 parse/usage error, 3 capability error, 4
-verification failure.
+with its traceback) or a reader that closed stdout early (quietly), 2
+parse/usage error, 3 capability error, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -510,13 +511,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout's reader left; devnull takes the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

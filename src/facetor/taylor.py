@@ -20,9 +20,12 @@ its blocks, and with it every command, verify included.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
-chain complex of free modules with integer matrices.  A complex builds
-each boundary matrix on first request, setting only its nonzero entries
-(a slice is mostly zeros), and keeps it, together with the invariant
+chain complex of free modules with integer matrices.  A block lists its
+generators in ascending order of their bit positions (as tuples); the
+enumeration reaches each block in exactly the reverse order, so the
+complex reads it backwards and sorts nothing.  A complex builds each
+boundary matrix on first request, setting only its nonzero entries (a
+slice is mostly zeros), and keeps it, together with the invariant
 factors linalg computes for it, for as long as the complex lives;
 taylor_complex keeps recently used complexes.
 """
@@ -58,11 +61,8 @@ class TaylorComplex:
         self.s = complement.s
         self.totals = _generator_totals(complement.members, lyubeznik)
         by_support: dict[int, dict[int, list[int]]] = {}
-        for u, sigma in self.totals.items():
+        for u, sigma in reversed(self.totals.items()):
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
-        for blocks in by_support.values():
-            for gens in blocks.values():
-                gens.sort(key=bit_positions)
         self._by_support = by_support
         self._matrices: dict[tuple[int, int], Matrix] = {}
 
@@ -78,12 +78,11 @@ class TaylorComplex:
     def reduced_differential(self, u: int) -> Chain:
         """d(u) as a chain; zero for the empty generator."""
         total = self.totals[u]
-        out: Chain = {}
-        for i, b in enumerate(bit_positions(u), start=1):
-            v = u & ~(1 << b)
-            if self.totals[v] == total:
-                out[v] = out.get(v, 0) + (-1 if i % 2 else 1)
-        return {v: c for v, c in out.items() if c}
+        return {
+            u & ~(1 << b): -1 if i % 2 else 1
+            for i, b in enumerate(bit_positions(u), start=1)
+            if self.totals[u & ~(1 << b)] == total
+        }
 
     def boundary_matrix(self, sigma: int, q: int) -> Matrix:
         """Matrix of d on the (q, sigma) block, mapping into (q - 1, sigma)."""
@@ -109,11 +108,10 @@ class TaylorComplex:
         )
 
     def chain_vector(self, chain: Chain, sigma: int, q: int) -> list[int]:
-        gens = self.generators(sigma, q)
-        index = {u: i for i, u in enumerate(gens)}
-        vec = [0] * len(gens)
+        index = {u: i for i, u in enumerate(self.generators(sigma, q))}
+        vec = [0] * len(index)
         for u, c in chain.items():
-            if popcount(u) != q or self.totals[u] != sigma:
+            if u not in index:
                 raise ValueError("chain term outside the requested block")
             vec[index[u]] = c
         return vec
@@ -126,8 +124,8 @@ def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, in
     totals = {0: 0}
     for i in reversed(range(len(members))):
         member, earlier = members[i], members[:i]
-        for u, total in list(totals.items()):
-            t = total | member
+        for u in list(totals):
+            t = totals[u] | member
             if not (lyubeznik and any(mem & ~t == 0 for mem in earlier)):
                 totals[u | 1 << i] = t
     return totals

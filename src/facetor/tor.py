@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bit_positions, popcount, set_str, sort_key
+from .bitsets import popcount, sort_key
 from .complexes import Complement
 from .linalg import (
     CoefficientSpec,
@@ -88,7 +88,7 @@ def _chain_key(chain: Chain) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(chain.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorClass:
     """A homology class: block, coordinates in the block basis, and a
     representative cycle (kept as a chain for further products)."""
@@ -124,33 +124,30 @@ class TorRing:
         # (q, sigma) -> the basis positions of that block, in basis order
         self._blocks: dict[tuple[int, int], range] = {}
         basis: list[tuple[str, TorClass]] = []
-        names_used: set[str] = set()
+        self._name_index: dict[str, int] = {}
         for (q, sigma), block in self.tor.blocks():
             if block.rank == 0:  # a torsion block over Z
                 continue
             group = self._group(q, sigma)
             gens = self.taylor.generators(sigma, q)
+            start = len(basis)
             for idx, rep in enumerate(group.representatives):
                 chain = {gens[i]: c for i, c in enumerate(rep) if c}
-                coords = tuple(
-                    1 if i == idx else 0 for i in range(len(group.representatives))
-                )
-                name = self._name_for(chain, names_used)
-                names_used.add(name)
+                coords = tuple(int(i == idx) for i in range(len(group.representatives)))
+                name = self._name_for(chain, self._name_index)
+                self._name_index[name] = len(basis)
                 basis.append((name, TorClass(q, sigma, coords, _chain_key(chain))))
-            self._blocks[(q, sigma)] = range(len(basis) - len(group.representatives), len(basis))
+            self._blocks[(q, sigma)] = range(start, len(basis))
         self.basis = basis
-        self._name_index = {name: i for i, (name, _) in enumerate(basis)}
 
     @staticmethod
-    def _name_for(chain: Chain, used: set[str]) -> str:
-        lead = min(chain, key=bit_positions)
-        name = _monomial_name(lead)
-        if name in used:
-            k = 2
-            while f"{name}#{k}" in used:
-                k += 1
-            name = f"{name}#{k}"
+    def _name_for(chain: Chain, used: dict[str, int]) -> str:
+        # the chain lists its generators in block order
+        lead = name = _monomial_name(next(iter(chain)))
+        k = 1
+        while name in used:
+            k += 1
+            name = f"{lead}#{k}"
         return name
 
     def _group(self, q: int, sigma: int) -> HomologyBasis:
@@ -222,9 +219,7 @@ class TorRing:
 
     def _coords_terms(self, cls: TorClass) -> list[tuple[str, object]]:
         names = [self.basis[i][0] for i in self._blocks.get((cls.q, cls.sigma), ())]
-        if len(names) != len(cls.coords):
-            names = [f"<{cls.q},{set_str(cls.sigma)}>[{i}]" for i in range(len(cls.coords))]
-        return [(names[i], c) for i, c in enumerate(cls.coords) if c]
+        return [(name, c) for name, c in zip(names, cls.coords, strict=True) if c]
 
     def _scaled(self, coords, sign: int) -> tuple:
         if sign == 1:

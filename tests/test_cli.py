@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +441,25 @@ def test_worked_examples_output_pinned():
     assert hashlib.sha256(done.stdout).hexdigest() == (
         "3a718d36b40b52bb5308607ab1e5c492d0ae435e202875407e3a1e983bb3c06f"
     )
+
+
+def test_closed_stdout_exits_quietly():
+    # the sweep writes about 138 KB, well past a 64 KB pipe buffer, so it
+    # is still writing when the reader closes the pipe after one line
+    root = Path(__file__).resolve().parent.parent
+    argv = ["verify", "--random", "--trials", "3000", "--max-m", "4", "--max-s", "3", "--seed", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "facetor.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"trial 0:")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
 
 
 class TestInputValidity:

@@ -115,14 +115,32 @@ class TestSupports:
         assert sorted(carriers) == sorted([S3 | S4, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111])
         assert sum(tc.block_dims(FULL5).values()) == 6
 
-    @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5))
-    def test_partition_of_generators(self, m, members):
+    @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5), st.booleans())
+    def test_partition_of_generators(self, m, members, lyubeznik):
         P = Complement(m, tuple(mem & ((1 << m) - 1) for mem in members))
-        tc = taylor_complex(P)
-        total = sum(sum(tc.block_dims(s).values()) for s in tc.supports())
-        assert total == 1 << P.s
-        for q in range(P.s + 1):
-            assert sum(len(tc.generators(s, q)) for s in tc.supports()) == comb(P.s, q)
+        tc = taylor_complex(P, lyubeznik)
+        blocks = [tc.generators(s, q) for s in tc.supports() for q in tc.block_dims(s)]
+        assert sorted(u for block in blocks for u in block) == sorted(tc.totals)
+        for q in range(tc.s + 1):
+            count = sum(len(tc.generators(s, q)) for s in tc.supports())
+            assert count == (sum(popcount(u) == q for u in tc.totals) if lyubeznik else comb(tc.s, q))
+        # nothing sorts a block: the reversed enumeration lists it in this order
+        for block in blocks:
+            assert block == sorted(block, key=bit_positions)
+
+    def test_chain_vector_rejects_terms_outside_the_block(self):
+        import pytest
+
+        tc = taylor_complex(FIG1)
+        assert tc.chain_vector({S1 | S3 | S4: 2}, FULL5, 3) == [0, 0, 2, 0]
+        with pytest.raises(ValueError, match="outside the requested block"):
+            tc.chain_vector({S1 | S2 | S3 | S4: 1}, FULL5, 3)  # wrong degree
+        with pytest.raises(ValueError, match="outside the requested block"):
+            tc.chain_vector({S1 | S2: 1}, FULL5, 2)  # support {1,2,4,5}
+        lyubeznik = taylor_complex(FIG1, True)
+        u = next(u for u in range(1 << lyubeznik.s) if u not in lyubeznik.totals)
+        with pytest.raises(ValueError, match="outside the requested block"):
+            lyubeznik.chain_vector({u: 1}, total_subset(tc, u), popcount(u))
 
 
 def _l_admissible(members: tuple[int, ...], u: int) -> bool:
