@@ -6,11 +6,15 @@ subcommand takes --json for a machine-readable rendering of the same
 data.  Exit codes: 0 success, 1 internal fault (an uncaught exception,
 with its traceback) or a reader that closed stdout early (quietly), 2
 parse/usage error, 3 capability error, 4 verification failure.
+
+main(argv) may be called repeatedly in one process: the argument parser
+is built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -445,6 +449,7 @@ def _cmd_verify(args) -> int:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="facetor",
@@ -508,8 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -9,14 +9,17 @@ sparse elimination on +-1 pivots, run on a copy of the stored entries,
 followed by a dense Smith normal form of the unit-free residual, which
 is usually small or empty.  A matrix keeps its factors once computed, so a
 map shared by two neighbouring blocks, or read over several rings, is
-factored once.  Cycle representatives are separate, for the
-product structure alone; they use the dense Smith normal form with
-explicit unimodular transforms over Z, and over a field the reduced
-row echelon form, computed on the stored nonzeros and written once for
-Q and F_p.  The same eliminations yield linear forms, kept as their
-nonzero entries, that test whether a vector is a cycle and read off its
-coordinates in the representative basis, so reducing a cycle takes
-sparse dot products only.
+factored once.  In the same way d_out remembers the d_in it was last
+checked against, so the product d_out @ d_in that proves a pair is a
+chain complex is taken once per pair, not once per ring; setting an
+entry on either map makes the next check take it again.  Cycle
+representatives are separate, for the product structure alone; they
+use the dense Smith normal form with explicit unimodular transforms
+over Z, and over a field the reduced row echelon form, computed on the
+stored nonzeros and written once for Q and F_p.  The same eliminations
+yield linear forms, kept as their nonzero entries, that test whether a
+vector is a cycle and read off its coordinates in the representative
+basis, so reducing a cycle takes sparse dot products only.
 Everything is arbitrary-precision: Python ints over Z and F_p,
 fractions.Fraction over Q.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd
 from typing import Sequence
 
@@ -113,10 +117,14 @@ class Matrix:
 
     factors holds the nonzero invariant factors once snf_diagonal or
     homology_at has computed them, and None before; setting an entry
-    resets it.
+    resets it.  Likewise, as d_out of a chain pair, a matrix remembers
+    the stamp of the d_in it composed to zero with: a number drawn once
+    per state of d_in and never reused, so that setting an entry on d_in
+    (which drops its stamp) or on d_out (which drops the memory) makes
+    the next check compose the pair again.
     """
 
-    __slots__ = ("nrows", "ncols", "_entries", "factors")
+    __slots__ = ("nrows", "ncols", "_entries", "factors", "_stamp", "_zero_with")
 
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
@@ -129,6 +137,8 @@ class Matrix:
                 raise ValueError("row data does not match the declared shape")
             self._entries = [{j: x for j, x in enumerate(r) if x} for r in rows]
         self.factors: tuple[int, ...] | None = None
+        self._stamp: int | None = None
+        self._zero_with: int | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -145,7 +155,7 @@ class Matrix:
             self._entries[i][j] = x
         else:
             self._entries[i].pop(j, None)
-        self.factors = None
+        self.factors = self._stamp = self._zero_with = None
 
     @property
     def rows(self) -> list[list]:
@@ -617,12 +627,22 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
+_stamps = count()
+
+
 def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
-    """Raise ValueError unless d_out @ d_in is defined and zero."""
+    """Raise ValueError unless d_out @ d_in is defined and zero.  The
+    product is taken once per pair: d_out remembers the stamp of the
+    d_in it passed with, until an entry of either map is set."""
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
+    if d_in._stamp is None:
+        d_in._stamp = next(_stamps)
+    if d_out._zero_with == d_in._stamp:
+        return
     if not (d_out @ d_in).is_zero():
         raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
+    d_out._zero_with = d_in._stamp
 
 
 def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:

@@ -27,7 +27,9 @@ complex reads it backwards and sorts nothing.  A complex builds each
 boundary matrix on first request, setting only its nonzero entries (a
 slice is mostly zeros), and keeps it, together with the invariant
 factors linalg computes for it, for as long as the complex lives;
-taylor_complex keeps recently used complexes.
+taylor_complex keeps recently used complexes.  The position index of a
+block, which places boundary terms and chain terms alike, is built once
+and kept the same way.
 """
 
 from __future__ import annotations
@@ -65,12 +67,21 @@ class TaylorComplex:
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         self._by_support = by_support
         self._matrices: dict[tuple[int, int], Matrix] = {}
+        self._indexes: dict[tuple[int, int], dict[int, int]] = {}
 
     def supports(self) -> list[int]:
         return sorted(self._by_support, key=sort_key)
 
     def generators(self, sigma: int, q: int) -> list[int]:
         return self._by_support.get(sigma, {}).get(q, [])
+
+    def _index(self, sigma: int, q: int) -> dict[int, int]:
+        """Generator -> position in the (q, sigma) block."""
+        key = (sigma, q)
+        index = self._indexes.get(key)
+        if index is None:
+            index = self._indexes[key] = {u: i for i, u in enumerate(self.generators(sigma, q))}
+        return index
 
     def block_dims(self, sigma: int) -> dict[int, int]:
         return {q: len(g) for q, g in sorted(self._by_support.get(sigma, {}).items())}
@@ -91,9 +102,8 @@ class TaylorComplex:
         if cached is not None:
             return cached
         src = self.generators(sigma, q)
-        dst = self.generators(sigma, q - 1) if q >= 1 else []
-        index = {u: i for i, u in enumerate(dst)}
-        M = Matrix(len(dst), len(src))
+        index = self._index(sigma, q - 1) if q >= 1 else {}
+        M = Matrix(len(index), len(src))
         for j, u in enumerate(src):
             for v, c in self.reduced_differential(u).items():
                 M[index[v], j] = c
@@ -108,7 +118,7 @@ class TaylorComplex:
         )
 
     def chain_vector(self, chain: Chain, sigma: int, q: int) -> list[int]:
-        index = {u: i for i, u in enumerate(self.generators(sigma, q))}
+        index = self._index(sigma, q)
         vec = [0] * len(index)
         for u, c in chain.items():
             if u not in index:

@@ -462,6 +462,41 @@ def test_closed_stdout_exits_quietly():
     assert b"Traceback" not in err
 
 
+def test_parser_reuse_changes_nothing(capsys, fig1_path):
+    # main builds its parser on the first call and reuses it; each call
+    # must behave as it does with a freshly built parser
+    from facetor import cli
+
+    sequence = [
+        ["tor", fig1_path, "--coeff", "z", "--json"],
+        ["tor", fig1_path],
+        ["verify", fig1_path, "--all-sigma"],
+        ["verify", fig1_path],
+        ["ring", fig1_path, "--coeff", "z"],
+        ["ring", fig1_path],
+        ["frobnicate"],
+        ["zk", fig1_path],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    reused = [call(argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 2, 0]
+
+
 class TestInputValidity:
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from facetor.linalg import (
     _rref,
 )
 
-from helpers import bareiss_determinant, field_rank, random_matrix
+from helpers import FIG1, bareiss_determinant, field_rank, random_matrix
 
 
 def int_matrices(max_dim=6, bound=9, entries=None):
@@ -240,6 +240,71 @@ class TestHomologyAt:
                 fresh_in = Matrix(d_in.nrows, d_in.ncols, d_in.rows)
                 fresh_out = Matrix(d_out.nrows, d_out.ncols, d_out.rows)
                 assert homology_at(fresh_in, fresh_out, coeff) == group
+
+    def test_each_pair_composed_once(self, monkeypatch):
+        # the three rings, and the representatives after them, share one
+        # d_out @ d_in; a fresh copy of either map is composed again
+        real = Matrix.__matmul__
+        calls = []
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append((a, b)) or real(a, b))
+        rng = random.Random(19)
+        for _ in range(20):
+            d_in, d_out = _chain_pair(rng)
+            calls.clear()
+            for coeff in (QQ, PrimeField(2), ZZ):
+                homology_at(d_in, d_out, coeff)
+            for coeff in (QQ, PrimeField(2)):
+                homology_representatives(d_in, d_out, coeff)
+            assert calls == [(d_out, d_in)]
+            fresh_in = Matrix(d_in.nrows, d_in.ncols, d_in.rows)
+            homology_at(fresh_in, d_out, QQ)
+            homology_at(fresh_in, d_out, ZZ)
+            assert calls == [(d_out, d_in), (d_out, fresh_in)]
+
+    def test_each_pair_composed_once_by_compare_blocks(self, monkeypatch):
+        # every pair the Tor side and the oracle read over Q, F2 and Z is
+        # composed exactly once
+        from facetor import hochster, taylor
+        from facetor.hochster import compare_blocks
+        from facetor.taylor import taylor_complex
+
+        real_matmul = Matrix.__matmul__
+        composed = []
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: composed.append((a, b)) or real_matmul(a, b))
+        checked = []
+        for module in (taylor, hochster):
+            real = module.homology_at
+            monkeypatch.setattr(
+                module,
+                "homology_at",
+                lambda d_in, d_out, coeff, real=real: checked.append((d_out, d_in)) or real(d_in, d_out, coeff),
+            )
+        taylor_complex.cache_clear()
+        compare_blocks(FIG1, (QQ, PrimeField(2), ZZ))
+        key = lambda pair: (id(pair[0]), id(pair[1]))
+        assert len(checked) >= 3 * len(composed) > 0
+        assert sorted(map(key, composed)) == sorted(set(map(key, checked)))
+
+    @pytest.mark.parametrize("side", ["d_in", "d_out"])
+    @pytest.mark.parametrize("coeff", [QQ, PrimeField(2), ZZ], ids=str)
+    def test_setting_an_entry_checks_the_pair_again(self, side, coeff):
+        d_in, d_out = Matrix(2, 1, [[1], [-1]]), Matrix(1, 2, [[1, 1]])
+        assert homology_at(d_in, d_out, coeff).rank == 0
+        assert homology_representatives(d_in, d_out, coeff).rank == 0
+        if side == "d_in":
+            d_in[1, 0] = 1
+        else:
+            d_out[0, 1] = -1
+        for _ in range(2):
+            for route in (homology_at, homology_representatives):
+                with pytest.raises(ValueError, match="not a chain complex"):
+                    route(d_in, d_out, coeff)
+        # an edit that restores a zero composite passes again
+        if side == "d_in":
+            d_in[1, 0] = -1
+        else:
+            d_out[0, 1] = 1
+        assert homology_at(d_in, d_out, coeff).rank == 0
 
     def test_rank_nullity_over_fields(self):
         rng = random.Random(5)

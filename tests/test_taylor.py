@@ -2,11 +2,13 @@ import random
 from itertools import combinations
 from math import comb
 
+import pytest
 from hypothesis import given, strategies as st
 
 from facetor import QQ, BigradedTor, Complement, TorRing, minimalize, tor_bigraded
 from facetor.bitsets import bit_positions, popcount
 from facetor.taylor import (
+    TaylorComplex,
     chain_product,
     generator_sign,
     taylor_complex,
@@ -129,8 +131,6 @@ class TestSupports:
             assert block == sorted(block, key=bit_positions)
 
     def test_chain_vector_rejects_terms_outside_the_block(self):
-        import pytest
-
         tc = taylor_complex(FIG1)
         assert tc.chain_vector({S1 | S3 | S4: 2}, FULL5, 3) == [0, 0, 2, 0]
         with pytest.raises(ValueError, match="outside the requested block"):
@@ -141,6 +141,18 @@ class TestSupports:
         u = next(u for u in range(1 << lyubeznik.s) if u not in lyubeznik.totals)
         with pytest.raises(ValueError, match="outside the requested block"):
             lyubeznik.chain_vector({u: 1}, total_subset(tc, u), popcount(u))
+
+    def test_block_index_built_once(self, monkeypatch):
+        # boundary_matrix places its terms, and chain_vector its chains,
+        # by one index per block, built on first use
+        tc = TaylorComplex(FIG1)
+        real = tc.generators
+        calls = []
+        monkeypatch.setattr(tc, "generators", lambda sigma, q: calls.append((sigma, q)) or real(sigma, q))
+        tc.boundary_matrix(FULL5, 4)
+        for _ in range(3):
+            assert tc.chain_vector({S1 | S3 | S4: 2}, FULL5, 3) == [0, 0, 2, 0]
+        assert calls.count((FULL5, 3)) == 1
 
 
 def _l_admissible(members: tuple[int, ...], u: int) -> bool:
