@@ -4,6 +4,12 @@ Vertices are 1-indexed; vertex i occupies bit (i - 1).  A subset of
 [m] = {1, ..., m} is a plain int in [0, 2**m), so subset algebra is
 &, |, ^ on machine words.  Ambient sizes are capped at MAX_AMBIENT = 24
 so every subset fits comfortably in one word.
+
+bit_positions and vertices are table lookups: two 256-entry tables
+hold the set bits of every byte, as positions and as vertices.  A mask
+below 256 is one lookup; bit_positions of a wider one joins the entries
+of its bytes, each offset by its byte's place, and vertices adds 1 to
+those.
 """
 
 from __future__ import annotations
@@ -35,19 +41,30 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+# the set bits of every byte, as 0-based positions and as 1-based vertices
+_BYTE_POSITIONS = tuple(tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
+_BYTE_VERTICES = tuple(tuple(b + 1 for b in bits) for bits in _BYTE_POSITIONS)
+
+
 def bit_positions(mask: int) -> tuple[int, ...]:
     """0-based positions of the set bits, ascending."""
-    out = []
+    if mask < 0x100:
+        return _BYTE_POSITIONS[mask]
+    out = _BYTE_POSITIONS[mask & 0xFF]
+    offset = 8
+    mask >>= 8
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+        out += tuple([b + offset for b in _BYTE_POSITIONS[mask & 0xFF]])
+        mask >>= 8
+        offset += 8
+    return out
 
 
 def vertices(mask: int) -> tuple[int, ...]:
     """1-indexed vertex labels, ascending."""
-    return tuple(b + 1 for b in bit_positions(mask))
+    if mask < 0x100:
+        return _BYTE_VERTICES[mask]
+    return tuple([b + 1 for b in bit_positions(mask)])
 
 
 def mask_of(verts: Iterable[int], m: int) -> int:
@@ -71,7 +88,7 @@ def subsets_of(mask: int) -> Iterator[int]:
 
 def sort_key(mask: int) -> tuple:
     """Deterministic (cardinality, lexicographic-on-vertices) order."""
-    return (popcount(mask), vertices(mask))
+    return (mask.bit_count(), vertices(mask))
 
 
 def set_str(mask: int) -> str:

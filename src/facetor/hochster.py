@@ -9,14 +9,18 @@ complex; compare_blocks reads both sides' signatures (rank, torsion):
 the Tor that tor_bigraded reports, off the Lyubeznik build (any free
 resolution of the ideal gives the same blocks), against the oracle.
 The two paths share no linear-algebra input: one reduces generator
-masks of the complement, the other coboundaries of actual faces.  A
-coboundary matrix is built from its nonzero entries alone, one face and
-coface pair at a time, and kept with its invariant factors.
+masks of the complement, the other coboundaries of actual faces.  The
+faces are enumerated once per complement: compare_blocks lists the
+faces of the full subcomplex on the union of the members (on [m] when
+every subset is swept), and each sigma's full subcomplex takes the
+subsets of sigma from that list, which keeps their (card, lex) order.
+A coboundary matrix is built from its nonzero entries alone, one face
+and coface pair at a time, and kept with its invariant factors.
 """
 
 from __future__ import annotations
 
-from .bitsets import popcount, sort_key, vertices
+from .bitsets import full_mask, popcount, sort_key, vertices
 from .complexes import Complement, SimplicialComplex, complex_from_complement, full_subcomplex
 from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
 from .tor import tor_bigraded
@@ -43,13 +47,15 @@ class CochainComplex:
     transpose of the face/coface incidence.
     """
 
-    def __init__(self, K: SimplicialComplex):
+    def __init__(self, K: SimplicialComplex, faces: list[int] | None = None):
+        """faces, when given, replaces K.faces(): the faces of a full
+        subcomplex of K, sorted (card, lex)."""
         self.void = K.is_void
-        faces: dict[int, list[int]] = {}
-        for f in K.faces():
-            faces.setdefault(popcount(f) - 1, []).append(f)
-        self.faces = faces  # lists arrive sorted (card, lex) from K.faces()
-        self.top = max(faces) if faces else -2
+        by_dim: dict[int, list[int]] = {}
+        for f in K.faces() if faces is None else faces:
+            by_dim.setdefault(popcount(f) - 1, []).append(f)
+        self.faces = by_dim  # lists arrive sorted (card, lex)
+        self.top = max(by_dim) if by_dim else -2
         self._matrices: dict[int, Matrix] = {}
 
     def delta(self, n: int) -> Matrix:
@@ -102,12 +108,15 @@ def compare_blocks(
     closure = {0}
     for member in P.members:
         closure |= {c | member for c in closure}
+    # every sigma lies inside U, the union of the members or [m]
+    union = full_mask(P.m) if all_sigma else max(closure)
+    faces = [] if K.is_void else full_subcomplex(K, union).faces()
     out = []
     for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
         n = popcount(sigma)
         # the full slice's top generator selects every member inside sigma
         top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
-        oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
+        oracle = None if K.is_void else CochainComplex(K, [f for f in faces if not f & ~sigma])
         for q in range(max(n, top) + 1):
             pairs = []
             for tor in tors:

@@ -66,11 +66,14 @@ class TaylorComplex:
         for u, sigma in reversed(self.totals.items()):
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         self._by_support = by_support
+        self._supports = tuple(sorted(by_support, key=sort_key))
         self._matrices: dict[tuple[int, int], Matrix] = {}
         self._indexes: dict[tuple[int, int], dict[int, int]] = {}
 
     def supports(self) -> list[int]:
-        return sorted(self._by_support, key=sort_key)
+        """Total subsets with generators, in (card, lex) order; a copy of
+        the order sorted once per complex."""
+        return list(self._supports)
 
     def generators(self, sigma: int, q: int) -> list[int]:
         return self._by_support.get(sigma, {}).get(q, [])

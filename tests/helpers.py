@@ -4,17 +4,27 @@ The brute-force functions here deliberately avoid the library's clever
 paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full differential,
-the (S^2, S^1) series, and the accessors only tests read (field_rank,
-total_subset, boundary_matrices, full_signature).  Helpers return
+the (S^2, S^1) series, the accessors only tests read (field_rank,
+total_subset, boundary_matrices, full_signature), the per-bit loop the
+bitset tables replaced, and compare_blocks with one full subcomplex
+built per sigma.  Helpers return
 values or raise and never check with a bare assert, which python -O
 would strip outside test modules.
 """
 
 from __future__ import annotations
 
-from facetor import Complement, SimplicialComplex, complex_from_complement, compress, tor_bigraded
+from facetor import (
+    Complement,
+    SimplicialComplex,
+    complex_from_complement,
+    compress,
+    full_subcomplex,
+    tor_bigraded,
+)
 from facetor.bitsets import bit_positions, popcount, sort_key
-from facetor.linalg import Matrix, _modulus, _rref, is_field
+from facetor.hochster import CochainComplex, check_all_sigma
+from facetor.linalg import ZERO_GROUP, Matrix, _modulus, _rref, is_field
 from facetor.polynomials import padd
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -51,6 +61,40 @@ def brute_force_faces(P: Complement) -> list[int]:
         if not any(mem & ~tau == 0 for mem in P.members):
             out.append(tau)
     return sorted(out, key=sort_key)
+
+
+def bit_loop_positions(mask: int) -> tuple[int, ...]:
+    """0-based set-bit positions, ascending, one lowest bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> list[tuple]:
+    """hochster.compare_blocks with the oracle's faces enumerated anew
+    for every sigma, from its own full subcomplex."""
+    if all_sigma:
+        check_all_sigma(P.m)
+    tors = [tor_bigraded(P, coeff) for coeff in coeffs]
+    K = complex_from_complement(P)
+    closure = {0}
+    for member in P.members:
+        closure |= {c | member for c in closure}
+    out = []
+    for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
+        n = popcount(sigma)
+        top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
+        oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
+        for q in range(max(n, top) + 1):
+            pairs = []
+            for tor in tors:
+                right = ZERO_GROUP if oracle is None else oracle.cohomology(n - q - 1, tor.coeff)
+                pairs.append((tor.group(q, sigma).signature, right.signature))
+            out.append((q, sigma, tuple(pairs)))
+    return out
 
 
 def brute_force_minimal_nonfaces(K: SimplicialComplex) -> list[int]:

@@ -12,6 +12,8 @@ from facetor.bitsets import (
     vertices,
 )
 
+from helpers import bit_loop_positions
+
 
 def test_round_trip():
     assert mask_of([1, 3, 5], 5) == 0b10101
@@ -50,3 +52,35 @@ def test_sort_key_orders_by_cardinality_then_lex(a, b):
 def test_full_mask():
     assert full_mask(0) == 0
     assert full_mask(3) == 0b111
+
+
+def _check_against_bit_loop(mask):
+    positions = bit_loop_positions(mask)
+    assert bit_positions(mask) == positions
+    assert vertices(mask) == tuple(b + 1 for b in positions)
+    assert sort_key(mask) == (len(positions), tuple(b + 1 for b in positions))
+
+
+def test_tables_match_bit_loop_below_2_16():
+    for mask in range(1 << 16):
+        _check_against_bit_loop(mask)
+
+
+@given(st.integers(0, (1 << 24) - 1))
+def test_tables_match_bit_loop_up_to_24_bits(mask):
+    _check_against_bit_loop(mask)
+
+
+@pytest.mark.parametrize(
+    "mask", [256, 1 << 16, 1 << 23, 0x808080, *[(1 << 8 * k) - 1 for k in (1, 2, 3)]]
+)
+def test_tables_match_bit_loop_at_byte_edges(mask):
+    _check_against_bit_loop(mask)
+
+
+@given(st.lists(st.integers(0, (1 << 24) - 1), max_size=40))
+def test_sort_key_sorts_as_the_bit_loop(masks):
+    def loop_key(mask):
+        return (popcount(mask), tuple(b + 1 for b in bit_loop_positions(mask)))
+
+    assert sorted(masks, key=sort_key) == sorted(masks, key=loop_key)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from facetor import (
     Complement,
     SimplicialComplex,
@@ -15,7 +17,7 @@ from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
-from helpers import FIG1, EX513, field_rank, rp2_complex
+from helpers import FIG1, EX513, compare_blocks_per_sigma, field_rank, rp2_complex
 
 
 class TestConventions:
@@ -163,3 +165,45 @@ class TestBaskakov:
         P = complement_from_complex(rp2_complex())
         pairs = {(q, s): p for q, s, p in compare_blocks(P, (ZZ,))}
         assert pairs[(3, full_mask(6))] == (((0, (2,)), (0, (2,))),)
+
+
+ORACLE_CASES = {
+    "void": Complement(3, (0,)),
+    "empty complex": Complement.from_vertex_lists(3, [[1], [2], [3]]),
+    "no members": Complement(3, ()),
+    "ghost vertices": Complement.from_vertex_lists(5, [[2], [1, 3], [5]]),
+    "duplicate and non-minimal": Complement.from_vertex_lists(
+        5, [[1, 2], [3, 4], [1, 2], [1, 2, 3], [2, 3, 4, 5]]
+    ),
+    "fig1": FIG1,
+    "ex513": EX513,
+}
+
+
+@pytest.mark.parametrize("all_sigma", [False, True])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+class TestOracleFaces:
+    """compare_blocks enumerates the faces once per complement and hands
+    each sigma the subsets of sigma from that list."""
+
+    def test_each_sigma_gets_its_full_subcomplex_faces(self, name, all_sigma, monkeypatch):
+        P = ORACLE_CASES[name]
+        built = []
+        init = CochainComplex.__init__
+
+        def spy(self, K, faces=None):
+            init(self, K, faces)
+            built.append([f for fs in self.faces.values() for f in fs])
+
+        monkeypatch.setattr(CochainComplex, "__init__", spy)
+        sigmas = list(dict.fromkeys(s for _, s, _ in compare_blocks(P, (QQ,), all_sigma)))
+        K = complex_from_complement(P)
+        expected = [] if K.is_void else [full_subcomplex(K, s).faces() for s in sigmas]
+        assert built == expected
+
+    def test_blocks_match_a_full_subcomplex_per_sigma(self, name, all_sigma):
+        P = ORACLE_CASES[name]
+        coeffs = (QQ, PrimeField(2), ZZ)
+        blocks = compare_blocks(P, coeffs, all_sigma)
+        assert blocks == compare_blocks_per_sigma(P, coeffs, all_sigma)
+        assert _disagreements(blocks) == []
