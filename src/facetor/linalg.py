@@ -20,8 +20,8 @@ stored nonzeros and written once for Q and F_p.  The same eliminations
 yield linear forms, kept as their nonzero entries, that test whether a
 vector is a cycle and read off its coordinates in the representative
 basis, so reducing a cycle takes sparse dot products only.
-Everything is arbitrary-precision: Python ints over Z and F_p,
-fractions.Fraction over Q.
+Everything is arbitrary-precision: Python ints over Z and F_p, and
+over Q ints too until a non-unit pivot brings in fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -586,17 +586,18 @@ def _rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
     the pivot, and no entry left of it or at another pivot column.
     Each row is reduced by the pivot rows found so far, scaled to 1 on
     its least column, and that column is cleared from the other pivot
-    rows.  Entries are residues mod p or Fractions.
+    rows.  Entries are residues mod p; over Q a row stays ints under a
+    +-1 lead, its own inverse, and only a non-unit lead makes Fractions.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
-        r = {j: x % p for j, x in row.items() if x % p} if p else {j: Fraction(x) for j, x in row.items()}
+        r = {j: x % p for j, x in row.items() if x % p} if p else dict(row)
         for c in [c for c in r if c in pivots]:
             _subtract(r, r[c], pivots[c], p)
         if not r:
             continue
         lead = min(r)
-        inv = pow(r[lead], -1, p) if p else 1 / r[lead]
+        inv = pow(r[lead], -1, p) if p else r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
         r = {j: x * inv % p if p else x * inv for j, x in r.items()}
         for other in pivots.values():
             if lead in other:
@@ -609,11 +610,10 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
     if p:
         return tuple(int(x) for x in vec)
-    fracs = [Fraction(x) for x in vec]
     denom = 1
-    for x in fracs:
+    for x in vec:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
+    ints = [int(x * denom) for x in vec]
     g = 0
     for x in ints:
         g = gcd(g, x)

@@ -6,13 +6,17 @@ independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full differential,
 the (S^2, S^1) series, the accessors only tests read (field_rank,
 total_subset, boundary_matrices, full_signature), the per-bit loop the
-bitset tables replaced, and compare_blocks with one full subcomplex
-built per sigma.  Helpers return
+bitset tables replaced, compare_blocks with one full subcomplex
+built per sigma, and the field RREF that turned every entry over Q
+into a Fraction.  Helpers return
 values or raise and never check with a bare assert, which python -O
 would strip outside test modules.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
 
 from facetor import (
     Complement,
@@ -24,7 +28,7 @@ from facetor import (
 )
 from facetor.bitsets import bit_positions, popcount, sort_key
 from facetor.hochster import CochainComplex, check_all_sigma
-from facetor.linalg import ZERO_GROUP, Matrix, _modulus, _rref, is_field
+from facetor.linalg import ZERO_GROUP, Matrix, _modulus, _rref, _subtract, is_field
 from facetor.polynomials import padd
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -145,6 +149,33 @@ def full_signature(P: Complement, coeff) -> dict:
             if not group.is_zero:
                 out[(q, sigma)] = group.signature
     return out
+
+
+def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
+    """Reduced row echelon form over F_p, or over Q when p == 0, of the
+    matrix with these sparse rows, which are left unchanged.
+
+    The result maps each pivot column to the nonzeros of its row: 1 at
+    the pivot, and no entry left of it or at another pivot column.
+    Each row is reduced by the pivot rows found so far, scaled to 1 on
+    its least column, and that column is cleared from the other pivot
+    rows.  Entries are residues mod p or Fractions.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        r = {j: x % p for j, x in row.items() if x % p} if p else {j: Fraction(x) for j, x in row.items()}
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r[c], pivots[c], p)
+        if not r:
+            continue
+        lead = min(r)
+        inv = pow(r[lead], -1, p) if p else 1 / r[lead]
+        r = {j: x * inv % p if p else x * inv for j, x in r.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], r, p)
+        pivots[lead] = r
+    return pivots
 
 
 def field_rank(M: Matrix, coeff) -> int:

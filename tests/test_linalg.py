@@ -1,10 +1,12 @@
 import random
 import time
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from facetor import linalg
 from facetor.linalg import (
     QQ,
     ZZ,
@@ -21,7 +23,7 @@ from facetor.linalg import (
     _rref,
 )
 
-from helpers import FIG1, bareiss_determinant, field_rank, random_matrix
+from helpers import FIG1, bareiss_determinant, field_rank, fraction_rref, random_matrix
 
 
 def int_matrices(max_dim=6, bound=9, entries=None):
@@ -491,6 +493,78 @@ def test_rank_matches_over_q_and_fraction_free(M):
             residual = [x - sum(row[c] * rr[c].get(j, 0) for c in rr) for j, x in enumerate(row)]
             assert all((x % p if p else x) == 0 for x in residual)
     assert M.rows == dense
+
+
+@given(int_matrices(max_dim=6, bound=6))
+@example(Matrix(2, 3, [[2, 1, 0], [0, 3, 1]]))
+@example(Matrix(2, 3, [[-4, 2, 6], [2, 1, 0]]))
+@example(Matrix(2, 2, [[1, 1], [1, -1]]))
+@example(Matrix(3, 3, [[3, 0, 0], [0, -2, 0], [6, 4, 1]]))
+def test_rref_over_q_matches_fraction_reference(M):
+    # over Q rows stay ints until a non-unit lead; the pivots and their
+    # rows must equal those of the all-Fraction reference by value and in
+    # order, with no float anywhere, and the input rows stay untouched
+    before = [dict(row) for row in M._entries]
+    got = _rref(M._entries, 0)
+    want = fraction_rref(M._entries, 0)
+    assert list(got) == list(want)
+    for c, row in got.items():
+        assert list(row.items()) == list(want[c].items())
+        assert all(type(x) in (int, Fraction) for x in row.values())
+    assert M._entries == before
+    assert all(type(x) is int for row in M._entries for x in row.values())
+
+
+@given(st.data())
+def test_rref_over_q_unit_leads_stay_ints(data):
+    # rows that lead with +-1, with nothing left of the lead, meet only
+    # unit leads in any order, so the form has int entries alone
+    n = data.draw(st.integers(0, 6))
+    rows = []
+    for i in range(n):
+        tail = data.draw(st.lists(st.integers(-9, 9), min_size=n - i - 1, max_size=n - i - 1))
+        rows.append([0] * i + [data.draw(st.sampled_from((1, -1)))] + tail)
+    order = data.draw(st.permutations(range(n)))
+    rr = _rref(Matrix(n, n, [rows[i] for i in order])._entries, 0)
+    assert sorted(rr) == list(range(n))
+    assert all(type(x) is int for row in rr.values() for x in row.values())
+
+
+def test_representatives_over_q_through_non_unit_leads():
+    # d_out's rows lead with 2 and 3, and the image's row with 2, so both
+    # eliminations scale by 1 / Fraction(lead)
+    d_out = Matrix(2, 5, [[2, 1, 0, 0, 0], [0, 3, 1, 0, 0]])
+    d_in = Matrix(5, 1, [[0], [0], [0], [2], [4]])
+    g = homology_representatives(d_in, d_out, QQ)
+    assert g.representatives == ((1, -2, 6, 0, 0), (0, 0, 0, 0, 1))
+    for rep in g.representatives:
+        assert all(type(x) is int for x in rep)
+        assert next(x for x in rep if x) > 0
+        assert gcd(*rep) == 1
+    assert all(type(x) is Fraction for form in g.coordinates for _, x in form)
+    assert any(type(x) is Fraction for form in g.relations for _, x in form)
+    for i, rep in enumerate(g.representatives):
+        assert reduce_cycle(rep, g, QQ) == tuple(int(j == i) for j in range(g.rank))
+    # 2 e_3 + 4 e_4 bounds, so 2 e_3 is -4 times the second class
+    assert reduce_cycle((0, 0, 0, 2, 0), g, QQ) == (0, -4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref", fraction_rref)
+        want = homology_representatives(d_in, d_out, QQ)
+    assert g == want
+
+
+@given(st.randoms(use_true_random=False))
+def test_representatives_over_q_match_fraction_reference(rng):
+    # the whole field basis over Q equals the one the all-Fraction RREF
+    # gives, and the coordinate forms keep their Fraction entries
+    d_in, d_out = _chain_pair(rng)
+    got = homology_representatives(d_in, d_out, QQ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_rref", fraction_rref)
+        want = homology_representatives(d_in, d_out, QQ)
+    assert got == want
+    assert all(type(x) is int for rep in got.representatives for x in rep)
+    assert all(type(x) is Fraction for form in got.coordinates for _, x in form)
 
 
 @given(st.randoms(use_true_random=False))

@@ -387,6 +387,28 @@ def test_integer_table_pinned(P, digest):
     assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "P, coeff, digest",
+    [
+        (FIG1, QQ, "b8c5d90b6eb3e633aac69c7262fb86637f39009e4adaf629ea5ae32e9ce40281"),
+        (FIG1, PrimeField(3), "9b56fd4cc740e6b13a1ee0e8bf33650e3034cbdf9c908a0ee21e0789fe90bbd9"),
+        (EX513, QQ, "eef8a6604fa5aab7296f93a51d0ac6b673e1ff20c2cf32e2e9b337d2ce331e50"),
+        (EX513, PrimeField(3), "73ab01aff2844d73fe60ed64b049a56cd3b5d000a8624de72d95d248a40a351b"),
+        (_cycle(5), QQ, "3079ea07c97fc8864871ffa9a34dc37f3a4297be5b6456b03da2520e01143dd1"),
+        (_cycle(5), PrimeField(3), "f0734a887c14f10c1eeeeb7b79d2b160e6089710d3e9ae499fadb802211401ed"),
+        (_cycle(6), QQ, "4d2f41bb07c7312c36c2e6d14e5182d11124c93b211831b550bbb19f77905f77"),
+        (_cycle(6), PrimeField(3), "eabf9b736543855fa0a199453032a2291742c177cc541c3f998ceab52ce3e03b"),
+    ],
+    ids=["fig1-q", "fig1-f3", "ex513-q", "ex513-f3", "c5-q", "c5-f3", "c6-q", "c6-f3"],
+)
+def test_field_table_pinned(P, coeff, digest):
+    # recorded repr of the field product tables, coefficient types
+    # included: over Q every coordinate stays a Fraction however the
+    # elimination represents its rows
+    table = repr(TorRing(P, coeff).multiplication_table())
+    assert hashlib.sha256(table.encode()).hexdigest() == digest
+
+
 class TestFieldChoice:
     def test_f2_matches_q_when_torsion_free(self):
         a = tor_bigraded(FIG1, QQ).signature()
