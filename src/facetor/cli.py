@@ -54,6 +54,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _vertex_lists(doc, field: str, m: int) -> list[list[int]]:

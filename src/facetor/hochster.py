@@ -50,7 +50,6 @@ class CochainComplex:
     def __init__(self, K: SimplicialComplex, faces: list[int] | None = None):
         """faces, when given, replaces K.faces(): the faces of a full
         subcomplex of K, sorted (card, lex)."""
-        self.void = K.is_void
         by_dim: dict[int, list[int]] = {}
         for f in K.faces() if faces is None else faces:
             by_dim.setdefault(popcount(f) - 1, []).append(f)
@@ -77,7 +76,7 @@ class CochainComplex:
         return M
 
     def cohomology(self, n: int, coeff: CoefficientSpec) -> HomologyGroup:
-        if self.void or n < -1 or n > self.top:
+        if n < -1 or n > self.top:  # a void complex has top -2
             return ZERO_GROUP
         return homology_at(self.delta(n - 1), self.delta(n), coeff)
 

@@ -5,6 +5,10 @@ union of the selected members and its bidegree is (popcount, total).
 The reduced differential deletes one selected member at a time, keeps
 only the terms whose total subset is unchanged, and signs the i-th
 deletion (1-based, members in increasing position order) with (-1)^i.
+A term keeps its total exactly when the smaller set is a generator of
+the same block: generators are closed under taking subsets, and each is
+filed under its own total.  So the totals only file generators into
+blocks, and the complex drops them once it is built.
 
 The full complex (the reduced Taylor resolution) has all 2^s subsets
 as generators; TorRing alone builds it, for chains on the given
@@ -61,9 +65,8 @@ class TaylorComplex:
             complement = minimalize(complement)
         self.complement = complement
         self.s = complement.s
-        self.totals = _generator_totals(complement.members, lyubeznik)
         by_support: dict[int, dict[int, list[int]]] = {}
-        for u, sigma in reversed(self.totals.items()):
+        for u, sigma in reversed(_generator_totals(complement.members, lyubeznik).items()):
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         self._by_support = by_support
         self._supports = tuple(sorted(by_support, key=sort_key))
@@ -89,15 +92,6 @@ class TaylorComplex:
     def block_dims(self, sigma: int) -> dict[int, int]:
         return {q: len(g) for q, g in sorted(self._by_support.get(sigma, {}).items())}
 
-    def reduced_differential(self, u: int) -> Chain:
-        """d(u) as a chain; zero for the empty generator."""
-        total = self.totals[u]
-        return {
-            u & ~(1 << b): -1 if i % 2 else 1
-            for i, b in enumerate(bit_positions(u), start=1)
-            if self.totals[u & ~(1 << b)] == total
-        }
-
     def boundary_matrix(self, sigma: int, q: int) -> Matrix:
         """Matrix of d on the (q, sigma) block, mapping into (q - 1, sigma)."""
         key = (sigma, q)
@@ -108,8 +102,10 @@ class TaylorComplex:
         index = self._index(sigma, q - 1) if q >= 1 else {}
         M = Matrix(len(index), len(src))
         for j, u in enumerate(src):
-            for v, c in self.reduced_differential(u).items():
-                M[index[v], j] = c
+            for i, b in enumerate(bit_positions(u), start=1):
+                r = index.get(u & ~(1 << b))
+                if r is not None:
+                    M[r, j] = -1 if i % 2 else 1
         self._matrices[key] = M
         return M
 

@@ -5,7 +5,9 @@ paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full differential,
 the (S^2, S^1) series, the accessors only tests read (field_rank,
-total_subset, boundary_matrices, full_signature), the per-bit loop the
+total_subset, generator_set, boundary_matrices, boundary_column,
+full_signature), the reduced differential from its definition, the
+redundant-presentation strategy, the per-bit loop the
 bitset tables replaced, compare_blocks with one full subcomplex
 built per sigma, and the field RREF that turned every entry over Q
 into a Fraction.  Helpers return
@@ -18,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from hypothesis import strategies as st
 from facetor import (
     Complement,
     SimplicialComplex,
@@ -51,6 +54,19 @@ RP2_FACETS = [
     [3, 4, 5],
     [3, 4, 6],
 ]
+
+
+@st.composite
+def redundant_presentations(draw):
+    """Up to 5 drawn members (the empty one included), then possibly a
+    duplicate and a member containing another, in a random order."""
+    m = draw(st.integers(1, 6))
+    members = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=5))
+    if members and draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)))
+    if members and draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)) | draw(st.integers(0, (1 << m) - 1)))
+    return Complement(m, tuple(draw(st.permutations(members))))
 
 
 def rp2_complex() -> SimplicialComplex:
@@ -129,7 +145,36 @@ def brute_force_link(faces: list[int], omega: int) -> list[int]:
 
 
 def total_subset(tc: TaylorComplex, u: int) -> int:
-    return tc.totals[u]
+    """Union of the members of tc's complement that u selects."""
+    total = 0
+    for b in bit_positions(u):
+        total |= tc.complement.members[b]
+    return total
+
+
+def generator_set(tc: TaylorComplex) -> set[int]:
+    """Every generator of tc: the union of its blocks."""
+    return {u for sigma in tc.supports() for q in tc.block_dims(sigma) for u in tc.generators(sigma, q)}
+
+
+def reduced_differential(tc: TaylorComplex, u: int) -> dict:
+    """d(u) from its definition: the i-th deletion, signed (-1)^i, kept
+    when the total subset is unchanged; zero for the empty generator."""
+    total = total_subset(tc, u)
+    return {
+        u & ~(1 << b): -1 if i % 2 else 1
+        for i, b in enumerate(bit_positions(u), start=1)
+        if total_subset(tc, u & ~(1 << b)) == total
+    }
+
+
+def boundary_column(tc: TaylorComplex, u: int) -> dict:
+    """The column of generator u in its block's boundary matrix, read as
+    a chain on the generators of the block below."""
+    sigma, q = total_subset(tc, u), popcount(u)
+    j = tc.generators(sigma, q).index(u)
+    rows = tc.generators(sigma, q - 1)
+    return {rows[i]: row[j] for i, row in enumerate(tc.boundary_matrix(sigma, q)._entries) if j in row}
 
 
 def boundary_matrices(tc: TaylorComplex, sigma: int) -> list[Matrix]:
@@ -190,10 +235,10 @@ def full_differential(tc: TaylorComplex, t: dict) -> dict:
     m = tc.complement.m
     out: dict = {}
     for (u, exps), coeff in t.items():
-        total = tc.totals[u]
+        total = total_subset(tc, u)
         for i, b in enumerate(bit_positions(u), start=1):
             v = u & ~(1 << b)
-            lost = total & ~tc.totals[v]
+            lost = total & ~total_subset(tc, v)
             new_exps = tuple(e + (1 if lost >> k & 1 else 0) for k, e in enumerate(exps))
             if len(new_exps) != m:
                 raise ValueError("exponent vector does not match the ambient size")

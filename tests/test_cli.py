@@ -513,6 +513,22 @@ class TestInputValidity:
         assert out == ""
         assert err.startswith("input error:")
 
+    def test_input_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps({"m": 3, "complement": [[1]]}).encode() + b"\xff")
+        code, out, err = run(capsys, "tor", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "UTF-8" in err
+
+    def test_pairs_not_utf8(self, capsys, tmp_path, ex513_path):
+        ppath = tmp_path / "pairs.json"
+        ppath.write_bytes(json.dumps([{"X": [[2, 1]], "A": [[1, 1]]}] * 6).encode() + b"\xff")
+        code, out, err = run(capsys, "maz", ex513_path, "--pairs", str(ppath))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "UTF-8" in err
+
     def test_vertex_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"m": 3, "complement": [[1, 4]]}))
