@@ -91,10 +91,9 @@ def load_input(path: str) -> Complement:
     if has_c:
         return Complement(m, tuple(mask_of(vs, m) for vs in _vertex_lists(doc, "complement", m)))
     K = SimplicialComplex(m, tuple(mask_of(vs, m) for vs in _vertex_lists(doc, "facets", m)))
-    try:
-        return complement_from_complex(K)
-    except ValueError as exc:  # a void facet list
-        raise InputError(str(exc)) from exc
+    if K.is_void:
+        raise InputError('void complex has no missing-face presentation; use {"complement": [[]]}')
+    return complement_from_complex(K)
 
 
 def load_pairs(path: str, m: int) -> PairSpec:

@@ -4,15 +4,19 @@ Matrices store only their nonzero entries, one dict per row; the
 builders set entries one at a time, and only the dense Smith normal
 form asks for a dense copy of the rows.  Homology groups of chain
 complex slices are read off the integer invariant factors of their two
-boundary maps, whatever the coefficient ring.  The factors come from
-sparse elimination on +-1 pivots, run on a copy of the stored entries,
-followed by a dense Smith normal form of the unit-free residual, which
-is usually small or empty.  A matrix keeps its factors once computed, so a
-map shared by two neighbouring blocks, or read over several rings, is
-factored once.  In the same way d_out remembers the d_in it was last
-checked against, so the product d_out @ d_in that proves a pair is a
-chain complex is taken once per pair, not once per ring; setting an
-entry on either map makes the next check take it again.  Cycle
+boundary maps, whatever the coefficient ring, so their entries must be
+ints.  A map whose entries all lie in one row or one column, as most
+maps of a Lyubeznik block do, has one factor, the gcd of its entries,
+or none when it is zero; it is read off the stored rows.  Any other
+map is factored by sparse elimination on +-1 pivots, run on a copy of
+the stored entries, followed by a dense Smith normal form of the
+unit-free residual, which is usually small or empty.  A matrix keeps
+its factors once computed, so a map shared by two neighbouring blocks,
+or read over several rings, is factored once.  In the same way d_out
+remembers the d_in it was last checked against, so the product
+d_out @ d_in that proves a pair is a chain complex is taken once per
+pair, not once per ring, and not at all when either map is zero;
+setting an entry on either map makes the next check take it again.  Cycle
 representatives are separate, for the product structure alone; they
 use the dense Smith normal form with explicit unimodular transforms
 over Z, and over a field the reduced row echelon form, computed on the
@@ -398,10 +402,10 @@ class _SnfState:
                 self.negate_row(i)
 
 
-def _check_invariant_factors(diag: list[int]) -> None:
+def _check_invariant_factors(diag: Sequence[int]) -> None:
     """Raise unless diag is positive with d_1 | d_2 | ...; a kernel fault
     would show here, so the check survives python -O."""
-    if any(d <= 0 for d in diag) or any(b % a for a, b in zip(diag, diag[1:])):
+    if diag and (min(diag) <= 0 or any(b % a for a, b in zip(diag, diag[1:]))):
         raise AssertionError(f"invariant factors out of order: {diag}")
 
 
@@ -499,14 +503,28 @@ def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
                 residual[i, col_index[j]] = x
         st, rank = _snf_state(residual, track_u=False, track_v=False)
         diag += [st.d[i][i] for i in range(rank)]
-    _check_invariant_factors(diag)
     return diag
 
 
 def _factors(M: Matrix) -> tuple[int, ...]:
-    """M.factors, computed from a copy of M's entries on first use."""
+    """M.factors, computed on first use.  When M's entries all lie in one
+    row or one column, its one factor is their gcd, and a map with no
+    entries has none; any other M is eliminated from a copy of its
+    entries.  Raises ValueError on an entry that is not an int."""
     if M.factors is None:
-        M.factors = tuple(_invariant_factors([row.copy() for row in M._entries]))
+        filled = [row for row in M._entries if row]
+        if not filled:
+            factors = ()
+        else:
+            values = [x for row in filled for x in row.values()]
+            if not all(isinstance(x, int) for x in values):
+                raise ValueError("invariant factors need integer entries")
+            if len(filled) > 1 and len({j for row in filled for j in row}) > 1:
+                factors = tuple(_invariant_factors([row.copy() for row in M._entries]))
+            else:
+                factors = (gcd(*values),)
+        _check_invariant_factors(factors)
+        M.factors = factors
     return M.factors
 
 
@@ -632,15 +650,16 @@ _stamps = count()
 
 def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
     """Raise ValueError unless d_out @ d_in is defined and zero.  The
-    product is taken once per pair: d_out remembers the stamp of the
-    d_in it passed with, until an entry of either map is set."""
+    product is taken once per pair, and not when either map is zero:
+    d_out remembers the stamp of the d_in it passed with, until an entry
+    of either map is set."""
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
     if d_in._stamp is None:
         d_in._stamp = next(_stamps)
     if d_out._zero_with == d_in._stamp:
         return
-    if not (d_out @ d_in).is_zero():
+    if not (d_out.is_zero() or d_in.is_zero() or (d_out @ d_in).is_zero()):
         raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
     d_out._zero_with = d_in._stamp
 

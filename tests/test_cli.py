@@ -556,7 +556,10 @@ class TestInputValidity:
         code, out, err = run(capsys, "tor", str(path))
         assert code == 2
         assert out == ""
-        assert err == "input error: void complex has no missing-face presentation; use Complement(m, (0,))\n"
+        assert err == 'input error: void complex has no missing-face presentation; use {"complement": [[]]}\n'
+        # the form the message names is accepted
+        path.write_text(json.dumps({"m": 3, "complement": [[]]}))
+        assert run(capsys, "tor", str(path))[0] == 0
 
     def test_internal_fault_is_not_an_input_error(self, fig1_path, monkeypatch):
         # a ValueError raised inside the computation is a fault of the
