@@ -20,7 +20,7 @@ import os
 import random
 import sys
 
-from .bitsets import MAX_AMBIENT, mask_of, popcount, set_str, vertices
+from .bitsets import MAX_AMBIENT, bit_positions, mask_of, popcount, set_str, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
@@ -29,6 +29,7 @@ from .complexes import (
     compress,
     full_subcomplex,  # unused here; perfbench/tracer.py patches it by this name
     link,
+    minimalize,
     star,
 )
 from .hochster import check_all_sigma, compare_blocks
@@ -56,6 +57,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: JSON nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _vertex_lists(doc, field: str, m: int) -> list[list[int]]:
@@ -293,14 +296,14 @@ def _cmd_star_link(args, which: str) -> int:
     K = complex_from_complement(P)
     if K.is_void:
         raise CapabilityError("the void complex has no star or link")
-    result = star(K, omega) if which == "star" else link(K, omega)
     if which == "star":
-        tor = star_tor(P, omega, args.coeff)
+        result, tor = star(K, omega), star_tor(P, omega, args.coeff)
     else:
-        if result.is_void:
-            tor = tor_bigraded(Complement(P.m, (0,)), args.coeff)
-        else:
-            tor = tor_bigraded(complement_from_complex(result), args.coeff)
+        # the link's minimal non-faces are the minimal sets among the
+        # compressed members and omega's vertices, just (0,) off a face
+        singletons = tuple(1 << b for b in bit_positions(omega))
+        link_P = minimalize(Complement(P.m, compress(P, omega).members + singletons))
+        result, tor = link(K, omega), tor_bigraded(link_P, args.coeff)
     payload = {
         "command": which,
         "m": P.m,

@@ -44,12 +44,16 @@ class CapabilityError(Exception):
 
 @dataclass(frozen=True)
 class Rationals:
+    p = 0  # no modulus: arithmetic is exact
+
     def __str__(self) -> str:
         return "Q"
 
 
 @dataclass(frozen=True)
 class Integers:
+    p = 0  # no modulus: arithmetic is exact
+
     def __str__(self) -> str:
         return "Z"
 
@@ -574,15 +578,6 @@ class HomologyBasis(HomologyGroup):
 ZERO_GROUP = HomologyGroup(0)
 
 
-def _modulus(coeff: CoefficientSpec) -> int:
-    """p for F_p and 0 for Q: the one argument the field routines take."""
-    if isinstance(coeff, PrimeField):
-        return coeff.p
-    if isinstance(coeff, Rationals):
-        return 0
-    raise ValueError(f"{coeff} is not a field")
-
-
 def _subtract(target: dict, f, row: dict, p: int) -> None:
     """target -= f * row on sparse rows, reduced mod p when p; entries
     that cancel are dropped."""
@@ -675,13 +670,10 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
     over F_p only the factors p does not divide count toward the ranks.
     """
     _check_chain_pair(d_in, d_out)
-    n = d_out.ncols
-    if n == 0:
-        return ZERO_GROUP
+    n, p = d_out.ncols, coeff.p
     out_factors = _factors(d_out)
     in_factors = _factors(d_in)
-    if isinstance(coeff, PrimeField):
-        p = coeff.p
+    if p:
         return HomologyGroup(
             n - sum(1 for d in out_factors if d % p) - sum(1 for d in in_factors if d % p)
         )
@@ -700,8 +692,7 @@ def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec
 
 
 def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
-    p = _modulus(coeff)
-    n = d_out.ncols
+    n, p = d_out.ncols, coeff.p
     rr = _rref(d_out._entries, p)
     free = [f for f in range(n) if f not in rr]
     # A cycle's coordinates in the nullspace basis are its entries at the
@@ -786,7 +777,7 @@ def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> t
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
     if len(z) != group.size:
         raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
-    p = coeff.p if isinstance(coeff, PrimeField) else 0
+    p = coeff.p
     if any(_form_value(form, z, p) for form in group.relations):
         raise ValueError("not a cycle: no expression in representatives modulo boundaries")
     return tuple(_form_value(form, z, p) for form in group.coordinates)

@@ -29,11 +29,12 @@ generators in ascending order of their bit positions (as tuples); the
 enumeration reaches each block in exactly the reverse order, so the
 complex reads it backwards and sorts nothing.  A complex builds each
 boundary matrix on first request, setting only its nonzero entries (a
-slice is mostly zeros), and keeps it, together with the invariant
-factors linalg computes for it, for as long as the complex lives;
-taylor_complex keeps recently used complexes.  The position index of a
-block, which places boundary terms and chain terms alike, is built once
-and kept the same way.
+slice is mostly zeros); a map out of or into an empty block is the
+zero matrix of its shape and is not assembled.  It keeps each matrix,
+together with the invariant factors linalg computes for it, for as long
+as the complex lives; taylor_complex keeps recently used complexes.
+The position index of a block, which places boundary terms and chain
+terms alike, is built once, on first use, and kept the same way.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 
 from .bitsets import bit_positions, popcount, sort_key
 from .complexes import Complement, minimalize
-from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, ZERO_GROUP, homology_at
+from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, homology_at
 
 MAX_GENERATORS = 24
 
@@ -93,25 +94,26 @@ class TaylorComplex:
         return {q: len(g) for q, g in sorted(self._by_support.get(sigma, {}).items())}
 
     def boundary_matrix(self, sigma: int, q: int) -> Matrix:
-        """Matrix of d on the (q, sigma) block, mapping into (q - 1, sigma)."""
+        """Matrix of d on the (q, sigma) block, mapping into (q - 1, sigma);
+        the zero matrix of its shape when either block is empty."""
         key = (sigma, q)
         cached = self._matrices.get(key)
         if cached is not None:
             return cached
-        src = self.generators(sigma, q)
-        index = self._index(sigma, q - 1) if q >= 1 else {}
-        M = Matrix(len(index), len(src))
-        for j, u in enumerate(src):
-            for i, b in enumerate(bit_positions(u), start=1):
-                r = index.get(u & ~(1 << b))
-                if r is not None:
-                    M[r, j] = -1 if i % 2 else 1
+        blocks = self._by_support.get(sigma, {})
+        src = blocks.get(q, [])
+        M = Matrix(len(blocks.get(q - 1, ())), len(src))
+        if M.nrows and M.ncols:
+            index = self._index(sigma, q - 1)
+            for j, u in enumerate(src):
+                for i, b in enumerate(bit_positions(u), start=1):
+                    r = index.get(u & ~(1 << b))
+                    if r is not None:
+                        M[r, j] = -1 if i % 2 else 1
         self._matrices[key] = M
         return M
 
     def block_homology(self, sigma: int, q: int, coeff: CoefficientSpec) -> HomologyGroup:
-        if q < 0 or not self.generators(sigma, q):
-            return ZERO_GROUP
         return homology_at(
             self.boundary_matrix(sigma, q + 1), self.boundary_matrix(sigma, q), coeff
         )

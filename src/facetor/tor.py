@@ -30,7 +30,6 @@ from .linalg import (
     CoefficientSpec,
     HomologyBasis,
     HomologyGroup,
-    PrimeField,
     ZERO_GROUP,
     homology_representatives,
     is_field,
@@ -120,7 +119,6 @@ class TorRing:
         self.coeff = coeff
         self.taylor: TaylorComplex = taylor_complex(complement)
         self._groups: dict[tuple[int, int], HomologyBasis] = {}
-        self._p = coeff.p if isinstance(coeff, PrimeField) else 0
         # (q, sigma) -> the basis positions of that block, in basis order
         self._blocks: dict[tuple[int, int], range] = {}
         basis: list[tuple[str, TorClass]] = []
@@ -224,8 +222,8 @@ class TorRing:
     def _scaled(self, coords, sign: int) -> tuple:
         if sign == 1:
             return tuple(coords)
-        if self._p:
-            return tuple((-c) % self._p for c in coords)
+        if self.coeff.p:
+            return tuple((-c) % self.coeff.p for c in coords)
         return tuple(-c for c in coords)
 
     def _table_sum(self, cls: TorClass, rows: list[TorClass], rank: int) -> list:
@@ -236,7 +234,7 @@ class TorRing:
             if c:
                 for t, x in enumerate(row.coords):
                     total[t] += c * x
-        return [x % self._p for x in total] if self._p else total
+        return [x % self.coeff.p for x in total] if self.coeff.p else total
 
     def _assert_laws(self, products: dict[tuple[int, int], TorClass]) -> None:
         n = len(self.basis)

@@ -31,7 +31,7 @@ from facetor import (
 )
 from facetor.bitsets import bit_positions, popcount, sort_key
 from facetor.hochster import CochainComplex, check_all_sigma
-from facetor.linalg import ZERO_GROUP, Matrix, _modulus, _rref, _subtract, is_field
+from facetor.linalg import ZERO_GROUP, Matrix, _rref, _subtract, is_field
 from facetor.polynomials import padd
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -224,7 +224,7 @@ def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
 
 
 def field_rank(M: Matrix, coeff) -> int:
-    return len(_rref(M._entries, _modulus(coeff)))
+    return len(_rref(M._entries, coeff.p))
 
 
 def full_differential(tc: TaylorComplex, t: dict) -> dict:

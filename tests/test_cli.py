@@ -144,6 +144,23 @@ class TestStarLink:
         assert code == 2
         assert "omega" in err
 
+    def test_link_presentation_is_minimal_before_the_cap(self, capsys, tmp_path):
+        # 24 two-element members: compressing by {8} and adding the vertex
+        # gives 25 members, past the cap of 24, but only 10 are minimal
+        members = [[i, j] for i in range(1, 8) for j in range(i + 1, 8)] + [[1, 8], [2, 8], [3, 8]]
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"m": 8, "complement": members}))
+        for flags, digest in [
+            ((), "0371b73e69e0f8eb37e5ad282d173169985b084bedb37271eadbcccc946327be"),
+            (("--json",), "c215199604cc389eaa404d686553eacf234893f93469abf093cc80daff01ca0b"),
+        ]:
+            code, out, err = run(capsys, "link", str(path), "--omega", "8", *flags)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            if not flags:
+                assert out.splitlines()[0] == "link of {8}: facets {4}, {5}, {6}, {7}"
+                assert out.endswith("total rank 288\n")
+
 
 class TestMaz:
     def test_preset_s2s1(self, capsys, ex513_path):
@@ -431,6 +448,40 @@ def test_ring_output_pinned(capsys, tmp_path, name, coeff, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_STAR_LINK_PINS = [
+    ("fig1", "star", "4f584214281af7b4ae13d72325fff27dab090ea6b57e74a7b7e984f8bfa76c48"),
+    ("fig1", "link", "b3ceebaecc3035a6e78efe46495a7dbcd020e365147f253ce8241ffd9bdfbef4"),
+    ("ex513", "star", "770dc4a30ca1c9a819cfd6834b2c8fca959a4a7c7ed89b40d6d46c96f7045687"),
+    ("ex513", "link", "16eeab9921e5b6d71c162e6ec810f80b90adcf149f540b2992550c9f168b8cf8"),
+    ("c5", "star", "2c4028f677e6d30ffe9485df289dbb680464eea925a1fd55a4bbd9af3c7ab3a3"),
+    ("c5", "link", "6782f001618a5e5b14cdf242c53c5784dac634c3babfcc00de5e753fe5e6a6b9"),
+    ("c6", "star", "68f3be842ae8a8fcc718dbb04e6355be9b320fa03b19d1306ace647769bd11b1"),
+    ("c6", "link", "8b3834cb1ae778f78a6c568ba80945cacf2f93c821597bafd51a8a76a221927b"),
+    ("rp2", "star", "1804b41b1e4e129b289e551bed60a336a287d7d16c05da702b28ef0ff371068b"),
+    ("rp2", "link", "0b5de9d012ce4296b58ef611e5ece5d0c7dec15feaeb2c7c6efbafd06d69934f"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, which, digest", _STAR_LINK_PINS, ids=[f"{name}-{which}" for name, which, _ in _STAR_LINK_PINS]
+)
+def test_star_link_output_pinned(capsys, tmp_path, name, which, digest):
+    # recorded bytes of every omega, faces and non-faces alike, over Q, Z
+    # and F2, plain and --json, in that order, concatenated
+    doc = _RING_DOCS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    h = hashlib.sha256()
+    for omega in range(1 << doc["m"]):
+        arg = ",".join(str(v) for v in range(1, doc["m"] + 1) if omega >> (v - 1) & 1)
+        for coeff in ("q", "z", "f:2"):
+            for flags in ((), ("--json",)):
+                code, out, err = run(capsys, which, str(path), "--omega", arg, "--coeff", coeff, *flags)
+                assert (code, err) == (0, "")
+                h.update(out.encode())
+    assert h.hexdigest() == digest
+
+
 def test_worked_examples_output_pinned():
     # recorded stdout of the worked-examples script, its pentagon ring
     # table included
@@ -528,6 +579,21 @@ class TestInputValidity:
         assert code == 2
         assert out == ""
         assert err.startswith("input error:") and "UTF-8" in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+    )
+    def test_overlong_integer(self, capsys, tmp_path, ex513_path):
+        # json raises a plain ValueError on an integer past the limit
+        digits = sys.get_int_max_str_digits() + 700
+        path = tmp_path / "long.json"
+        path.write_text('{"m": ' + "1" * digits + ', "complement": []}')
+        ppath = tmp_path / "pairs.json"
+        ppath.write_text("[" + ", ".join(['{"A": [[1, 1]]}'] * 5 + ['{"A": [[1, ' + "7" * digits + "]]}"]) + "]")
+        for argv, named in [(("tor", str(path)), path), (("maz", ex513_path, "--pairs", str(ppath)), ppath)]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"input error: {named}: Exceeds the limit")
 
     def test_vertex_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

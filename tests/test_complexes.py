@@ -23,6 +23,7 @@ from helpers import (
     brute_force_link,
     brute_force_minimal_nonfaces,
     brute_force_star,
+    redundant_presentations,
 )
 
 
@@ -32,6 +33,14 @@ def complements(max_m=6, max_s=4):
             lambda mem: Complement(m, tuple(mem))
         )
     )
+
+
+@st.composite
+def facet_presentations(draw):
+    """The minimal non-faces of a drawn non-void facet list."""
+    m = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=6))
+    return complement_from_complex(SimplicialComplex(m, tuple(facets)))
 
 
 class TestComplexFromComplement:
@@ -205,6 +214,23 @@ class TestStarLink:
         assert star(K, omega) == K_comp
         if not K_comp.is_void:
             assert link(K, omega) == full_subcomplex(K_comp, full_mask(P.m) & ~omega)
+
+
+    @given(st.one_of(redundant_presentations(), facet_presentations()))
+    def test_link_complement_from_compression(self, P):
+        # the link's minimal non-faces are the minimal sets among the
+        # omega-compressed members and omega's vertices; off a face the
+        # empty set is one of them
+        K = complex_from_complement(P)
+        if K.is_void:
+            return
+        for omega in range(1 << P.m):
+            singletons = tuple(1 << b for b in range(P.m) if omega >> b & 1)
+            got = minimalize(Complement(P.m, compress(P, omega).members + singletons))
+            if K.has_face(omega):
+                assert got == complement_from_complex(link(K, omega))
+            else:
+                assert got == Complement(P.m, (0,))
 
 
 class TestRepresentation:

@@ -12,8 +12,11 @@ from facetor.linalg import (
     ZZ,
     CapabilityError,
     HomologyBasis,
+    HomologyGroup,
+    Integers,
     Matrix,
     PrimeField,
+    Rationals,
     homology_at,
     homology_representatives,
     reduce_cycle,
@@ -253,6 +256,13 @@ class TestHomologyAt:
         g = homology_representatives(Matrix(3, 0), Matrix(0, 3), ZZ)
         assert g.rank == 3 and g.torsion == ()
         assert list(g.representatives) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_empty_middle_is_the_zero_group(self):
+        # 0x0 maps, and maps from or to nothing, take the general path
+        pairs = [(Matrix(0, 0), Matrix(0, 0)), (Matrix(0, 3), Matrix(2, 0)), (Matrix(0, 0), Matrix(4, 0))]
+        for d_in, d_out in pairs:
+            for coeff in (QQ, PrimeField(2), ZZ):
+                assert homology_at(d_in, d_out, coeff) == HomologyGroup(0)
 
     def test_multiplication_by_two(self):
         # 0 -> Z --x2--> Z -> 0 at the target gives Z/2
@@ -699,6 +709,18 @@ def test_signature_matches_representatives_route(rng):
         g = homology_representatives(d_in, d_out, coeff)
         assert len(g.representatives) == g.rank
         assert homology_at(d_in, d_out, coeff).signature == g.signature
+
+
+def test_coefficient_rings_carry_their_modulus():
+    # p is 0 for exact arithmetic, a class constant and not a field, so
+    # equality, hashing and names are those of the field-free dataclasses
+    assert QQ.p == ZZ.p == 0
+    assert PrimeField(2).p == 2
+    assert (QQ, ZZ, PrimeField(2)) == (Rationals(), Integers(), PrimeField(2))
+    assert QQ != ZZ and QQ != PrimeField(2) and ZZ != PrimeField(2)
+    assert (hash(QQ), hash(ZZ), hash(PrimeField(2))) == (hash(()), hash(()), hash((2,)))
+    assert [str(c) for c in (QQ, ZZ, PrimeField(2))] == ["Q", "Z", "F2"]
+    assert [repr(c) for c in (QQ, ZZ)] == ["Rationals()", "Integers()"]
 
 
 def _accepted(n):

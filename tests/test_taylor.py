@@ -5,7 +5,18 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from facetor import QQ, BigradedTor, Complement, TorRing, minimalize, tor_bigraded
+from facetor import (
+    QQ,
+    ZZ,
+    BigradedTor,
+    Complement,
+    HomologyGroup,
+    Matrix,
+    PrimeField,
+    TorRing,
+    minimalize,
+    tor_bigraded,
+)
 from facetor.bitsets import bit_positions, popcount
 from facetor.taylor import (
     TaylorComplex,
@@ -254,6 +265,50 @@ class TestBoundaryMatrices:
                 for a, b in zip(mats, mats[1:]):
                     assert (a @ b).is_zero()
 
+
+class TestEmptyEdges:
+    """A map out of or into an empty block is the zero matrix of its
+    shape, assembled from nothing and placed by no index."""
+
+    @given(redundant_presentations())
+    def test_indexes_serve_only_assembled_maps_and_chains(self, P):
+        built, read = [], []
+        index, chain_vector = TaylorComplex._index, TaylorComplex.chain_vector
+
+        def spy_index(tc, sigma, q):
+            built.append((tc, sigma, q))
+            return index(tc, sigma, q)
+
+        def spy_chain_vector(tc, chain, sigma, q):
+            read.append((tc, sigma, q))
+            return chain_vector(tc, chain, sigma, q)
+
+        taylor_complex.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TaylorComplex, "_index", spy_index)
+            mp.setattr(TaylorComplex, "chain_vector", spy_chain_vector)
+            # the Lyubeznik build for every ring, the full build for chains
+            tor_bigraded(P, ZZ)
+            for coeff in (QQ, PrimeField(2)):
+                TorRing(P, coeff).multiplication_table()
+        for tc in (taylor_complex(P), taylor_complex(P, True)):
+            for (sigma, q), M in tc._matrices.items():
+                shape = (len(tc.generators(sigma, q - 1)), len(tc.generators(sigma, q)))
+                assert (M.nrows, M.ncols) == shape
+                if not all(shape):
+                    assert M == Matrix(*shape)
+        for tc, sigma, q in built:
+            assert (tc, sigma, q) in read or (tc.generators(sigma, q) and tc.generators(sigma, q + 1))
+
+    def test_empty_blocks_are_zero_groups(self):
+        tc = TaylorComplex(FIG1)
+        # FULL5 has generators at q = 2..4 only; {1,2} is no support
+        empty = [(0, -1), (FULL5, -1), (FULL5, 0), (FULL5, 1), (FULL5, 5), (S1 | S2, 1)]
+        for coeff in (QQ, PrimeField(2), ZZ):
+            for sigma, q in empty:
+                assert not tc.generators(sigma, q)
+                assert tc.block_homology(sigma, q, coeff) == HomologyGroup(0)
+        assert tc.block_homology(FULL5, 3, QQ) == HomologyGroup(2)
 
 class TestExteriorProduct:
     def test_overlap_kills(self):
