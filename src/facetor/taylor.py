@@ -30,7 +30,11 @@ enumeration reaches each block in exactly the reverse order, so the
 complex reads it backwards and sorts nothing.  A complex builds each
 boundary matrix on first request, setting only its nonzero entries (a
 slice is mostly zeros); a map out of or into an empty block is the
-zero matrix of its shape and is not assembled.  It keeps each matrix,
+zero matrix of its shape and is not assembled.  A block with no
+generators at q - 1 or q + 1 has zero maps on both sides, so its group
+is free on its generators, over Z, Q and F_p alike, and block_homology
+reads it off the block's size without building either map; every other
+block goes through linalg.homology_at.  It keeps each matrix,
 together with the invariant factors linalg computes for it, for as long
 as the complex lives; taylor_complex keeps recently used complexes.
 The position index of a block, which places boundary terms and chain
@@ -114,6 +118,12 @@ class TaylorComplex:
         return M
 
     def block_homology(self, sigma: int, q: int, coeff: CoefficientSpec) -> HomologyGroup:
+        """Homology at the (q, sigma) block.  With both neighbouring blocks
+        empty, d into and out of it is zero, so the group is free on the
+        block's generators over every ring and no map is built."""
+        blocks = self._by_support.get(sigma, {})
+        if q - 1 not in blocks and q + 1 not in blocks:
+            return HomologyGroup(len(blocks.get(q, ())))
         return homology_at(
             self.boundary_matrix(sigma, q + 1), self.boundary_matrix(sigma, q), coeff
         )

@@ -13,11 +13,15 @@ from facetor import (
     HomologyGroup,
     Matrix,
     PrimeField,
+    SimplicialComplex,
     TorRing,
+    complement_from_complex,
     minimalize,
     tor_bigraded,
 )
 from facetor.bitsets import bit_positions, popcount
+from facetor.linalg import homology_at
+from facetor.moment_angle import PairSpec, maz_cohomology
 from facetor.taylor import (
     TaylorComplex,
     chain_product,
@@ -27,6 +31,7 @@ from facetor.taylor import (
 from facetor.sampling import random_complement
 
 from helpers import (
+    EX513,
     FIG1,
     boundary_column,
     boundary_matrices,
@@ -34,6 +39,7 @@ from helpers import (
     generator_set,
     reduced_differential,
     redundant_presentations,
+    rp2_complex,
     total_subset,
 )
 
@@ -309,6 +315,71 @@ class TestEmptyEdges:
                 assert not tc.generators(sigma, q)
                 assert tc.block_homology(sigma, q, coeff) == HomologyGroup(0)
         assert tc.block_homology(FULL5, 3, QQ) == HomologyGroup(2)
+
+
+class TestIsolatedBlocks:
+    """A block with no generators at q - 1 or q + 1 reads its group off
+    its size; every other block goes through homology_at."""
+
+    @staticmethod
+    def _assert_blocks_match_homology_at(tc: TaylorComplex, coeffs) -> None:
+        for sigma in tc.supports():
+            dims = tc.block_dims(sigma)
+            for q in range(min(dims) - 1, max(dims) + 2):
+                d_in, d_out = tc.boundary_matrix(sigma, q + 1), tc.boundary_matrix(sigma, q)
+                for coeff in coeffs:
+                    assert tc.block_homology(sigma, q, coeff) == homology_at(d_in, d_out, coeff)
+
+    @given(redundant_presentations(), st.booleans())
+    def test_groups_equal_homology_at(self, P, lyubeznik):
+        tc = TaylorComplex(P, lyubeznik)
+        self._assert_blocks_match_homology_at(tc, (QQ, PrimeField(2), ZZ))
+
+    def test_rp2_torsion_over_integers(self):
+        P = complement_from_complex(rp2_complex())
+        for lyubeznik in (False, True):
+            tc = TaylorComplex(P, lyubeznik)
+            self._assert_blocks_match_homology_at(tc, (ZZ,))
+        # the Z/2 of RP^2 comes from a map into its block, so the path with maps is covered
+        assert any(g.torsion == (2,) for g in tor_bigraded(P, ZZ).entries.values())
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        import facetor.taylor as taylor_mod
+
+        calls = {"homology_at": 0, "boundary_matrix": 0}
+        real_homology_at, real_boundary_matrix = taylor_mod.homology_at, TaylorComplex.boundary_matrix
+
+        def spy_homology_at(*args):
+            calls["homology_at"] += 1
+            return real_homology_at(*args)
+
+        def spy_boundary_matrix(tc, sigma, q):
+            calls["boundary_matrix"] += 1
+            return real_boundary_matrix(tc, sigma, q)
+
+        monkeypatch.setattr(taylor_mod, "homology_at", spy_homology_at)
+        monkeypatch.setattr(TaylorComplex, "boundary_matrix", spy_boundary_matrix)
+        return calls
+
+    def test_isolated_blocks_build_no_map(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        for coeff in (QQ, PrimeField(2), ZZ):
+            assert tor_bigraded(FIG1, coeff).total_rank() == 12
+        for pairs in (PairSpec.spheres_s2_s1(EX513.m), PairSpec.disks_d2_s1(EX513.m)):
+            maz_cohomology(EX513, pairs, QQ)
+        assert calls == {"homology_at": 0, "boundary_matrix": 0}
+
+    def test_one_homology_at_call_per_block_with_a_neighbour(self, monkeypatch):
+        c6 = SimplicialComplex.from_facets(6, [[i, i % 6 + 1] for i in range(1, 7)])
+        P = complement_from_complex(c6)
+        calls = self._count_calls(monkeypatch)
+        tc = tor_bigraded(P, ZZ).taylor
+        slices = [tc.block_dims(sigma) for sigma in tc.supports()]
+        connected = sum(q - 1 in dims or q + 1 in dims for dims in slices for q in dims)
+        assert 0 < connected < sum(map(len, slices))
+        assert calls["homology_at"] == connected
+
 
 class TestExteriorProduct:
     def test_overlap_kills(self):
