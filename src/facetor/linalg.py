@@ -12,11 +12,15 @@ map is factored by sparse elimination on +-1 pivots, run on a copy of
 the stored entries, followed by a dense Smith normal form of the
 unit-free residual, which is usually small or empty.  A matrix keeps
 its factors once computed, so a map shared by two neighbouring blocks,
-or read over several rings, is factored once.  In the same way d_out
-remembers the d_in it was last checked against, so the product
-d_out @ d_in that proves a pair is a chain complex is taken once per
-pair, not once per ring, and not at all when either map is zero;
-setting an entry on either map makes the next check take it again.  Cycle
+or read over several rings, is factored once; the factors of the
+submatrix on some of its rows are read off those rows the same way,
+and not kept.  In the same way d_out remembers the d_in it was last
+checked against, so the product d_out @ d_in that proves a pair is a
+chain complex is taken once per pair, not once per ring, and not at
+all when either map is zero; setting an entry on either map makes the
+next check take it again.  homology_at is that check followed by
+group_from_factors, which reads the group off the two maps' factors
+and serves restrictions too.  Cycle
 representatives are separate, for the product structure alone; they
 use the dense Smith normal form with explicit unimodular transforms
 over Z, and over a field the reduced row echelon form, computed on the
@@ -35,7 +39,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class CapabilityError(Exception):
@@ -510,25 +514,34 @@ def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
     return diag
 
 
-def _factors(M: Matrix) -> tuple[int, ...]:
-    """M.factors, computed on first use.  When M's entries all lie in one
-    row or one column, its one factor is their gcd, and a map with no
-    entries has none; any other M is eliminated from a copy of its
-    entries.  Raises ValueError on an entry that is not an int."""
-    if M.factors is None:
-        filled = [row for row in M._entries if row]
-        if not filled:
-            factors = ()
+def factors_at_rows(M: Matrix, positions: Iterable[int]) -> tuple[int, ...]:
+    """Nonzero invariant factors of the submatrix of M on the rows at
+    these positions, which are left unchanged.  When the entries all lie
+    in one row or one column, the one factor is their gcd, and rows with
+    no entries have none; any other submatrix is eliminated from a copy
+    of its rows.  The factors do not depend on column labels, so a
+    restriction whose rows have no entry off its columns is read off M's
+    rows as they stand.  Raises ValueError on an entry that is not an
+    int."""
+    filled = [row for i in positions if (row := M._entries[i])]
+    if not filled:
+        factors = ()
+    else:
+        values = [x for row in filled for x in row.values()]
+        if not all(isinstance(x, int) for x in values):
+            raise ValueError("invariant factors need integer entries")
+        if len(filled) > 1 and len({j for row in filled for j in row}) > 1:
+            factors = tuple(_invariant_factors([row.copy() for row in filled]))
         else:
-            values = [x for row in filled for x in row.values()]
-            if not all(isinstance(x, int) for x in values):
-                raise ValueError("invariant factors need integer entries")
-            if len(filled) > 1 and len({j for row in filled for j in row}) > 1:
-                factors = tuple(_invariant_factors([row.copy() for row in M._entries]))
-            else:
-                factors = (gcd(*values),)
-        _check_invariant_factors(factors)
-        M.factors = factors
+            factors = (gcd(*values),)
+    _check_invariant_factors(factors)
+    return factors
+
+
+def _factors(M: Matrix) -> tuple[int, ...]:
+    """M.factors, computed on first use."""
+    if M.factors is None:
+        M.factors = factors_at_rows(M, range(M.nrows))
     return M.factors
 
 
@@ -643,7 +656,7 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
 _stamps = count()
 
 
-def _check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
+def check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
     """Raise ValueError unless d_out @ d_in is defined and zero.  The
     product is taken once per pair, and not when either map is zero:
     d_out remembers the stamp of the d_in it passed with, until an entry
@@ -663,16 +676,23 @@ def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homology
     """ker(d_out) / im(d_in) at the middle term of  . --d_in--> . --d_out--> .
 
     d_in has shape (n, b), d_out has shape (a, n).  Raises ValueError
-    when the maps do not compose to zero.  The group is read off the
-    integer invariant factors of the two maps: ker(d_out) is a direct
-    summand of Z^n containing im(d_in), so over Z the rank is n minus
-    both factor counts and the torsion is the factors of d_in above 1;
-    over F_p only the factors p does not divide count toward the ranks.
+    when the maps do not compose to zero; the group is read off their
+    invariant factors by group_from_factors.
     """
-    _check_chain_pair(d_in, d_out)
-    n, p = d_out.ncols, coeff.p
-    out_factors = _factors(d_out)
-    in_factors = _factors(d_in)
+    check_chain_pair(d_in, d_out)
+    return group_from_factors(d_out.ncols, _factors(d_out), _factors(d_in), coeff)
+
+
+def group_from_factors(
+    n: int, out_factors: Sequence[int], in_factors: Sequence[int], coeff: CoefficientSpec
+) -> HomologyGroup:
+    """The homology group at a middle term of rank n, from the integer
+    invariant factors of the maps out of it and into it: ker(d_out) is a
+    direct summand of Z^n containing im(d_in), so over Z the rank is n
+    minus both factor counts and the torsion is the factors of d_in
+    above 1; over F_p only the factors p does not divide count toward
+    the ranks."""
+    p = coeff.p
     if p:
         return HomologyGroup(
             n - sum(1 for d in out_factors if d % p) - sum(1 for d in in_factors if d % p)
@@ -685,7 +705,7 @@ def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec
     """The group of homology_at together with cycle representatives of
     its free part and the forms reduce_cycle evaluates; only the product
     structure needs them."""
-    _check_chain_pair(d_in, d_out)
+    check_chain_pair(d_in, d_out)
     if isinstance(coeff, Integers):
         return _homology_integers(d_in, d_out)
     return _homology_field(d_in, d_out, coeff)

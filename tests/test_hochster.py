@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from facetor import (
     Complement,
@@ -13,7 +14,7 @@ from facetor import (
 )
 from facetor.bitsets import full_mask, mask_of
 from facetor.hochster import CochainComplex
-from facetor.linalg import QQ, ZZ, PrimeField
+from facetor.linalg import QQ, ZZ, Matrix, PrimeField, smith_normal_form
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -97,6 +98,11 @@ class TestComplexStructure:
         # vertex 5 is not a face, so the restriction is still an edge
         assert reduced_cohomology(sub, n=-1, coeff=QQ).is_zero
         assert reduced_cohomology(sub, n=0, coeff=QQ).is_zero
+
+
+def _dense_factors(M: Matrix) -> tuple[int, ...]:
+    _, D, _ = smith_normal_form(M)
+    return tuple(x for i, row in enumerate(D.rows) if i < M.ncols and (x := row[i]))
 
 
 def _disagreements(blocks) -> list:
@@ -183,23 +189,41 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("all_sigma", [False, True])
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 class TestOracleFaces:
-    """compare_blocks enumerates the faces once per complement and hands
-    each sigma the subsets of sigma from that list."""
+    """compare_blocks reads each sigma's full subcomplex off one cochain
+    complex on U, on the inputs where sigma, U and K are degenerate."""
 
     def test_each_sigma_gets_its_full_subcomplex_faces(self, name, all_sigma, monkeypatch):
+        # one cochain complex, on U, serves every sigma; per degree, each
+        # sigma's face count and the invariant factors of its restricted
+        # coboundaries are those of its own full subcomplex's complex,
+        # factored by the dense Smith form
         P = ORACLE_CASES[name]
-        built = []
-        init = CochainComplex.__init__
+        built, read = [], {}
+        init, restrict = CochainComplex.__init__, CochainComplex._restrict
 
-        def spy(self, K, faces=None):
-            init(self, K, faces)
-            built.append([f for fs in self.faces.values() for f in fs])
+        def spy_init(self, K):
+            init(self, K)
+            built.append(self)
 
-        monkeypatch.setattr(CochainComplex, "__init__", spy)
-        sigmas = list(dict.fromkeys(s for _, s, _ in compare_blocks(P, (QQ,), all_sigma)))
+        def spy_restrict(self, sigma):
+            restrict(self, sigma)
+            read[sigma] = (dict(self._sigma_sizes), dict(self._sigma_factors))
+
+        monkeypatch.setattr(CochainComplex, "__init__", spy_init)
+        monkeypatch.setattr(CochainComplex, "_restrict", spy_restrict)
+        sigmas = list(dict.fromkeys(s for _, s, _ in compare_blocks(P, (QQ, ZZ), all_sigma)))
+        assert len(built) == 1
+        monkeypatch.undo()
         K = complex_from_complement(P)
-        expected = [] if K.is_void else [full_subcomplex(K, s).faces() for s in sigmas]
-        assert built == expected
+        if K.is_void:
+            assert built[0].top == -2 and read == {}
+            return
+        assert list(read) == sigmas
+        for sigma, (sizes, factors) in read.items():
+            own = CochainComplex(full_subcomplex(K, sigma))
+            assert sizes == {n: len(fs) for n, fs in own.faces.items()}
+            degrees = range(-2, max([own.top, *factors]) + 1)
+            assert [factors.get(n, ()) for n in degrees] == [_dense_factors(own.delta(n)) for n in degrees]
 
     def test_blocks_match_a_full_subcomplex_per_sigma(self, name, all_sigma):
         P = ORACLE_CASES[name]
@@ -207,3 +231,63 @@ class TestOracleFaces:
         blocks = compare_blocks(P, coeffs, all_sigma)
         assert blocks == compare_blocks_per_sigma(P, coeffs, all_sigma)
         assert _disagreements(blocks) == []
+
+
+class TestOracleOnUnion:
+    """The one cochain complex on U: its pair checks, its agreement with
+    a complex per sigma, and its maps at empty degrees."""
+
+    @pytest.mark.parametrize("all_sigma", [False, True])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_flipped_sign_in_a_union_coboundary_is_caught(self, n, all_sigma, monkeypatch):
+        # the per-sigma restrictions are never composed, so the check on
+        # U's own pairs must catch a broken coboundary; FIG1 has vertices,
+        # edges and triangles, so both flips break a nonzero pair
+        real = CochainComplex.delta
+
+        def flipped(self, k):
+            fresh = k not in self._matrices
+            M = real(self, k)
+            if fresh and k == n:
+                row = M.rows[0]
+                c = next(j for j, x in enumerate(row) if x)
+                M[0, c] = -row[c]
+            return M
+
+        monkeypatch.setattr(CochainComplex, "delta", flipped)
+        with pytest.raises(ValueError, match="not a chain complex"):
+            compare_blocks(FIG1, (QQ, PrimeField(2), ZZ), all_sigma)
+
+    def test_a_failed_check_leaves_no_sigma_read(self):
+        # a sigma whose reading stopped at a bad pair is read again, and
+        # raises again, rather than answering from what was kept
+        cc = CochainComplex(complex_from_complement(FIG1))
+        d = cc.delta(0)
+        row = d.rows[0]
+        c = next(j for j, x in enumerate(row) if x)
+        d[0, c] = -row[c]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a chain complex"):
+                cc.cohomology(1, QQ, full_mask(FIG1.m))
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_matches_a_complex_per_sigma_on_random_complements(self, rng, all_sigma):
+        P = random_complement(rng, 7, 6)
+        coeffs = (QQ, PrimeField(2), ZZ)
+        assert compare_blocks(P, coeffs, all_sigma) == compare_blocks_per_sigma(P, coeffs, all_sigma)
+
+    def test_maps_at_empty_degrees_are_zero_matrices(self):
+        complexes = [
+            SimplicialComplex.void(3),
+            SimplicialComplex.empty(3),
+            SimplicialComplex.full(3),
+            complex_from_complement(FIG1),
+        ]
+        for K in complexes:
+            cc = CochainComplex(K)
+            for n in range(-3, cc.top + 3):
+                shape = (len(cc.faces.get(n + 1, [])), len(cc.faces.get(n, [])))
+                M = cc.delta(n)
+                assert (M.nrows, M.ncols) == shape
+                if not all(shape):
+                    assert M == Matrix(*shape)

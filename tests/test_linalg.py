@@ -360,30 +360,52 @@ class TestHomologyAt:
         assert seen == {False, True}
 
     def test_each_pair_composed_once_by_compare_blocks(self, monkeypatch):
-        # every pair of two nonzero maps the Tor side and the oracle read
-        # over Q, F2 and Z is composed exactly once, and a pair with a
-        # zero map never
-        from facetor import hochster, taylor
-        from facetor.hochster import compare_blocks
+        # the oracle builds one cochain complex, on U, and checks U's
+        # pairs instead of each sigma's restrictions: over Q, F2 and Z,
+        # each pair of two nonzero maps of U and of the Tor side is
+        # composed exactly once, a pair with a zero map never, and no
+        # other product is taken
+        from facetor import hochster
+        from facetor.complexes import Complement
+        from facetor.hochster import CochainComplex, compare_blocks
         from facetor.taylor import taylor_complex
+        from facetor.tor import tor_bigraded
 
-        real_matmul = Matrix.__matmul__
-        composed = []
+        real_matmul, real_check, real_init = Matrix.__matmul__, linalg.check_chain_pair, CochainComplex.__init__
+        composed, checked, built = [], [], []
         monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: composed.append((a, b)) or real_matmul(a, b))
-        checked = []
-        for module in (taylor, hochster):
-            real = module.homology_at
-            monkeypatch.setattr(
-                module,
-                "homology_at",
-                lambda d_in, d_out, coeff, real=real: checked.append((d_out, d_in)) or real(d_in, d_out, coeff),
-            )
-        taylor_complex.cache_clear()
-        compare_blocks(FIG1, (QQ, PrimeField(2), ZZ))
+
+        def spy_check(d_in, d_out):
+            checked.append((d_out, d_in))
+            real_check(d_in, d_out)
+
+        def spy_init(self, K):
+            real_init(self, K)
+            built.append(self)
+
+        for module in (linalg, hochster):
+            monkeypatch.setattr(module, "check_chain_pair", spy_check)
+        monkeypatch.setattr(CochainComplex, "__init__", spy_init)
         key = lambda pair: (id(pair[0]), id(pair[1]))
-        nonzero = [pair for pair in checked if not (pair[0].is_zero() or pair[1].is_zero())]
-        assert len(nonzero) >= 3 * len(composed) > 0
-        assert sorted(map(key, composed)) == sorted(set(map(key, nonzero)))
+        nonzero = lambda pairs: [pair for pair in pairs if not (pair[0].is_zero() or pair[1].is_zero())]
+        # a clutter on which one Tor-side pair has two nonzero maps
+        clutter = Complement.from_vertex_lists(6, [[1, 4, 5], [3, 5, 6], [3, 4, 6], [2, 3, 5], [1, 2, 3, 6], [4, 5, 6]])
+        seen = set()
+        for P in (FIG1, EX513, clutter):
+            for all_sigma in (False, True):
+                taylor_complex.cache_clear()
+                for calls in (composed, checked, built):
+                    calls.clear()
+                compare_blocks(P, (QQ, PrimeField(2), ZZ), all_sigma)
+                assert len(built) == 1
+                union = built[0]
+                union_pairs = nonzero([(union.delta(n), union.delta(n - 1)) for n in range(-1, union.top + 1)])
+                tor_maps = {id(M) for M in tor_bigraded(P, QQ).taylor._matrices.values()}
+                tor_pairs = [pair for pair in composed if id(pair[0]) in tor_maps and id(pair[1]) in tor_maps]
+                assert sorted(map(key, composed)) == sorted(set(map(key, nonzero(checked))))
+                assert sorted(map(key, composed)) == sorted(map(key, union_pairs + tor_pairs))
+                seen.add((bool(union_pairs), bool(tor_pairs)))
+        assert seen == {(True, False), (True, True)}
 
     @pytest.mark.parametrize("side", ["d_in", "d_out"])
     @pytest.mark.parametrize("coeff", [QQ, PrimeField(2), ZZ], ids=str)
