@@ -9,23 +9,42 @@ complex; compare_blocks reads both sides' signatures (rank, torsion):
 the Tor that tor_bigraded reports, off the Lyubeznik build (any free
 resolution of the ideal gives the same blocks), against the oracle.
 The two paths share no linear-algebra input: one reduces generator
-masks of the complement, the other coboundaries of actual faces.
-compare_blocks builds one cochain complex, on the full subcomplex on
-U, the union of the members (on [m] when every subset is swept), and
-reads every sigma off it.  A face of a face inside sigma lies inside
-sigma, so sigma's coboundaries are U's on the rows of the faces inside
-sigma, found by growing faces from the empty one within sigma.  Their
-invariant factors are read off those rows as they stand, and only U's
-pairs are checked to compose to zero, each with one product, which
-covers every restriction.  A coboundary matrix is built from its
-nonzero entries alone, one face and coface pair at a time; a map out
-of or into an empty degree is the zero matrix of its shape.
+masks of the complement, the other coboundaries of vertex sets read
+straight off the members.
+
+compare_blocks builds one cochain complex on U, the union of the
+members (on [m] when every subset is swept), and reads every sigma off
+it.  It is spanned by whichever family of subsets of U is smaller: the
+faces of K, which hold no member, or its non-faces, which hold one.
+Both grow from the members one set at a time, and the first family to
+be complete is built, so at most twice the smaller is visited.  The
+faces inside sigma span the cochains of K_sigma.  The non-faces inside
+sigma span the relative cochains C*(Delta_sigma, K_sigma), and since
+the full simplex Delta_sigma on a nonempty sigma is acyclic, the long
+exact sequence of the pair makes their H^(n+1) the reduced H^n(K_sigma)
+over Z, torsion included (the duality behind Hochster's formula; see
+Miller and Sturmfels, Combinatorial Commutative Algebra, Thm 1.34 and
+Cor. 1.40).  sigma = 0 is read directly.  Faces are closed downward and
+non-faces upward, so either way sigma's coboundaries are U's on the
+rows of the sets inside sigma, and those rows meet no column outside
+them.  Their invariant factors are read off those rows as they stand,
+and only U's pairs are checked to compose to zero, each with one
+product, which covers every restriction.  A coboundary matrix is built
+from its nonzero entries alone, one set and one-larger set at a time;
+a map out of or into an empty degree is the zero matrix of its shape.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator
+
 from .bitsets import full_mask, popcount, sort_key, vertices
-from .complexes import Complement, SimplicialComplex, complex_from_complement, full_subcomplex
+from .complexes import (
+    Complement,
+    SimplicialComplex,
+    complex_from_complement,  # unused here; perfbench/tracer.py patches it by this name
+    full_subcomplex,  # unused here; perfbench/tracer.py patches it by this name
+)
 from .linalg import (
     CapabilityError,
     CoefficientSpec,
@@ -39,8 +58,10 @@ from .linalg import (
 )
 from .tor import tor_bigraded
 
-# The all_sigma sweep reads every subset of [m]; its cost grows about
-# threefold per vertex and reaches seconds at m = 12.
+# The all_sigma sweep reads every subset of [m], visiting up to 3^m sets
+# of the smaller family in all.  In a fresh process on a 2-core machine,
+# verify --all-sigma on {1, 2} in [m] takes 0.18, 0.33 and 0.72 s at
+# m = 10, 11 and 12, and on random 12-vertex complements 0.5-0.8 s.
 ALL_SIGMA_MAX_M = 12
 
 
@@ -54,23 +75,37 @@ def check_all_sigma(m: int) -> None:
 
 
 class CochainComplex:
-    """Augmented cochain complex of a simplicial complex.
+    """Augmented cochain complex of a simplicial complex, spanned by its
+    faces or, relative to the full simplex, by its non-faces.
 
-    faces[n] lists the n-dimensional faces (n = -1 holds the empty
-    face); delta(n) is the coboundary matrix C^n -> C^(n+1), the signed
-    transpose of the face/coface incidence.  cohomology reads the whole
-    complex, or the full subcomplex on a vertex set sigma, off these
-    matrices.
+    CochainComplex(K) is built on K's faces: faces[n] lists the
+    n-dimensional ones (n = -1 holds the empty face).  CochainComplex(P,
+    U, relative) is built on a family of subsets of U ([m] by default)
+    for the complex K of the complement P: the faces (relative False),
+    the non-faces (True), or by default whichever is smaller.
+    The non-faces span the relative complex C*(Delta_U, K_U), and
+    faces[n] lists those of dimension n + 1, so that degree n reads
+    H^(n+1)(Delta_U, K_U), which is reduced H^n(K_U) when U is nonempty.
+    Either way delta(n) is the coboundary matrix C^n -> C^(n+1), the
+    signed transpose of the incidence of the family's sets and their
+    one-larger sets, and cohomology reads the whole complex, or the full
+    subcomplex on a vertex set sigma inside U, off these matrices.
     """
 
-    def __init__(self, K: SimplicialComplex):
+    def __init__(self, K: SimplicialComplex | Complement, union: int | None = None, relative: bool | None = None):
+        if isinstance(K, SimplicialComplex):
+            sets, relative = K.faces(), False
+        else:
+            sets, relative = _family_within(K.members, full_mask(K.m) if union is None else union, relative)
+            sets.sort(key=sort_key)
+        self.relative = relative
         by_dim: dict[int, list[int]] = {}
-        for f in K.faces():
-            by_dim.setdefault(popcount(f) - 1, []).append(f)
+        for f in sets:
+            by_dim.setdefault(popcount(f) - 1 - relative, []).append(f)
         self.faces = by_dim  # lists arrive sorted (card, lex)
         self.top = max(by_dim) if by_dim else -2
         self._matrices: dict[int, Matrix] = {}
-        # each face's position in faces[its dimension]
+        # each set's position in faces[its degree]
         self._position = {f: i for fs in by_dim.values() for i, f in enumerate(fs)}
         # the full subcomplex last read by cohomology
         self._sigma: int | None = None
@@ -93,39 +128,57 @@ class CochainComplex:
         return M
 
     def cohomology(self, n: int, coeff: CoefficientSpec, sigma: int | None = None) -> HomologyGroup:
-        """H^n over coeff of the complex or, given sigma, of its full
-        subcomplex on sigma, read off the complex's coboundary rows at
-        the faces inside sigma.  The sizes and factors of the last sigma
-        read are kept, so its degrees over several rings factor each map
-        once."""
-        if n < -1 or n > self.top:  # a void complex has top -2
-            return ZERO_GROUP
+        """H^n over coeff of the complex or, given sigma, reduced H^n of
+        the full subcomplex on sigma, read off the complex's coboundary
+        rows at the sets inside sigma.  The sizes and factors of the
+        last sigma read are kept, so its degrees over several rings
+        factor each map once."""
         if sigma is None:
+            if n < -1 or n > self.top:  # a void complex has top -2
+                return ZERO_GROUP
             return homology_at(self.delta(n - 1), self.delta(n), coeff)
+        # no gate on top here: on non-faces, sigma = 0 reads degree -1
+        # even when the family is empty
         if sigma != self._sigma:
             self._restrict(sigma)
         factors = self._sigma_factors
         return group_from_factors(self._sigma_sizes.get(n, 0), factors.get(n, ()), factors.get(n - 1, ()), coeff)
 
     def _restrict(self, sigma: int) -> None:
-        """Keep the face counts and the coboundaries' invariant factors of
+        """Keep the set counts and the coboundaries' invariant factors of
         the full subcomplex on sigma, per degree.
 
-        Its faces grow from the empty one, each by the vertices of sigma
-        above its own; a set that is no face lies in none, so only faces
-        are visited.  Every face of a face inside sigma lies inside
-        sigma, so the full subcomplex's coboundary C^(n-1) -> C^n is
-        delta(n - 1) on the rows of the n-faces inside sigma, and those
-        rows have no entry off the (n-1)-faces inside sigma: its factors
-        are read off the rows as they stand.  d o d = 0 on the complex's
-        own pair implies it on every restriction, so that pair is checked
-        instead, and its product is taken once however many sigmas read
-        it."""
+        On faces, those inside sigma grow from the empty one, each by
+        the vertices of sigma above its own; a set that is no face lies
+        in none, so only faces are visited.  Every face of a face
+        inside sigma lies inside sigma, so the full subcomplex's
+        coboundary C^(n-1) -> C^n is delta(n - 1) on the rows of the
+        n-faces inside sigma, and those rows have no entry off the
+        (n-1)-faces inside sigma: its factors are read off the rows as
+        they stand.
+
+        On non-faces, those inside sigma are sigma minus F, F growing
+        from the empty set in the same way, degree by degree downwards.
+        A set holding a non-face is one, so the rows at the non-faces
+        inside sigma have no entry off them.  They span
+        C*(Delta_sigma, K_sigma), whose degree n + 1, read as degree n,
+        is reduced H^n(K_sigma) for nonempty sigma.
+
+        d o d = 0 on the complex's own pair implies it on every
+        restriction, so that pair is checked instead, and its product is
+        taken once however many sigmas read it."""
         position = self._position
         sizes: dict[int, int] = {}
         factors: dict[int, tuple[int, ...]] = {}
-        level = [0] if 0 in position else []  # a void complex has no faces
-        n = -1
+        if self.relative:
+            base, n, step = sigma, popcount(sigma) - 2, -1
+        else:
+            base, n, step = 0, -1, 1
+        level = [base] if base in position else []
+        if self.relative and not sigma:
+            # Delta_0 is not acyclic, so K_0 is read directly: the empty
+            # complex, or void when the empty set is a non-face
+            sizes, level = ({} if level else {-1: 1}), []
         while level:
             d_in = self.delta(n - 1)
             check_chain_pair(d_in, self.delta(n))
@@ -133,20 +186,60 @@ class CochainComplex:
             factors[n - 1] = factors_at_rows(d_in, [position[f] for f in level])
             grown = []
             for f in level:
-                above = sigma & -(1 << f.bit_length())
+                above = sigma & -(1 << (f ^ base).bit_length())
                 while above:
                     low = above & -above
                     above ^= low
-                    if (g := f | low) in position:
+                    if (g := f ^ low) in position:
                         grown.append(g)
             level = grown
-            n += 1
+            n += step
         # kept only once every pair has passed its check
         self._sigma, self._sigma_sizes, self._sigma_factors = sigma, sizes, factors
 
     def euler_characteristic(self) -> int:
         """Reduced Euler characteristic, alternating sum over n >= -1."""
         return sum((-1 if n % 2 else 1) * len(fs) for n, fs in self.faces.items())
+
+
+def _grow(union: int, keep: Callable[[int], bool]) -> Iterator[int]:
+    """The subsets G of union with keep(G), depth first from the empty
+    set, each by the vertices of union above its own.  keep must hold
+    on every subset of a set it holds on; then each such G is reached
+    once, and only those are yielded."""
+    stack = [0] if keep(0) else []
+    while stack:
+        g = stack.pop()
+        yield g
+        above = union & -(1 << g.bit_length())
+        while above:
+            low = above & -above
+            above ^= low
+            if keep(g | low):
+                stack.append(g | low)
+
+
+def _family_within(members: Iterable[int], union: int, relative: bool | None) -> tuple[list[int], bool]:
+    """The faces of the members' complex inside union (relative False),
+    its non-faces there (True), or, for None, whichever family is done
+    first when both grow one set at a time, faces on a tie, so at most
+    twice the smaller is visited.  A face holds no member; a non-face,
+    written union minus G, holds one that misses G."""
+    inside = {mem for mem in members if mem & ~union == 0}
+    families = (
+        _grow(union, lambda g: all(mem & ~g for mem in inside)),
+        _grow(union, lambda g: any(not mem & g for mem in inside)),
+    )
+    if relative is None:
+        grown: tuple[list[int], list[int]] = ([], [])
+        which = 0
+        while (g := next(families[which], None)) is not None:
+            grown[which].append(g)
+            which ^= 1
+        relative, found = bool(which), grown[which]
+    else:
+        found = list(families[relative])
+    return ([union ^ g for g in found] if relative else found), relative
 
 
 def reduced_cohomology(K: SimplicialComplex, n: int, coeff: CoefficientSpec) -> HomologyGroup:
@@ -167,13 +260,12 @@ def compare_blocks(
     if all_sigma:
         check_all_sigma(P.m)
     tors = [tor_bigraded(P, coeff) for coeff in coeffs]
-    K = complex_from_complement(P)
     closure = {0}
     for member in P.members:
         closure |= {c | member for c in closure}
     # every sigma lies inside U, the union of the members or [m]
     union = full_mask(P.m) if all_sigma else max(closure)
-    oracle = CochainComplex(K if K.is_void else full_subcomplex(K, union))
+    oracle = CochainComplex(P, union)
     out = []
     for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
         n = popcount(sigma)

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +9,13 @@ from facetor import (
     Complement,
     SimplicialComplex,
     compare_blocks,
+    complement_from_complex,
     complex_from_complement,
     full_subcomplex,
     reduced_cohomology,
     tor_bigraded,
 )
-from facetor.bitsets import full_mask, mask_of
+from facetor.bitsets import full_mask, mask_of, popcount, subsets_of
 from facetor.hochster import CochainComplex
 from facetor.linalg import QQ, ZZ, Matrix, PrimeField, smith_normal_form
 from facetor.sampling import random_complement
@@ -166,8 +169,6 @@ class TestBaskakov:
         assert built and all(built)
 
     def test_projective_plane_torsion_block(self):
-        from facetor import complement_from_complex
-
         P = complement_from_complex(rp2_complex())
         pairs = {(q, s): p for q, s, p in compare_blocks(P, (ZZ,))}
         assert pairs[(3, full_mask(6))] == (((0, (2,)), (0, (2,))),)
@@ -181,9 +182,28 @@ ORACLE_CASES = {
     "duplicate and non-minimal": Complement.from_vertex_lists(
         5, [[1, 2], [3, 4], [1, 2], [1, 2, 3], [2, 3, 4, 5]]
     ),
+    "two edges": Complement.from_vertex_lists(5, [[1, 2], [3, 4]]),
     "fig1": FIG1,
     "ex513": EX513,
 }
+
+
+def _union(P: Complement, all_sigma: bool) -> int:
+    return full_mask(P.m) if all_sigma else reduce(or_, P.members, 0)
+
+
+def _non_faces(K: SimplicialComplex, union: int) -> list[int]:
+    return [t for t in subsets_of(union) if not K.has_face(t)]
+
+
+def test_oracle_cases_take_both_families():
+    # U's faces are fewer on some cases and its non-faces on others
+    chosen = {
+        CochainComplex(P, _union(P, all_sigma)).relative
+        for P in ORACLE_CASES.values()
+        for all_sigma in (False, True)
+    }
+    assert chosen == {False, True}
 
 
 @pytest.mark.parametrize("all_sigma", [False, True])
@@ -193,16 +213,17 @@ class TestOracleFaces:
     complex on U, on the inputs where sigma, U and K are degenerate."""
 
     def test_each_sigma_gets_its_full_subcomplex_faces(self, name, all_sigma, monkeypatch):
-        # one cochain complex, on U, serves every sigma; per degree, each
-        # sigma's face count and the invariant factors of its restricted
-        # coboundaries are those of its own full subcomplex's complex,
-        # factored by the dense Smith form
+        # one cochain complex, on U's faces or on its non-faces, serves
+        # every sigma; per degree, each sigma's set count and the
+        # invariant factors of its restricted coboundaries are those of
+        # sigma's own complex on the same family (its faces, or its
+        # non-faces inside sigma), factored by the dense Smith form
         P = ORACLE_CASES[name]
         built, read = [], {}
         init, restrict = CochainComplex.__init__, CochainComplex._restrict
 
-        def spy_init(self, K):
-            init(self, K)
+        def spy_init(self, *args):
+            init(self, *args)
             built.append(self)
 
         def spy_restrict(self, sigma):
@@ -215,12 +236,13 @@ class TestOracleFaces:
         assert len(built) == 1
         monkeypatch.undo()
         K = complex_from_complement(P)
-        if K.is_void:
-            assert built[0].top == -2 and read == {}
-            return
         assert list(read) == sigmas
         for sigma, (sizes, factors) in read.items():
-            own = CochainComplex(full_subcomplex(K, sigma))
+            if built[0].relative and sigma:
+                own = CochainComplex(P, sigma, relative=True)
+                assert sorted(f for fs in own.faces.values() for f in fs) == sorted(_non_faces(K, sigma))
+            else:
+                own = CochainComplex(K if K.is_void else full_subcomplex(K, sigma))
             assert sizes == {n: len(fs) for n, fs in own.faces.items()}
             degrees = range(-2, max([own.top, *factors]) + 1)
             assert [factors.get(n, ()) for n in degrees] == [_dense_factors(own.delta(n)) for n in degrees]
@@ -291,3 +313,96 @@ class TestOracleOnUnion:
                 assert (M.nrows, M.ncols) == shape
                 if not all(shape):
                     assert M == Matrix(*shape)
+
+
+def _sigmas(P: Complement, all_sigma: bool) -> list[int]:
+    closure = {0}
+    for member in P.members:
+        closure |= {c | member for c in closure}
+    return list(range(1 << P.m)) if all_sigma else sorted(closure)
+
+
+class TestNonFaceFamily:
+    """The cochain complex on the non-faces of K inside U: each sigma is
+    read off the relative complex C*(Delta_sigma, K_sigma), and agrees
+    with the one on U's faces."""
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_matches_the_face_family_per_sigma(self, rng, all_sigma):
+        P = random_complement(rng, 7, 6)
+        union = _union(P, all_sigma)
+        faces, non_faces = (CochainComplex(P, union, relative=r) for r in (False, True))
+        for sigma in _sigmas(P, all_sigma):
+            for n in range(-2, popcount(sigma) + 1):
+                for coeff in (QQ, PrimeField(2), ZZ):
+                    assert non_faces.cohomology(n, coeff, sigma) == faces.cohomology(n, coeff, sigma)
+
+    @pytest.mark.parametrize("all_sigma", [False, True])
+    def test_families_grown_from_the_members(self, all_sigma):
+        rng = random.Random(23)
+        for _ in range(60):
+            P = random_complement(rng, 7, 6)
+            union = _union(P, all_sigma)
+            K = complex_from_complement(P)
+            faces, non_faces = (CochainComplex(P, union, relative=r) for r in (False, True))
+            grown = [f for fs in faces.faces.values() for f in fs]
+            assert grown == ([] if K.is_void else full_subcomplex(K, union).faces())
+            assert sorted(f for fs in non_faces.faces.values() for f in fs) == sorted(_non_faces(K, union))
+            # the complex that compare_blocks builds is on the smaller family
+            chosen = CochainComplex(P, union)
+            assert chosen.relative == (len(non_faces._position) < len(faces._position))
+
+    def test_projective_plane_torsion_block(self):
+        P = complement_from_complex(rp2_complex())
+        cc = CochainComplex(P, full_mask(6), relative=True)
+        assert cc.cohomology(2, ZZ, full_mask(6)).signature == (0, (2,))
+        assert cc.cohomology(1, ZZ, full_mask(6)).is_zero
+        assert cc.cohomology(2, PrimeField(2), full_mask(6)).signature == (1, ())
+        assert cc.cohomology(1, PrimeField(2), full_mask(6)).signature == (1, ())
+        assert cc.cohomology(2, QQ, full_mask(6)).is_zero
+
+    def test_empty_sigma_and_void_complex(self):
+        # the duality needs sigma nonempty: K_0 is read directly, the
+        # empty complex (the ring in degree -1) unless K is void
+        cc = CochainComplex(FIG1, full_mask(FIG1.m), relative=True)
+        # every subset of [3] is a non-face of the void complex: the
+        # relative complex is the full simplex's own, acyclic
+        void = CochainComplex(Complement(3, (0,)), full_mask(3), relative=True)
+        assert void.top == 1 and len(void._position) == 8
+        for coeff in (QQ, PrimeField(2), ZZ):
+            assert [cc.cohomology(n, coeff, 0).signature for n in (-2, -1, 0)] == [(0, ()), (1, ()), (0, ())]
+            for sigma in range(8):
+                assert all(void.cohomology(n, coeff, sigma).is_zero for n in range(-3, 4))
+
+    def test_ghost_vertices(self):
+        # 2 and 5 are no faces, so K on {2, 5} is the empty complex and K
+        # on {1, 2, 3} is two points
+        P = ORACLE_CASES["ghost vertices"]
+        cc = CochainComplex(P, full_mask(5), relative=True)
+        for coeff in (QQ, ZZ):
+            assert cc.cohomology(-1, coeff, mask_of([2, 5], 5)).signature == (1, ())
+            assert cc.cohomology(0, coeff, mask_of([2, 5], 5)).is_zero
+            assert cc.cohomology(0, coeff, mask_of([1, 2, 3], 5)).signature == (1, ())
+            assert cc.cohomology(-1, coeff, mask_of([1, 2, 3], 5)).is_zero
+
+    @pytest.mark.parametrize("all_sigma", [False, True])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_flipped_sign_in_a_relative_coboundary_is_caught(self, n, all_sigma, monkeypatch):
+        # two edges take U's non-faces; their relative complex has maps
+        # out of degrees 0 and 1 that compose with a nonzero neighbour
+        P = ORACLE_CASES["two edges"]
+        real = CochainComplex.delta
+
+        def flipped(self, k):
+            fresh = k not in self._matrices
+            M = real(self, k)
+            if fresh and k == n:
+                assert self.relative
+                row = M.rows[0]
+                c = next(j for j, x in enumerate(row) if x)
+                M[0, c] = -row[c]
+            return M
+
+        monkeypatch.setattr(CochainComplex, "delta", flipped)
+        with pytest.raises(ValueError, match="not a chain complex"):
+            compare_blocks(P, (QQ, PrimeField(2), ZZ), all_sigma)
