@@ -50,11 +50,10 @@ from .linalg import (
     CoefficientSpec,
     HomologyGroup,
     Matrix,
-    ZERO_GROUP,
     check_chain_pair,
     factors_at_rows,
     group_from_factors,
-    homology_at,
+    homology_at,  # unused here; perfbench/tracer.py patches it by this name
 )
 from .tor import tor_bigraded
 
@@ -88,16 +87,19 @@ class CochainComplex:
     H^(n+1)(Delta_U, K_U), which is reduced H^n(K_U) when U is nonempty.
     Either way delta(n) is the coboundary matrix C^n -> C^(n+1), the
     signed transpose of the incidence of the family's sets and their
-    one-larger sets, and cohomology reads the whole complex, or the full
-    subcomplex on a vertex set sigma inside U, off these matrices.
+    one-larger sets, and cohomology reads the full subcomplex on a
+    vertex set sigma inside union (U, or [m] for K), union itself by
+    default, off these matrices.
     """
 
     def __init__(self, K: SimplicialComplex | Complement, union: int | None = None, relative: bool | None = None):
         if isinstance(K, SimplicialComplex):
-            sets, relative = K.faces(), False
+            sets, relative, union = K.faces(), False, full_mask(K.m)
         else:
-            sets, relative = _family_within(K.members, full_mask(K.m) if union is None else union, relative)
+            union = full_mask(K.m) if union is None else union
+            sets, relative = _family_within(K.members, union, relative)
             sets.sort(key=sort_key)
+        self.union = union
         self.relative = relative
         by_dim: dict[int, list[int]] = {}
         for f in sets:
@@ -128,17 +130,14 @@ class CochainComplex:
         return M
 
     def cohomology(self, n: int, coeff: CoefficientSpec, sigma: int | None = None) -> HomologyGroup:
-        """H^n over coeff of the complex or, given sigma, reduced H^n of
-        the full subcomplex on sigma, read off the complex's coboundary
+        """Reduced H^n over coeff of the full subcomplex on sigma, which
+        defaults to the complex's own vertex set (union), so that the
+        whole complex is read the same way: off the complex's coboundary
         rows at the sets inside sigma.  The sizes and factors of the
         last sigma read are kept, so its degrees over several rings
         factor each map once."""
         if sigma is None:
-            if n < -1 or n > self.top:  # a void complex has top -2
-                return ZERO_GROUP
-            return homology_at(self.delta(n - 1), self.delta(n), coeff)
-        # no gate on top here: on non-faces, sigma = 0 reads degree -1
-        # even when the family is empty
+            sigma = self.union
         if sigma != self._sigma:
             self._restrict(sigma)
         factors = self._sigma_factors

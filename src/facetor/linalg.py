@@ -27,9 +27,12 @@ over Z, and over a field the reduced row echelon form, computed on the
 stored nonzeros and written once for Q and F_p.  The same eliminations
 yield linear forms, kept as their nonzero entries, that test whether a
 vector is a cycle and read off its coordinates in the representative
-basis, so reducing a cycle takes sparse dot products only.
-Everything is arbitrary-precision: Python ints over Z and F_p, and
-over Q ints too until a non-unit pivot brings in fractions.Fraction.
+basis, so reducing a cycle takes sparse dot products only.  The dense
+Smith normal form is one pivot loop: a pivot divides the trailing
+block when it is placed, so the diagonal comes out in divisibility
+order with no pass afterwards.  Everything is arbitrary-precision:
+Python ints over Z and F_p, and over Q ints too until a non-unit pivot
+brings in fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -203,26 +206,13 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 class _SnfState:
     """Mutable SNF workspace tracking D = U M V together with the inverses.
 
-    Tracking U or V can be switched off when a caller only needs one
-    side; skipping the updates matters on the larger blocks.
+    One pivot loop brings D to Smith form: a pivot divides the trailing
+    block when it is placed, so no pass afterwards reorders the
+    diagonal.  Tracking U or V can be switched off when a caller only
+    needs one side; skipping the updates matters on the larger blocks.
     """
 
     def __init__(self, M: Matrix, track_u: bool = True, track_v: bool = True):
@@ -251,20 +241,6 @@ class _SnfState:
             self.u[i] = [-x for x in self.u[i]]
             for row in self.uinv:
                 row[i] = -row[i]
-
-    def combine_rows(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        """rows (i, j) <- (x ri + y rj, z ri + w rj); needs xw - yz == 1."""
-        mats = (self.d, self.u) if self.u is not None else (self.d,)
-        for mat in mats:
-            ri, rj = mat[i], mat[j]
-            mat[i] = [x * a + y * b for a, b in zip(ri, rj)]
-            mat[j] = [z * a + w * b for a, b in zip(ri, rj)]
-        # inverse of [[x, y], [z, w]] is [[w, -y], [-z, x]]
-        if self.uinv is not None:
-            for row in self.uinv:
-                a, b = row[i], row[j]
-                row[i] = w * a - z * b
-                row[j] = -y * a + x * b
 
     # Column ops apply E on the right: D <- D E, V <- V E, Vinv <- E^-1 Vinv.
 
@@ -297,117 +273,67 @@ class _SnfState:
             rj = self.vinv[j]
             self.vinv[j] = [b - c * a for a, b in zip(ri, rj)]
 
-    def _min_abs_position(self, k: int):
-        """Least-|value| nonzero entry of the trailing submatrix,
-        tie-break by (row, col); None when the submatrix is zero."""
+    def _smallest(self, cells: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+        """The first of these (row, col) cells with the least nonzero
+        |value|, or None when all are zero; a unit ends the search."""
         d = self.d
         best = None
-        best_abs = None
-        for i in range(k, self.nr):
-            row = d[i]
-            for j in range(k, self.nc):
-                val = row[j]
-                if val:
-                    a = -val if val < 0 else val
-                    if best_abs is None or a < best_abs:
-                        best, best_abs = (i, j), a
-                        if a == 1:
-                            return best
+        best_abs = 0
+        for i, j in cells:
+            val = d[i][j]
+            if val:
+                a = -val if val < 0 else val
+                if best is None or a < best_abs:
+                    best, best_abs = (i, j), a
+                    if a == 1:
+                        break
         return best
 
-    def _clear_position(self, k: int) -> None:
-        """Zero out row k and column k beyond the (positive) pivot at
-        (k, k), by balanced-remainder reduction: remainders stay at most
-        half the pivot, and the smallest remainder is swapped into the
-        pivot slot before the next round, so the pivot shrinks
-        geometrically and entries never blow up."""
+    def _clear_position(self, k: int, cell: tuple[int, int]) -> None:
+        """Place the entry at cell as a positive pivot at (k, k) and zero
+        out row k and column k beyond it.  Balanced remainders stay at
+        most half the pivot, and the first least of them in column k,
+        then row k, is the next pivot, so the pivot shrinks geometrically
+        and entries never blow up.  Once row k and column k are clear, a
+        trailing row with an entry the pivot does not divide is added to
+        row k, and its remainders shrink the pivot again: the pivot left
+        divides the trailing block when it is placed."""
         d = self.d
-        while True:
-            pivot = d[k][k]
-            dirty = False
-            for i in range(k + 1, self.nr):
-                b = d[i][k]
-                if b:
-                    q = (b + (pivot >> 1)) // pivot
-                    if q:
-                        self.add_row_multiple(i, k, -q)
-                    if d[i][k]:
-                        dirty = True
-            for j in range(k + 1, self.nc):
-                b = d[k][j]
-                if b:
-                    q = (b + (pivot >> 1)) // pivot
-                    if q:
-                        self.add_col_multiple(j, k, -q)
-                    if d[k][j]:
-                        dirty = True
-            if not dirty:
-                return
-            best = None
-            best_abs = None
-            for i in range(k + 1, self.nr):
-                val = d[i][k]
-                if val:
-                    a = -val if val < 0 else val
-                    if best_abs is None or a < best_abs:
-                        best, best_abs = ("r", i), a
-            for j in range(k + 1, self.nc):
-                val = d[k][j]
-                if val:
-                    a = -val if val < 0 else val
-                    if best_abs is None or a < best_abs:
-                        best, best_abs = ("c", j), a
-            if best[0] == "r":
-                self.swap_rows(k, best[1])
-            else:
-                self.swap_cols(k, best[1])
+        while cell is not None:
+            self.swap_rows(k, cell[0])
+            self.swap_cols(k, cell[1])
             if d[k][k] < 0:
                 self.negate_row(k)
+            pivot = d[k][k]
+            for i in range(k + 1, self.nr):
+                q = (d[i][k] + (pivot >> 1)) // pivot
+                if q:
+                    self.add_row_multiple(i, k, -q)
+            for j in range(k + 1, self.nc):
+                q = (d[k][j] + (pivot >> 1)) // pivot
+                if q:
+                    self.add_col_multiple(j, k, -q)
+            cells = [(i, k) for i in range(k + 1, self.nr)] + [(k, j) for j in range(k + 1, self.nc)]
+            cell = self._smallest(cells)
+            if cell is None and pivot != 1:
+                i = next((i for i in range(k + 1, self.nr) if any(x % pivot for x in d[i][k + 1 :])), None)
+                if i is not None:
+                    self.add_row_multiple(k, i, 1)
+                    cell = (k, k)
 
     def diagonalize(self) -> int:
-        """Main elimination; returns the number of nonzero diagonal entries."""
+        """Main elimination; returns the number of nonzero diagonal
+        entries.  Each pivot is the first least entry of the trailing
+        block and divides it once placed, so the diagonal comes out
+        positive and in divisibility order."""
         rank = 0
         for k in range(min(self.nr, self.nc)):
-            pos = self._min_abs_position(k)
-            if pos is None:
+            cell = self._smallest((i, j) for i in range(k, self.nr) for j in range(k, self.nc))
+            if cell is None:
                 break
-            self.swap_rows(k, pos[0])
-            self.swap_cols(k, pos[1])
-            if self.d[k][k] < 0:
-                self.negate_row(k)
-            self._clear_position(k)
+            self._clear_position(k, cell)
             rank += 1
         return rank
-
-    def _clear_pair(self, i: int, j: int) -> None:
-        """Rediagonalize the 2x2 corner after col_i += col_j put the
-        (j, j) entry at (j, i): one gcd row combination plus one exact
-        column clear."""
-        d = self.d
-        a, b = d[i][i], d[j][i]
-        x, y, g = xgcd(a, b)
-        self.combine_rows(i, j, x, y, -(b // g), a // g)
-        if d[i][j]:
-            self.add_col_multiple(j, i, -(d[i][j] // d[i][i]))
-
-    def enforce_divisibility(self, rank: int) -> None:
-        d = self.d
-        for _ in range(rank * rank + 1):
-            dirty = False
-            for i in range(rank - 1):
-                a, b = d[i][i], d[i + 1][i + 1]
-                if b % a != 0:
-                    dirty = True
-                    self.add_col_multiple(i, i + 1, 1)
-                    self._clear_pair(i, i + 1)
-            if not dirty:
-                return
-        raise AssertionError("divisibility normalization did not converge")
-
-    def normalize_signs(self, rank: int) -> None:
-        for i in range(rank):
-            if self.d[i][i] < 0:
-                self.negate_row(i)
 
 
 def _check_invariant_factors(diag: Sequence[int]) -> None:
@@ -420,8 +346,6 @@ def _check_invariant_factors(diag: Sequence[int]) -> None:
 def _snf_state(M: Matrix, track_u: bool = True, track_v: bool = True) -> tuple[_SnfState, int]:
     st = _SnfState(M, track_u, track_v)
     rank = st.diagonalize()
-    st.enforce_divisibility(rank)
-    st.normalize_signs(rank)
     _check_invariant_factors([st.d[i][i] for i in range(rank)])
     return st, rank
 

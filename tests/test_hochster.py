@@ -17,7 +17,7 @@ from facetor import (
 )
 from facetor.bitsets import full_mask, mask_of, popcount, subsets_of
 from facetor.hochster import CochainComplex
-from facetor.linalg import QQ, ZZ, Matrix, PrimeField, smith_normal_form
+from facetor.linalg import QQ, ZZ, Matrix, PrimeField, homology_at, smith_normal_form
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -373,6 +373,28 @@ class TestNonFaceFamily:
             assert [cc.cohomology(n, coeff, 0).signature for n in (-2, -1, 0)] == [(0, ()), (1, ()), (0, ())]
             for sigma in range(8):
                 assert all(void.cohomology(n, coeff, sigma).is_zero for n in range(-3, 4))
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_whole_read_is_the_read_on_the_union(self, rng, relative):
+        # without sigma, cohomology restricts to the complex's own vertex
+        # set; read off the whole coboundary pair, it gives the same groups
+        P = random_complement(rng, 7, 6)
+        union = reduce(or_, P.members, 0) if rng.random() < 0.5 else full_mask(P.m)
+        complexes = [CochainComplex(P, union, relative), CochainComplex(complex_from_complement(P))]
+        for cc in complexes:
+            if cc.relative and not cc.union:
+                continue  # K_0 is read directly, below
+            for n in range(-3, cc.top + 3):
+                for coeff in (QQ, PrimeField(2), ZZ):
+                    assert cc.cohomology(n, coeff) == homology_at(cc.delta(n - 1), cc.delta(n), coeff)
+
+    def test_whole_read_on_an_empty_union(self):
+        # the relative complex on U = 0 is read as K_0, like sigma = 0:
+        # the ring in degree -1, or nothing when K is void
+        for members, unit in (((0b011,), (1, ())), ((0,), (0, ()))):
+            cc = CochainComplex(Complement(3, members), 0, relative=True)
+            for coeff in (QQ, PrimeField(2), ZZ):
+                assert [cc.cohomology(n, coeff).signature for n in (-2, -1, 0)] == [(0, ()), unit, (0, ())]
 
     def test_ghost_vertices(self):
         # 2 and 5 are no faces, so K on {2, 5} is the empty complex and K

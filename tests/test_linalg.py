@@ -78,6 +78,18 @@ class TestSmithNormalForm:
     def test_contract_random(self, M):
         assert_snf_contract(M)
 
+    @pytest.mark.parametrize(
+        "diagonal, factors",
+        [([2, 3], [1, 6]), ([4, 6], [2, 12]), ([6, 10, 15], [1, 30, 30])],
+    )
+    def test_out_of_order_diagonal(self, diagonal, factors):
+        # the first pivot divides no later entry: it must be shrunk before
+        # it is placed, and a unit-free map goes to the dense form whole
+        n = len(diagonal)
+        M = Matrix(n, n, [[x if i == j else 0 for j in range(n)] for i, x in enumerate(diagonal)])
+        assert assert_snf_contract(M) == factors
+        assert snf_diagonal(M) == factors
+
     def test_diagonal_helper(self):
         assert snf_diagonal(Matrix(2, 2, [[2, 4], [6, 8]])) == [2, 4]
         assert snf_diagonal(Matrix(2, 2)) == []

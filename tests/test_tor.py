@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from hypothesis import example, given
+from hypothesis import example, given, strategies as st
 
 from facetor import (
     CochainComplex,
@@ -20,11 +20,11 @@ from facetor import (
     zk_poincare,
 )
 from facetor.bitsets import full_mask, mask_of, popcount
-from facetor.linalg import QQ, ZZ, PrimeField, homology_representatives
+from facetor.linalg import QQ, ZZ, CapabilityError, PrimeField, homology_representatives
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
-from helpers import EX513, FIG1, full_signature, generator_set, redundant_presentations, rp2_complex
+from helpers import EX513, FIG1, fraction_rref, full_signature, generator_set, redundant_presentations, rp2_complex
 
 
 class TestBigradedTable:
@@ -394,6 +394,36 @@ def test_field_table_pinned(P, coeff, digest):
     # elimination represents its rows
     table = repr(TorRing(P, coeff).multiplication_table())
     assert hashlib.sha256(table.encode()).hexdigest() == digest
+
+
+def _product_ranks(ring: TorRing) -> dict:
+    """Rank over Q of the coordinates of the products of positive-degree
+    basis pairs, per target block (q, sigma) and per pair of factor
+    blocks (q, sigma, q', sigma'): neither depends on the basis."""
+    positive = [tc for _, tc in ring.basis if tc.q > 0]
+    spans: dict = {}
+    for a in positive:
+        for b in positive:
+            c = ring.product(a, b)
+            row = {i: x for i, x in enumerate(c.coords) if x}
+            for key in ((c.q, c.sigma), (a.q, a.sigma, b.q, b.sigma)):
+                spans.setdefault(key, []).append(row)
+    return {key: len(fraction_rref(rows, 0)) for key, rows in spans.items()}
+
+
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_complement(random.Random(seed), 6, 5)))
+@example(FIG1)
+@example(EX513)
+@example(_cycle(5))
+def test_integer_product_ranks_match_rationals(P):
+    # Z's representatives and forms come from the tracked Smith form, Q's
+    # from reduced row echelon forms; on torsion-free inputs the two
+    # rings have the same products up to a change of basis
+    try:
+        integer = _product_ranks(TorRing(P, ZZ))
+    except CapabilityError:
+        return  # a product lands in a torsion block
+    assert integer == _product_ranks(TorRing(P, QQ))
 
 
 class TestFieldChoice:
