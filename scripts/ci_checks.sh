@@ -7,8 +7,9 @@
 #
 # Runs the tests, the worked examples, three seeded random oracle sweeps,
 # sha256 pins of the 7-cycle, the 8-cycle and an edge on 10 and 12
-# vertices, and an m = 23 oracle trial under a time bound.  Writes c7.json,
-# c8.json, edge10.json and edge12.json in the current directory.
+# vertices, a bound on the 8-cycle ring's peak memory, and an m = 23
+# oracle trial under a time bound.  Writes c7.json, c8.json, edge10.json
+# and edge12.json in the current directory.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
@@ -54,6 +55,13 @@ pin be11f2984ae74da0b420b227b98a62d08f36f677dbb976347822bf4da96fc05e "$@" -m fac
 pin aa8a17b5a2bf02184cf1aa1d2bf644a3366dea1913e1bdfdf6a07408511abba6 "$@" -m facetor.cli ring c8.json --coeff q
 pin 9ca48516cec21739fc4699e9640f7b1276dde64f9bcd60eb31e052bfdce4fbb5 "$@" -m facetor.cli tor c8.json --coeff z
 pin b6446d646e744060f2113d1c69cf43d4f7f9a8b94c36f9c0253f027240d26236 "$@" -m facetor.cli maz c8.json --preset s2s1
+# the full 2^20 build keeps its blocks alone: a fresh process peaks near 103 MB
+"$@" -c '
+import resource, subprocess, sys
+subprocess.run([*sys.argv[1:], "-m", "facetor.cli", "ring", "c8.json", "--coeff", "f:2"], check=True, stdout=subprocess.DEVNULL)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"C8 ring --coeff f:2 peak {peak:.1f} MB")
+sys.exit(peak > 125)' "$@"
 
 # every subset of 10 vertices, all read off one cochain complex on the
 # 256 non-faces inside [10], which are fewer than its 768 faces

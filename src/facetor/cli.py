@@ -127,6 +127,8 @@ def load_pairs(path: str, m: int) -> PairSpec:
                     raise InputError(f"pairs[{i}].{key}[{j}]: degree {deg} must be >= 1")
                 if rank < 0:
                     raise InputError(f"pairs[{i}].{key}[{j}]: rank {rank} must be >= 0")
+                if any(deg == d for d, _ in parsed):
+                    raise InputError(f"pairs[{i}].{key}[{j}]: degree {deg} is repeated")
                 parsed.append((deg, rank))
             side_out.append(tuple(parsed))
         xs.append(side_out[0])

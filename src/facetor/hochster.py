@@ -105,7 +105,6 @@ class CochainComplex:
         for f in sets:
             by_dim.setdefault(popcount(f) - 1 - relative, []).append(f)
         self.faces = by_dim  # lists arrive sorted (card, lex)
-        self.top = max(by_dim) if by_dim else -2
         self._matrices: dict[int, Matrix] = {}
         # each set's position in faces[its degree]
         self._position = {f: i for fs in by_dim.values() for i, f in enumerate(fs)}
@@ -118,15 +117,14 @@ class CochainComplex:
         cached = self._matrices.get(n)
         if cached is not None:
             return cached
-        src = self.faces.get(n, [])
         dst = self.faces.get(n + 1, [])
-        M = Matrix(len(dst), len(src))
-        for r, rho in enumerate(dst):
+        rows: list[dict] = [{} for _ in dst]
+        for row, rho in zip(rows, dst):
             for j, v in enumerate(vertices(rho)):
                 c = self._position.get(rho & ~(1 << (v - 1)))
                 if c is not None:
-                    M[r, c] = -1 if j % 2 else 1
-        self._matrices[n] = M
+                    row[c] = -1 if j % 2 else 1
+        M = self._matrices[n] = Matrix.sparse(len(dst), len(self.faces.get(n, ())), rows)
         return M
 
     def cohomology(self, n: int, coeff: CoefficientSpec, sigma: int | None = None) -> HomologyGroup:
@@ -147,52 +145,40 @@ class CochainComplex:
         """Keep the set counts and the coboundaries' invariant factors of
         the full subcomplex on sigma, per degree.
 
-        On faces, those inside sigma grow from the empty one, each by
-        the vertices of sigma above its own; a set that is no face lies
-        in none, so only faces are visited.  Every face of a face
+        On faces, those inside sigma grow from the empty one by _grow,
+        as U's families do in _family_within; a set that is no face
+        lies in none, so only faces are visited.  Every face of a face
         inside sigma lies inside sigma, so the full subcomplex's
         coboundary C^(n-1) -> C^n is delta(n - 1) on the rows of the
         n-faces inside sigma, and those rows have no entry off the
         (n-1)-faces inside sigma: its factors are read off the rows as
         they stand.
 
-        On non-faces, those inside sigma are sigma minus F, F growing
-        from the empty set in the same way, degree by degree downwards.
-        A set holding a non-face is one, so the rows at the non-faces
-        inside sigma have no entry off them.  They span
-        C*(Delta_sigma, K_sigma), whose degree n + 1, read as degree n,
-        is reduced H^n(K_sigma) for nonempty sigma.
+        On non-faces, those inside sigma are sigma minus G, G growing
+        from the empty set in the same way.  A set holding a non-face is
+        one, so the rows at the non-faces inside sigma have no entry off
+        them.  They span C*(Delta_sigma, K_sigma), whose degree n + 1,
+        read as degree n, is reduced H^n(K_sigma) for nonempty sigma.
 
         d o d = 0 on the complex's own pair implies it on every
         restriction, so that pair is checked instead, and its product is
         taken once however many sigmas read it."""
         position = self._position
-        sizes: dict[int, int] = {}
-        factors: dict[int, tuple[int, ...]] = {}
-        if self.relative:
-            base, n, step = sigma, popcount(sigma) - 2, -1
-        else:
-            base, n, step = 0, -1, 1
-        level = [base] if base in position else []
+        base = sigma if self.relative else 0
+        rows: dict[int, list[int]] = {}  # degree -> positions of its sets inside sigma
+        for g in _grow(sigma, lambda g: base ^ g in position):
+            f = base ^ g
+            rows.setdefault(popcount(f) - 1 - self.relative, []).append(position[f])
+        sizes = {n: len(r) for n, r in rows.items()}
         if self.relative and not sigma:
             # Delta_0 is not acyclic, so K_0 is read directly: the empty
             # complex, or void when the empty set is a non-face
-            sizes, level = ({} if level else {-1: 1}), []
-        while level:
+            rows, sizes = {}, ({} if rows else {-1: 1})
+        factors: dict[int, tuple[int, ...]] = {}
+        for n, r in rows.items():
             d_in = self.delta(n - 1)
             check_chain_pair(d_in, self.delta(n))
-            sizes[n] = len(level)
-            factors[n - 1] = factors_at_rows(d_in, [position[f] for f in level])
-            grown = []
-            for f in level:
-                above = sigma & -(1 << (f ^ base).bit_length())
-                while above:
-                    low = above & -above
-                    above ^= low
-                    if (g := f ^ low) in position:
-                        grown.append(g)
-            level = grown
-            n += step
+            factors[n - 1] = factors_at_rows(d_in, r)
         # kept only once every pair has passed its check
         self._sigma, self._sigma_sizes, self._sigma_factors = sigma, sizes, factors
 

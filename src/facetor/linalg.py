@@ -1,38 +1,37 @@
 """Exact linear algebra over Z, Q, and F_p.
 
-Matrices store only their nonzero entries, one dict per row; the
-builders set entries one at a time, and only the dense Smith normal
-form asks for a dense copy of the rows.  Homology groups of chain
-complex slices are read off the integer invariant factors of their two
-boundary maps, whatever the coefficient ring, so their entries must be
-ints.  A map whose entries all lie in one row or one column, as most
-maps of a Lyubeznik block do, has one factor, the gcd of its entries,
-or none when it is zero; it is read off the stored rows.  Any other
-map is factored by sparse elimination on +-1 pivots, run on a copy of
-the stored entries, followed by a dense Smith normal form of the
-unit-free residual, which is usually small or empty.  A matrix keeps
-its factors once computed, so a map shared by two neighbouring blocks,
-or read over several rings, is factored once; the factors of the
-submatrix on some of its rows are read off those rows the same way,
-and not kept.  In the same way d_out remembers the d_in it was last
-checked against, so the product d_out @ d_in that proves a pair is a
-chain complex is taken once per pair, not once per ring, and not at
-all when either map is zero; setting an entry on either map makes the
-next check take it again.  homology_at is that check followed by
-group_from_factors, which reads the group off the two maps' factors
-and serves restrictions too.  Cycle
-representatives are separate, for the product structure alone; they
-use the dense Smith normal form with explicit unimodular transforms
-over Z, and over a field the reduced row echelon form, computed on the
-stored nonzeros and written once for Q and F_p.  The same eliminations
-yield linear forms, kept as their nonzero entries, that test whether a
-vector is a cycle and read off its coordinates in the representative
-basis, so reducing a cycle takes sparse dot products only.  The dense
-Smith normal form is one pivot loop: a pivot divides the trailing
-block when it is placed, so the diagonal comes out in divisibility
-order with no pass afterwards.  Everything is arbitrary-precision:
-Python ints over Z and F_p, and over Q ints too until a non-unit pivot
-brings in fractions.Fraction.
+Matrices store only their nonzero entries, one dict per row.  Each is
+built whole, from dense rows or from one dict per row, and never
+changes; only the dense Smith normal form asks for a dense copy of the
+rows.  Homology groups of chain complex slices are read off the integer
+invariant factors of their two boundary maps, whatever the coefficient
+ring, so their entries must be ints.  A map whose entries all lie in
+one row or one column, as most maps of a Lyubeznik block do, has one
+factor, the gcd of its entries, or none when it is zero; it is read off
+the stored rows.  Any other map is factored by sparse elimination on
++-1 pivots, run on a copy of the stored entries, followed by a dense
+Smith normal form of the unit-free residual, which is usually small or
+empty.  A matrix keeps its factors once computed, so a map shared by
+two neighbouring blocks, or read over several rings, is factored once;
+the factors of the submatrix on some of its rows are read off those
+rows the same way, and not kept.  In the same way d_out remembers the
+d_in it was last checked against, so the product d_out @ d_in that
+proves a pair is a chain complex is taken once per pair, not once per
+ring, and not at all when either map is zero.  homology_at is that
+check followed by group_from_factors, which reads the group off the two
+maps' factors and serves restrictions too.  Cycle representatives are
+separate, for the product structure alone; they use the dense Smith
+normal form with explicit unimodular transforms over Z, and over a
+field the reduced row echelon form, computed on the stored nonzeros and
+written once for Q and F_p.  The same eliminations yield linear forms,
+kept as their nonzero entries, that test whether a vector is a cycle
+and read off its coordinates in the representative basis, so reducing a
+cycle takes sparse dot products only.  The dense Smith normal form is
+one pivot loop: a pivot divides the trailing block when it is placed,
+so the diagonal comes out in divisibility order with no pass
+afterwards.  Everything is arbitrary-precision: Python ints over Z and
+F_p, and over Q ints too until a non-unit pivot brings in
+fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -124,22 +122,21 @@ class Matrix:
     """Integer (or field) matrix with explicit shape (shape survives zero
     dimensions) that stores only its nonzero entries.
 
-    Each row is a dict from column to nonzero value.  M[i, j] = x sets
-    an entry, and setting 0 removes it, so equal matrices store equal
-    dicts.  rows returns a fresh dense list of lists, for the code that
-    works on dense rows; changing that copy leaves M unchanged.
-    Matrix(nrows, ncols, dense_rows) builds a matrix from dense rows.
+    A matrix is built whole and never changes afterwards.
+    Matrix(nrows, ncols) is the zero matrix, Matrix(nrows, ncols,
+    dense_rows) takes dense rows, and Matrix.sparse(nrows, ncols, rows)
+    takes one {column: value} dict per row.  Each row is kept as a dict
+    from column to nonzero value, so equal matrices store equal dicts.
+    rows returns a fresh dense list of lists, for the code that works on
+    dense rows; changing that copy leaves M unchanged.
 
     factors holds the nonzero invariant factors once snf_diagonal or
-    homology_at has computed them, and None before; setting an entry
-    resets it.  Likewise, as d_out of a chain pair, a matrix remembers
-    the stamp of the d_in it composed to zero with: a number drawn once
-    per state of d_in and never reused, so that setting an entry on d_in
-    (which drops its stamp) or on d_out (which drops the memory) makes
-    the next check compose the pair again.
+    homology_at has computed them, and None before.  Likewise, as d_out
+    of a chain pair, a matrix remembers the d_in it composed to zero
+    with, so the pair is checked once.
     """
 
-    __slots__ = ("nrows", "ncols", "_entries", "factors", "_stamp", "_zero_with")
+    __slots__ = ("nrows", "ncols", "_entries", "factors", "_zero_with")
 
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
@@ -152,25 +149,28 @@ class Matrix:
                 raise ValueError("row data does not match the declared shape")
             self._entries = [{j: x for j, x in enumerate(r) if x} for r in rows]
         self.factors: tuple[int, ...] | None = None
-        self._stamp: int | None = None
-        self._zero_with: int | None = None
+        self._zero_with: Matrix | None = None
+
+    @classmethod
+    def sparse(cls, nrows: int, ncols: int, rows: Sequence[dict]) -> "Matrix":
+        """The matrix with one {column: value} dict per row, which the
+        caller hands over: a dict with no zero value is kept as it is,
+        and any other is copied without its zeros.  Raises IndexError on
+        a row count other than nrows or a column outside the shape."""
+        if len(rows) != nrows:
+            raise IndexError(f"{len(rows)} rows given for a {nrows}x{ncols} matrix")
+        for i, row in enumerate(rows):
+            if row and (min(row) < 0 or max(row) >= ncols):
+                j = min(row) if min(row) < 0 else max(row)
+                raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+        M = object.__new__(cls)  # no zero rows to allocate and replace
+        M.nrows, M.ncols, M.factors, M._zero_with = nrows, ncols, None, None
+        M._entries = [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
+        return M
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        M = cls(n, n)
-        for i in range(n):
-            M[i, i] = 1
-        return M
-
-    def __setitem__(self, index: tuple[int, int], x) -> None:
-        i, j = index
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
-        if x:
-            self._entries[i][j] = x
-        else:
-            self._entries[i].pop(j, None)
-        self.factors = self._stamp = self._zero_with = None
+        return cls.sparse(n, n, [{i: 1} for i in range(n)])
 
     @property
     def rows(self) -> list[list]:
@@ -183,13 +183,12 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        out = Matrix(self.nrows, other.ncols)
-        for srow, orow in zip(self._entries, out._entries):
+        out: list[dict] = [{} for _ in range(self.nrows)]
+        for srow, orow in zip(self._entries, out):
             for k, a in srow.items():
                 for j, b in other._entries[k].items():
                     orow[j] = orow.get(j, 0) + a * b
-        out._entries = [{j: x for j, x in row.items() if x} for row in out._entries]
-        return out
+        return Matrix.sparse(self.nrows, other.ncols, out)
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -429,10 +428,9 @@ def _invariant_factors(sparse_rows: list[dict[int, int]]) -> list[int]:
     diag = [1] * _eliminate_units(rows, cols)
     if rows:
         col_index = {j: k for k, j in enumerate(sorted(j for j, hit in cols.items() if hit))}
-        residual = Matrix(len(rows), len(col_index))
-        for i, row in enumerate(rows.values()):
-            for j, x in row.items():
-                residual[i, col_index[j]] = x
+        residual = Matrix.sparse(
+            len(rows), len(col_index), [{col_index[j]: x for j, x in row.items()} for row in rows.values()]
+        )
         st, rank = _snf_state(residual, track_u=False, track_v=False)
         diag += [st.d[i][i] for i in range(rank)]
     return diag
@@ -577,23 +575,18 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     return tuple(ints)
 
 
-_stamps = count()
-
-
 def check_chain_pair(d_in: Matrix, d_out: Matrix) -> None:
     """Raise ValueError unless d_out @ d_in is defined and zero.  The
     product is taken once per pair, and not when either map is zero:
-    d_out remembers the stamp of the d_in it passed with, until an entry
-    of either map is set."""
+    d_out holds the d_in it passed with, so no other matrix can take
+    that d_in's place, as it could by reusing a freed id."""
     if d_out.ncols != d_in.nrows:
         raise ValueError(f"shape mismatch: d_out is {d_out.nrows}x{d_out.ncols}, d_in is {d_in.nrows}x{d_in.ncols}")
-    if d_in._stamp is None:
-        d_in._stamp = next(_stamps)
-    if d_out._zero_with == d_in._stamp:
+    if d_out._zero_with is d_in:
         return
     if not (d_out.is_zero() or d_in.is_zero() or (d_out @ d_in).is_zero()):
         raise ValueError("not a chain complex: d_out composed with d_in is nonzero")
-    d_out._zero_with = d_in._stamp
+    d_out._zero_with = d_in
 
 
 def homology_at(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyGroup:

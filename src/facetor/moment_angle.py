@@ -29,7 +29,7 @@ DegreeRank = tuple[int, int]
 @dataclass(frozen=True)
 class PairSpec:
     """Per-vertex reduced Poincare polynomials of (X_i, A_i), stored as
-    tuples of (degree >= 1, rank >= 0) pairs."""
+    tuples of (degree >= 1, rank >= 0) pairs with distinct degrees."""
 
     x_polys: tuple[tuple[DegreeRank, ...], ...]
     a_polys: tuple[tuple[DegreeRank, ...], ...]
@@ -39,11 +39,13 @@ class PairSpec:
             raise ValueError("X and A lists must have the same length")
         for side in (self.x_polys, self.a_polys):
             for poly in side:
-                for deg, rank in poly:
+                for k, (deg, rank) in enumerate(poly):
                     if deg < 1:
                         raise ValueError(f"reduced degree must be >= 1, got {deg}")
                     if rank < 0:
                         raise ValueError(f"rank must be >= 0, got {rank}")
+                    if any(deg == d for d, _ in poly[:k]):
+                        raise ValueError(f"degree {deg} is repeated")
 
     @property
     def m(self) -> int:

@@ -28,7 +28,7 @@ chain complex of free modules with integer matrices.  A block lists its
 generators in ascending order of their bit positions (as tuples); the
 enumeration reaches each block in exactly the reverse order, so the
 complex reads it backwards and sorts nothing.  A complex builds each
-boundary matrix on first request, setting only its nonzero entries (a
+boundary matrix on first request, from its nonzero entries alone (a
 slice is mostly zeros); a map out of or into an empty block is the
 zero matrix of its shape and is not assembled.  A block with no
 generators at q - 1 or q + 1 has zero maps on both sides, so its group
@@ -106,14 +106,18 @@ class TaylorComplex:
             return cached
         blocks = self._by_support.get(sigma, {})
         src = blocks.get(q, [])
-        M = Matrix(len(blocks.get(q - 1, ())), len(src))
-        if M.nrows and M.ncols:
+        nrows = len(blocks.get(q - 1, ()))
+        if not (nrows and src):
+            M = Matrix(nrows, len(src))
+        else:
             index = self._index(sigma, q - 1)
+            rows: list[dict] = [{} for _ in range(nrows)]
             for j, u in enumerate(src):
                 for i, b in enumerate(bit_positions(u), start=1):
                     r = index.get(u & ~(1 << b))
                     if r is not None:
-                        M[r, j] = -1 if i % 2 else 1
+                        rows[r][j] = -1 if i % 2 else 1
+            M = Matrix.sparse(nrows, len(src), rows)
         self._matrices[key] = M
         return M
 

@@ -196,6 +196,21 @@ class TestMaz:
         assert code == 2
         assert "degree" in err
 
+    @pytest.mark.parametrize("key", ["X", "A"])
+    def test_repeated_pairs_degree(self, capsys, tmp_path, key):
+        # a repeated degree is an input error, not a silent last-one-wins:
+        # [[2, 1], [2, 1]] used to read as [[2, 1]]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"m": 2, "complement": [[1, 2]]}))
+        pairs = [{"X": [[2, 1]], "A": [[1, 1]]} for _ in range(2)]
+        pairs[0][key] = [[2, 1], [3, 1], [2, 1]]
+        ppath = tmp_path / "pairs.json"
+        ppath.write_text(json.dumps(pairs))
+        code, out, err = run(capsys, "maz", str(path), "--pairs", str(ppath))
+        assert code == 2
+        assert out == ""
+        assert f"pairs[0].{key}[2]" in err and "repeated" in err
+
 
 class TestCompress:
     def test_document_round_trip(self, capsys, fig1_path):

@@ -32,6 +32,11 @@ class TestPairSpec:
             PairSpec((((1, -1),),), (((1, 1),),))
         with pytest.raises(ValueError):
             PairSpec(((), ()), ((),))
+        for repeated in (((2, 1), (2, 1)), ((2, 1), (3, 1), (2, 0))):
+            with pytest.raises(ValueError, match="repeated"):
+                PairSpec((repeated,), ((),))
+            with pytest.raises(ValueError, match="repeated"):
+                PairSpec(((),), (repeated,))
 
     def test_presets(self):
         s = PairSpec.spheres_s2_s1(3)

@@ -411,10 +411,24 @@ def _product_ranks(ring: TorRing) -> dict:
     return {key: len(fraction_rref(rows, 0)) for key, rows in spans.items()}
 
 
-@given(st.integers(0, 2**32 - 1).map(lambda seed: random_complement(random.Random(seed), 6, 5)))
+def _small_members(rng: random.Random) -> Complement:
+    """4 to 8 members of 2 or 3 vertices on 5 or 6 vertices.  Only
+    classes with disjoint supports multiply to nonzero, and such members
+    are common here: about a third of draws have a nonzero product,
+    against a sixth of random_complement(rng, 6, 5).  Redundant members
+    are common too, so blocks above degree 1 have nonzero maps out and
+    their representatives come from a nontrivial Smith form."""
+    m = rng.randint(5, 6)
+    return Complement.from_vertex_lists(
+        m, [rng.sample(range(1, m + 1), rng.randint(2, 3)) for _ in range(rng.randint(4, 8))]
+    )
+
+
+@given(st.integers(0, 2**32 - 1).map(lambda seed: _small_members(random.Random(seed))))
 @example(FIG1)
 @example(EX513)
 @example(_cycle(5))
+@example(_cycle(6))
 def test_integer_product_ranks_match_rationals(P):
     # Z's representatives and forms come from the tracked Smith form, Q's
     # from reduced row echelon forms; on torsion-free inputs the two
