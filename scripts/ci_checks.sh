@@ -8,8 +8,8 @@
 # Runs the tests, the worked examples, three seeded random oracle sweeps,
 # sha256 pins of the 7-cycle, the 8-cycle and an edge on 10 and 12
 # vertices, a bound on the 8-cycle ring's peak memory, and an m = 23
-# oracle trial under a time bound.  Writes c7.json, c8.json, edge10.json
-# and edge12.json in the current directory.
+# oracle trial under a time bound.  Writes c7.json, c7pairs.json,
+# c8.json, edge10.json and edge12.json in the current directory.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
@@ -42,6 +42,9 @@ pin 265c4ce44ebd2d395eb0e322464b0943bc58a8c35822973d02354a3fe561826a "$@" -m fac
 pin 18168b279ff92b206d29dd14c1674264a7df18b787cad12703c55d34116b1467 "$@" -m facetor.cli zk c7.json
 pin 2796aea60aed86c5d5bf20fe680440f4feed392952ac400fd44e38d2aea458a3 "$@" -m facetor.cli maz c7.json --preset s2s1
 pin 18168b279ff92b206d29dd14c1674264a7df18b787cad12703c55d34116b1467 "$@" -m facetor.cli maz c7.json --preset d2s1
+# a different (X_i, A_i) on odd and even vertices, and on 1-4 and 5-7
+"$@" -c 'import json; print(json.dumps([{"X": [[2, 1]] if i % 2 else [], "A": [[1, 1]] if i <= 4 else [[1, 1], [2, 1]]} for i in range(1, 8)]))' > c7pairs.json
+pin ee8c2eb089217f04fca12d675f1666c4def555ac32835544d5879d915e9c975b "$@" -m facetor.cli maz c7.json --pairs c7pairs.json
 pin c3570f4cd640b9db8ddbfe194a464c73807f627f93b5ad6b501bcc9416885653 "$@" -m facetor.cli link c7.json --omega 1
 pin 5d229dc251efdda34a1fbe983259012e09e0957c9dba7ff184f851e012d6e0c5 "$@" -m facetor.cli link c7.json --omega 1,3
 pin ac82452e2c59e2f9c91702eb616b22bc19857ebe0ded908c1241105737d4f1a5 "$@" -m facetor.cli star c7.json --omega 1

@@ -33,7 +33,7 @@ from facetor import (
 )
 from facetor.bitsets import full_mask, popcount, vertices
 from facetor.moment_angle import PairSpec, maz_cohomology
-from facetor.polynomials import pstr, ptotal
+from facetor.polynomials import pstr
 
 
 def show_tor(P, coeff=QQ):
@@ -51,7 +51,7 @@ def pentagon():
     P = Complement.from_vertex_lists(5, [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]])
     show_tor(P)
     series = zk_poincare(P, QQ)
-    print(f"  series: {pstr(series)} (total {ptotal(series)})")
+    print(f"  series: {pstr(series)} (total {sum(series.values())})")
     ring = TorRing(P, QQ)
     print("  basis:", ", ".join(name for name, _ in ring.basis))
     for e in ring.multiplication_table():
@@ -64,9 +64,9 @@ def octahedron():
     print("== octahedron sphere: complement {(1,2), (3,4), (5,6)} on [6]")
     P = Complement.from_vertex_lists(6, [[1, 2], [3, 4], [5, 6]])
     series = zk_poincare(P, QQ)
-    print(f"  classical series: {pstr(series)} (total {ptotal(series)})")
+    print(f"  classical series: {pstr(series)} (total {sum(series.values())})")
     spheres = maz_cohomology(P, PairSpec.spheres_s2_s1(6), QQ)
-    print(f"  sphere-pair series: {pstr(spheres)} (total {ptotal(spheres)})")
+    print(f"  sphere-pair series: {pstr(spheres)} (total {sum(spheres.values())})")
 
 
 def projective_plane():

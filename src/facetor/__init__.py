@@ -37,7 +37,7 @@ from .linalg import (
     reduce_cycle,
     smith_normal_form,
 )
-from .moment_angle import PairSpec, link_cohomology, maz_cohomology, star_tor
+from .moment_angle import PairSpec, link_cohomology, link_tor, maz_cohomology, star_tor
 from .taylor import (
     TaylorComplex,
     chain_product,
@@ -76,6 +76,7 @@ __all__ = [
     "homology_at",
     "link",
     "link_cohomology",
+    "link_tor",
     "mask_of",
     "maz_cohomology",
     "minimalize",

@@ -20,7 +20,7 @@ import os
 import random
 import sys
 
-from .bitsets import MAX_AMBIENT, bit_positions, mask_of, popcount, set_str, vertices
+from .bitsets import MAX_AMBIENT, mask_of, popcount, set_str, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
@@ -29,13 +29,12 @@ from .complexes import (
     compress,
     full_subcomplex,  # unused here; perfbench/tracer.py patches it by this name
     link,
-    minimalize,
     star,
 )
 from .hochster import check_all_sigma, compare_blocks
 from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
-from .moment_angle import PairSpec, maz_cohomology, star_tor
-from .polynomials import pstr, psorted, ptotal
+from .moment_angle import PairSpec, link_tor, maz_cohomology, star_tor
+from .polynomials import pstr
 from .sampling import random_complement
 from .taylor import MAX_GENERATORS
 from .tor import TorRing, tor_bigraded, zk_poincare
@@ -183,16 +182,19 @@ def _parse_omega(text: str, m: int) -> int:
         raise InputError(f"omega: {exc}")
 
 
-def _series_json(series) -> list[list[int]]:
-    return [[d, c] for d, c in psorted(series)]
-
-
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=False))
     else:
         for line in lines:
             print(line)
+
+
+def _emit_series(command: str, m: int, series, as_json: bool) -> None:
+    total = sum(series.values())
+    series_json = [[d, c] for d, c in sorted(series.items())]
+    payload = {"command": command, "m": m, "series": series_json, "total": total}
+    _emit(payload, as_json, [f"{pstr(series)} (total {total})"])
 
 
 def _tor_payload(tor) -> dict:
@@ -232,14 +234,7 @@ def _cmd_tor(args) -> int:
 
 def _cmd_zk(args) -> int:
     P = load_input(args.input)
-    series = zk_poincare(P, QQ)
-    payload = {
-        "command": "zk",
-        "m": P.m,
-        "series": _series_json(series),
-        "total": ptotal(series),
-    }
-    _emit(payload, args.json, [f"{pstr(series)} (total {ptotal(series)})"])
+    _emit_series("zk", P.m, zk_poincare(P, QQ), args.json)
     return 0
 
 
@@ -298,14 +293,8 @@ def _cmd_star_link(args, which: str) -> int:
     K = complex_from_complement(P)
     if K.is_void:
         raise CapabilityError("the void complex has no star or link")
-    if which == "star":
-        result, tor = star(K, omega), star_tor(P, omega, args.coeff)
-    else:
-        # the link's minimal non-faces are the minimal sets among the
-        # compressed members and omega's vertices, just (0,) off a face
-        singletons = tuple(1 << b for b in bit_positions(omega))
-        link_P = minimalize(Complement(P.m, compress(P, omega).members + singletons))
-        result, tor = link(K, omega), tor_bigraded(link_P, args.coeff)
+    shape, shape_tor = (star, star_tor) if which == "star" else (link, link_tor)
+    result, tor = shape(K, omega), shape_tor(P, omega, args.coeff)
     payload = {
         "command": which,
         "m": P.m,
@@ -337,14 +326,7 @@ def _cmd_maz(args) -> int:
         pairs = load_pairs(args.pairs, P.m)
     else:
         raise InputError("one of --pairs or --preset is required")
-    series = maz_cohomology(P, pairs, QQ)
-    payload = {
-        "command": "maz",
-        "m": P.m,
-        "series": _series_json(series),
-        "total": ptotal(series),
-    }
-    _emit(payload, args.json, [f"{pstr(series)} (total {ptotal(series)})"])
+    _emit_series("maz", P.m, maz_cohomology(P, pairs, QQ), args.json)
     return 0
 
 

@@ -1,26 +1,29 @@
-"""Graded cohomology of generalized moment-angle complexes.
+"""Graded cohomology of generalized moment-angle complexes, and the Tor
+of a face's star and link.
 
 The input is a complement plus, for each vertex, the reduced Poincare
 polynomials of a pair (X_i, A_i).  The answer is assembled face by
-face: each face omega contributes the block homology of the
-omega-compressed complement, shifted by |tau| - q and tensored with one
-reduced X class per vertex of omega and one reduced A class per vertex
-of tau.  Summation is pruned to faces because compressing by a
+face: each face omega contributes its star's Tor, the block homology of
+the omega-compressed complement, shifted by |tau| - q and tensored with
+one reduced X class per vertex of omega and one reduced A class per
+vertex of tau.  Summation is pruned to faces because compressing by a
 non-face puts the empty set into the complement and kills every block.
-Only block ranks enter, so every face (and star and link) reads its
-blocks through tor_bigraded, off the Lyubeznik subcomplex of the
-minimalized compressed complement; compression makes members redundant
-(one contains another, or two coincide), and minimalizing drops them.
+The link's Tor is read off the minimal sets among the compressed
+members and omega's vertices.  Only block ranks enter, so every star
+and link reads its blocks through tor_bigraded, off the Lyubeznik
+subcomplex of the minimalized complement; compression makes members
+redundant (one contains another, or two coincide), and minimalizing
+drops them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import full_mask, popcount, vertices
-from .complexes import Complement, complex_from_complement, compress
+from .bitsets import bit_positions, full_mask, popcount, vertices
+from .complexes import Complement, complex_from_complement, compress, minimalize
 from .linalg import CoefficientSpec, HomologyGroup, ZERO_GROUP, is_field
-from .polynomials import Poly, monomial, padd, pmul, pscale
+from .polynomials import Poly, padd, pmul
 from .tor import BigradedTor, tor_bigraded
 
 DegreeRank = tuple[int, int]
@@ -80,7 +83,7 @@ def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Po
         raise ValueError(f"pair spec covers {pairs.m} vertices, ambient is {P.m}")
     acc: Poly = {}
     for omega in complex_from_complement(P).faces():
-        tor = tor_bigraded(compress(P, omega), coeff)
+        tor = star_tor(P, omega, coeff)
         x_factor: Poly = {0: 1}
         for v in vertices(omega):
             x_factor = pmul(x_factor, pairs.x_poly(v - 1))
@@ -90,8 +93,7 @@ def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Po
         for (q, tau), group in tor.entries.items():
             if tau & ~rest:
                 raise AssertionError("block support meets the compressed face")
-            contrib = pscale(monomial(popcount(tau) - q), group.rank)
-            contrib = pmul(contrib, x_factor)
+            contrib = pmul({popcount(tau) - q: group.rank}, x_factor)
             for v in vertices(tau):
                 contrib = pmul(contrib, pairs.a_poly(v - 1))
             acc = padd(acc, contrib)
@@ -103,11 +105,19 @@ def star_tor(P: Complement, omega: int, coeff: CoefficientSpec) -> BigradedTor:
     return tor_bigraded(compress(P, omega), coeff)
 
 
+def link_tor(P: Complement, omega: int, coeff: CoefficientSpec) -> BigradedTor:
+    """Bigraded Tor of the link of omega.  The link's minimal non-faces
+    are the minimal sets among the omega-compressed members and omega's
+    vertices: just the empty set when omega is not a face."""
+    singletons = tuple(1 << b for b in bit_positions(omega))
+    return tor_bigraded(minimalize(Complement(P.m, compress(P, omega).members + singletons)), coeff)
+
+
 def link_cohomology(P: Complement, omega: int, n: int, coeff: CoefficientSpec) -> HomologyGroup:
     """Reduced cohomology of the link of omega in degree n, read off the
-    ([m] minus omega)-supported blocks of the star's Tor."""
+    ([m] minus omega)-supported blocks of the link's Tor."""
     sigma = full_mask(P.m) & ~omega
     q = popcount(sigma) - n - 1
     if q < 0:
         return ZERO_GROUP
-    return star_tor(P, omega, coeff).group(q, sigma)
+    return link_tor(P, omega, coeff).group(q, sigma)

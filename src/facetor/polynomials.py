@@ -29,26 +29,10 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def pscale(a: Poly, c: int) -> Poly:
-    return {d: c * v for d, v in a.items()} if c else {}
-
-
-def monomial(deg: int, coeff: int = 1) -> Poly:
-    return {deg: coeff} if coeff else {}
-
-
-def ptotal(a: Poly) -> int:
-    return sum(a.values())
-
-
-def psorted(a: Poly) -> list[tuple[int, int]]:
-    return sorted(a.items())
-
-
 def pstr(a: Poly) -> str:
     """Ascending-degree rendering: 1 + 2x^3 + x^5.  Zero renders as 0."""
     terms = []
-    for d, c in psorted(a):
+    for d, c in sorted(a.items()):
         if c == 0:
             continue
         if d == 0:

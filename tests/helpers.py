@@ -7,7 +7,8 @@ the package does not ship live here too: the monomial full differential,
 the (S^2, S^1) series, the accessors only tests read (field_rank,
 total_subset, generator_set, boundary_matrices, boundary_column,
 full_signature), the reduced differential from its definition, the
-redundant-presentation strategy, the per-bit loop the
+redundant-presentation strategy, the moment-angle series summed over
+links without a Taylor complex, the per-bit loop the
 bitset tables replaced, compare_blocks with one full subcomplex
 built per sigma, and the field RREF that turned every entry over Q
 into a Fraction.  Helpers return
@@ -27,12 +28,14 @@ from facetor import (
     complex_from_complement,
     compress,
     full_subcomplex,
+    link,
     tor_bigraded,
 )
-from facetor.bitsets import bit_positions, popcount, sort_key
+from facetor.bitsets import bit_positions, full_mask, popcount, sort_key, vertices
 from facetor.hochster import CochainComplex, check_all_sigma
 from facetor.linalg import ZERO_GROUP, Matrix, _rref, _subtract, is_field
-from facetor.polynomials import padd
+from facetor.moment_angle import PairSpec
+from facetor.polynomials import padd, pmul
 from facetor.taylor import TaylorComplex, taylor_complex
 
 # pentagon-with-two-triangles complex on 5 vertices
@@ -261,6 +264,35 @@ def s2s1_poincare(P: Complement, coeff) -> dict[int, int]:
     for omega in complex_from_complement(P).faces():
         for (q, tau), group in tor_bigraded(compress(P, omega), coeff).entries.items():
             acc = padd(acc, {2 * popcount(omega) + 2 * popcount(tau) - q: group.rank})
+    return dict(sorted(acc.items()))
+
+
+def maz_by_links(P: Complement, pairs: PairSpec, coeff) -> dict[int, int]:
+    """Moment-angle graded dimensions summed from link cohomology: each
+    face omega of K and each tau outside it add rank H~^j(lk(omega)_tau)
+    x^(j+1), times one reduced X class per vertex of omega and one
+    reduced A class per vertex of tau.  H~ is read off the cochain
+    complex of each full subcomplex of the link; no Taylor complex is
+    built, and the faces come from the facets."""
+    K = complex_from_complement(P)
+    acc: dict[int, int] = {}
+    for omega in K.faces():
+        L = link(K, omega)
+        x_factor = {0: 1}
+        for v in vertices(omega):
+            x_factor = pmul(x_factor, pairs.x_poly(v - 1))
+        rest = full_mask(P.m) & ~omega
+        tau = rest
+        while True:
+            term = x_factor
+            for v in vertices(tau):
+                term = pmul(term, pairs.a_poly(v - 1))
+            cc = CochainComplex(full_subcomplex(L, tau))
+            for j in range(-1, popcount(tau)):
+                acc = padd(acc, pmul({j + 1: cc.cohomology(j, coeff).rank}, term))
+            if tau == 0:
+                break
+            tau = (tau - 1) & rest
     return dict(sorted(acc.items()))
 
 

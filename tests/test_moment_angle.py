@@ -4,6 +4,7 @@ import pytest
 
 from facetor import (
     Complement,
+    complement_from_complex,
     complex_from_complement,
     link,
     reduced_cohomology,
@@ -18,10 +19,25 @@ from facetor.moment_angle import (
     maz_cohomology,
     star_tor,
 )
-from facetor.polynomials import padd, pmul, ptotal
+from facetor.polynomials import padd, pmul
 from facetor.sampling import random_complement
 
-from helpers import EX513, FIG1, nonface_blocks, s2s1_poincare
+from helpers import EX513, FIG1, maz_by_links, nonface_blocks, rp2_complex, s2s1_poincare
+
+RP2 = complement_from_complex(rp2_complex())
+
+
+def _random_pair_poly(rng: random.Random) -> tuple[tuple[int, int], ...]:
+    """Distinct reduced degrees 1-3, each with a rank 0-2."""
+    degrees = sorted(rng.sample((1, 2, 3), rng.randint(0, 3)))
+    return tuple((deg, rng.randint(0, 2)) for deg in degrees)
+
+
+def _random_pairs(rng: random.Random, m: int) -> PairSpec:
+    return PairSpec(
+        tuple(_random_pair_poly(rng) for _ in range(m)),
+        tuple(_random_pair_poly(rng) for _ in range(m)),
+    )
 
 
 class TestPairSpec:
@@ -51,7 +67,7 @@ class TestSphereCirclePair:
         assert series == {
             0: 1, 2: 6, 3: 9, 4: 12, 5: 36, 6: 35, 7: 36, 8: 54, 9: 27,
         }
-        assert ptotal(series) == 216
+        assert sum(series.values()) == 216
 
     def test_octahedron_per_face_families(self):
         # contributions grouped by the size of the compressed face
@@ -77,7 +93,7 @@ class TestSphereCirclePair:
             for sub in subs:
                 assert sub == families[size]
                 total = padd(total, sub)
-        assert ptotal(total) == 216
+        assert sum(total.values()) == 216
 
     def test_wrapper_equals_pair_spec_path(self):
         assert s2s1_poincare(EX513, QQ) == maz_cohomology(EX513, PairSpec.spheres_s2_s1(6), QQ)
@@ -123,6 +139,22 @@ class TestClassicalCorollaries:
             assert nonface_blocks(P, QQ) == {}
             assert maz_cohomology(P, PairSpec.spheres_s2_s1(P.m), QQ) == s2s1_poincare(P, QQ)
 
+    def test_mixed_pairs_match_link_sum(self):
+        # a different (X_i, A_i) on each vertex, so a series that reads
+        # one vertex's pair for another's differs from the link sum
+        rng = random.Random(7)
+        checked = 0
+        while checked < 100:
+            P = random_complement(rng, 5, 4)
+            if complex_from_complement(P).is_void:
+                continue
+            pairs = _random_pairs(rng, P.m)
+            assert maz_cohomology(P, pairs, QQ) == maz_by_links(P, pairs, QQ)
+            checked += 1
+        for coeff in (QQ, PrimeField(2)):
+            pairs = _random_pairs(rng, 6)
+            assert maz_cohomology(RP2, pairs, coeff) == maz_by_links(RP2, pairs, coeff)
+
     def test_void_complement_gives_nothing(self):
         assert maz_cohomology(Complement(2, (0,)), PairSpec.spheres_s2_s1(2), QQ) == {}
 
@@ -165,6 +197,22 @@ class TestStarTor:
                     assert got.signature == want.signature
                     checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_link_cohomology_matches_star_route(self, seed):
+        # the link's Tor against the star's ([m] minus omega)-supported
+        # blocks, for every omega (faces and non-faces) and every degree
+        rng = random.Random(seed)
+        inputs = [random_complement(rng, 6, 5) for _ in range(40)] + [RP2]
+        for P in inputs:
+            for omega in range(1 << P.m):
+                sigma = full_mask(P.m) & ~omega
+                rest = popcount(sigma)
+                for coeff in (QQ, ZZ, PrimeField(2)):
+                    star = star_tor(P, omega, coeff)
+                    for n in range(-2, rest + 1):
+                        want = star.group(rest - n - 1, sigma)
+                        assert link_cohomology(P, omega, n, coeff).signature == want.signature
 
     def test_supports_avoid_compressed_face(self):
         rng = random.Random(67)
