@@ -14,7 +14,7 @@ those.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_AMBIENT = 24
 
@@ -84,6 +84,23 @@ def subsets_of(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def grow(union: int, keep: Callable[[int], bool]) -> Iterator[int]:
+    """The subsets G of union with keep(G), depth first from the empty
+    set, each by the vertices of union above its own.  keep must hold
+    on every subset of a set it holds on; then each such G is reached
+    once, and only those are yielded."""
+    stack = [0] if keep(0) else []
+    while stack:
+        g = stack.pop()
+        yield g
+        above = union & -(1 << g.bit_length())
+        while above:
+            low = above & -above
+            above ^= low
+            if keep(g | low):
+                stack.append(g | low)
 
 
 def sort_key(mask: int) -> tuple:

@@ -173,11 +173,7 @@ def _int_in(lo: int, hi: int | None = None):
 
 def _parse_omega(text: str, m: int) -> int:
     try:
-        verts = [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise InputError(f"omega: {exc}")
-    try:
-        return mask_of(verts, m)
+        return mask_of([int(part) for part in text.split(",") if part != ""], m)
     except ValueError as exc:
         raise InputError(f"omega: {exc}")
 
@@ -283,10 +279,6 @@ def _cmd_ring(args) -> int:
     return 0
 
 
-def _subcomplex_payload(L: SimplicialComplex) -> dict:
-    return {"void": L.is_void, "facets": L.facet_vertex_lists()}
-
-
 def _cmd_star_link(args, which: str) -> int:
     P = load_input(args.input)
     omega = _parse_omega(args.omega, P.m)
@@ -300,9 +292,10 @@ def _cmd_star_link(args, which: str) -> int:
         "m": P.m,
         "omega": list(vertices(omega)),
         "coeff": str(args.coeff),
+        "void": result.is_void,
+        "facets": result.facet_vertex_lists(),
+        "tor": _tor_payload(tor),
     }
-    payload.update(_subcomplex_payload(result))
-    payload["tor"] = _tor_payload(tor)
     lines = []
     if result.is_void:
         lines.append(f"{which} of {set_str(omega)}: void complex")

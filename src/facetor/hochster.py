@@ -16,7 +16,7 @@ compare_blocks builds one cochain complex on U, the union of the
 members (on [m] when every subset is swept), and reads every sigma off
 it.  It is spanned by whichever family of subsets of U is smaller: the
 faces of K, which hold no member, or its non-faces, which hold one.
-Both grow from the members one set at a time, and the first family to
+Both grow from the members by bitsets.grow, and the first family to
 be complete is built, so at most twice the smaller is visited.  The
 faces inside sigma span the cochains of K_sigma.  The non-faces inside
 sigma span the relative cochains C*(Delta_sigma, K_sigma), and since
@@ -36,9 +36,9 @@ a map out of or into an empty degree is the zero matrix of its shape.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
-from .bitsets import full_mask, popcount, sort_key, vertices
+from .bitsets import full_mask, grow, popcount, sort_key, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
@@ -145,14 +145,14 @@ class CochainComplex:
         """Keep the set counts and the coboundaries' invariant factors of
         the full subcomplex on sigma, per degree.
 
-        On faces, those inside sigma grow from the empty one by _grow,
-        as U's families do in _family_within; a set that is no face
-        lies in none, so only faces are visited.  Every face of a face
-        inside sigma lies inside sigma, so the full subcomplex's
-        coboundary C^(n-1) -> C^n is delta(n - 1) on the rows of the
-        n-faces inside sigma, and those rows have no entry off the
-        (n-1)-faces inside sigma: its factors are read off the rows as
-        they stand.
+        On faces, those inside sigma grow from the empty one by
+        bitsets.grow, as U's families do in _family_within; a set that
+        is no face lies in none, so only faces are visited.  Every face
+        of a face inside sigma lies inside sigma, so the full
+        subcomplex's coboundary C^(n-1) -> C^n is delta(n - 1) on the
+        rows of the n-faces inside sigma, and those rows have no entry
+        off the (n-1)-faces inside sigma: its factors are read off the
+        rows as they stand.
 
         On non-faces, those inside sigma are sigma minus G, G growing
         from the empty set in the same way.  A set holding a non-face is
@@ -166,7 +166,7 @@ class CochainComplex:
         position = self._position
         base = sigma if self.relative else 0
         rows: dict[int, list[int]] = {}  # degree -> positions of its sets inside sigma
-        for g in _grow(sigma, lambda g: base ^ g in position):
+        for g in grow(sigma, lambda g: base ^ g in position):
             f = base ^ g
             rows.setdefault(popcount(f) - 1 - self.relative, []).append(position[f])
         sizes = {n: len(r) for n, r in rows.items()}
@@ -187,23 +187,6 @@ class CochainComplex:
         return sum((-1 if n % 2 else 1) * len(fs) for n, fs in self.faces.items())
 
 
-def _grow(union: int, keep: Callable[[int], bool]) -> Iterator[int]:
-    """The subsets G of union with keep(G), depth first from the empty
-    set, each by the vertices of union above its own.  keep must hold
-    on every subset of a set it holds on; then each such G is reached
-    once, and only those are yielded."""
-    stack = [0] if keep(0) else []
-    while stack:
-        g = stack.pop()
-        yield g
-        above = union & -(1 << g.bit_length())
-        while above:
-            low = above & -above
-            above ^= low
-            if keep(g | low):
-                stack.append(g | low)
-
-
 def _family_within(members: Iterable[int], union: int, relative: bool | None) -> tuple[list[int], bool]:
     """The faces of the members' complex inside union (relative False),
     its non-faces there (True), or, for None, whichever family is done
@@ -212,8 +195,8 @@ def _family_within(members: Iterable[int], union: int, relative: bool | None) ->
     written union minus G, holds one that misses G."""
     inside = {mem for mem in members if mem & ~union == 0}
     families = (
-        _grow(union, lambda g: all(mem & ~g for mem in inside)),
-        _grow(union, lambda g: any(not mem & g for mem in inside)),
+        grow(union, lambda g: all(mem & ~g for mem in inside)),
+        grow(union, lambda g: any(not mem & g for mem in inside)),
     )
     if relative is None:
         grown: tuple[list[int], list[int]] = ([], [])

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -558,13 +558,9 @@ def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
     if p:
         return tuple(int(x) for x in vec)
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:

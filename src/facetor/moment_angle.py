@@ -8,6 +8,8 @@ the omega-compressed complement, shifted by |tau| - q and tensored with
 one reduced X class per vertex of omega and one reduced A class per
 vertex of tau.  Summation is pruned to faces because compressing by a
 non-face puts the empty set into the complement and kills every block.
+The faces, the subsets of [m] that hold no member, are walked straight
+off the members by bitsets.grow, with no facet or face list.
 The link's Tor is read off the minimal sets among the compressed
 members and omega's vertices.  Only block ranks enter, so every star
 and link reads its blocks through tor_bigraded, off the Lyubeznik
@@ -20,8 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import bit_positions, full_mask, popcount, vertices
-from .complexes import Complement, complex_from_complement, compress, minimalize
+from .bitsets import bit_positions, full_mask, grow, popcount, vertices
+from .complexes import (
+    Complement,
+    complex_from_complement,  # unused here; perfbench/tracer.py patches it by this name
+    compress,
+    minimalize,
+)
 from .linalg import CoefficientSpec, HomologyGroup, ZERO_GROUP, is_field
 from .polynomials import Poly, padd, pmul
 from .tor import BigradedTor, tor_bigraded
@@ -82,7 +89,7 @@ def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Po
     if pairs.m != P.m:
         raise ValueError(f"pair spec covers {pairs.m} vertices, ambient is {P.m}")
     acc: Poly = {}
-    for omega in complex_from_complement(P).faces():
+    for omega in grow(full_mask(P.m), lambda g: all(mem & ~g for mem in P.members)):
         tor = star_tor(P, omega, coeff)
         x_factor: Poly = {0: 1}
         for v in vertices(omega):

@@ -36,7 +36,7 @@ is free on its generators, over Z, Q and F_p alike, and block_homology
 reads it off the block's size without building either map; every other
 block goes through linalg.homology_at.  It keeps each matrix,
 together with the invariant factors linalg computes for it, for as long
-as the complex lives; taylor_complex keeps recently used complexes.
+as the complex lives; taylor_complex keeps the two most recent builds.
 The position index of a block, which places boundary terms and chain
 terms alike, is built once, on first use, and kept the same way.
 """
@@ -156,7 +156,9 @@ def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, in
     return totals
 
 
-@lru_cache(maxsize=256)
+# two: the full and the Lyubeznik build of one presentation, all that a
+# command reads again (verify's rings, TorRing); maz reads each star once
+@lru_cache(maxsize=2)
 def taylor_complex(P: Complement, lyubeznik: bool = False) -> TaylorComplex:
     return TaylorComplex(P, lyubeznik)
 

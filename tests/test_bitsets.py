@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from facetor.bitsets import (
     bit_positions,
     full_mask,
+    grow,
     mask_of,
     popcount,
     set_str,
@@ -39,6 +40,31 @@ def test_subsets_count(mask):
     assert len(subs) == 1 << popcount(mask)
     assert len(set(subs)) == len(subs)
     assert all(s & ~mask == 0 for s in subs)
+
+
+def _grows_the_family(union: int, keep) -> None:
+    """grow(union, keep) yields each subset of union that keep holds on
+    once, and nothing else."""
+    grown = list(grow(union, keep))
+    assert len(set(grown)) == len(grown)
+    assert sorted(grown) == sorted(g for g in subsets_of(union) if keep(g))
+
+
+@given(st.integers(0, 255), st.lists(st.integers(0, 255), max_size=6))
+@example(0b1111, [0])
+@example(0b1111, [0b11, 0])
+def test_grow_walks_the_sets_holding_no_member(union, members):
+    _grows_the_family(union, lambda g: all(mem & ~g for mem in members))
+
+
+@given(st.integers(0, 255), st.lists(st.integers(0, 255), max_size=6))
+def test_grow_walks_the_sets_inside_a_facet(union, facets):
+    _grows_the_family(union, lambda g: any(g & ~f == 0 for f in facets))
+
+
+@given(st.integers(0, 255))
+def test_grow_walks_every_subset(union):
+    _grows_the_family(union, lambda g: True)
 
 
 @given(st.integers(0, 255), st.integers(0, 255))

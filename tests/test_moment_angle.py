@@ -21,6 +21,7 @@ from facetor.moment_angle import (
 )
 from facetor.polynomials import padd, pmul
 from facetor.sampling import random_complement
+from facetor.taylor import taylor_complex
 
 from helpers import EX513, FIG1, maz_by_links, nonface_blocks, rp2_complex, s2s1_poincare
 
@@ -94,6 +95,14 @@ class TestSphereCirclePair:
                 assert sub == families[size]
                 total = padd(total, sub)
         assert sum(total.values()) == 216
+
+    def test_matching_keeps_at_most_two_complexes(self):
+        # six disjoint edges on [12]: 3^6 = 729 faces, each with its own
+        # star complex, of which the cache keeps the last two
+        P = Complement(12, tuple(mask_of([2 * i - 1, 2 * i], 12) for i in range(1, 7)))
+        series = maz_cohomology(P, PairSpec.spheres_s2_s1(12), QQ)
+        assert sum(series.values()) == 46_656
+        assert taylor_complex.cache_info().currsize <= 2
 
     def test_wrapper_equals_pair_spec_path(self):
         assert s2s1_poincare(EX513, QQ) == maz_cohomology(EX513, PairSpec.spheres_s2_s1(6), QQ)
