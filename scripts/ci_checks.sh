@@ -6,8 +6,9 @@
 #   bash scripts/ci_checks.sh python -O
 #
 # Runs the tests, the worked examples, three seeded random oracle sweeps,
-# sha256 pins of the 7-cycle, the 8-cycle, an edge on 10 and 12 vertices
-# and six disjoint edges on 12, bounds on the peak memory of the 8-cycle's
+# sha256 pins of the 7-cycle (its ring over Q and F3 too: over F2 a sign
+# of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices and six
+# disjoint edges on 12, bounds on the peak memory of the 8-cycle's
 # ring and of maz on the six edges, and an m = 23 oracle trial under a
 # time bound.  Its input documents live in a temporary directory that is
 # removed on exit.
@@ -53,6 +54,9 @@ pin 5d229dc251efdda34a1fbe983259012e09e0957c9dba7ff184f851e012d6e0c5 "$@" -m fac
 pin ac82452e2c59e2f9c91702eb616b22bc19857ebe0ded908c1241105737d4f1a5 "$@" -m facetor.cli star "$work/c7.json" --omega 1
 pin 41cd0f6a532230b5d1095fc99f8197b7beff49309abb3b713518a478a9b9724e "$@" -m facetor.cli star "$work/c7.json" --omega 1,3
 pin c280570ccd8d49f8377074766e76369e7e785f0bc456d0f6524876447fc84145 "$@" -m facetor.cli verify "$work/c7.json" --all-sigma
+# the ring's products in every sign: F3 tells -1 from +1, as F2 cannot
+pin c412967ac80bd5fdd50b4209eaeb1167d79402c97d8f884af7b82ecabeb41f2c "$@" -m facetor.cli ring "$work/c7.json" --coeff q
+pin e88ca92857f02da2f2f39054c7ae3fb399e7df006b6e3f3a37d3904f995a5892 "$@" -m facetor.cli ring "$work/c7.json" --coeff f:3
 
 # the 8-cycle's ring reads the full 2^20 build, past every pinned input;
 # its tor and maz read most Lyubeznik blocks off their size

@@ -248,25 +248,21 @@ def _cmd_ring(args) -> int:
         basis_lines.append(f"  [{name}] q={tc.q} sigma={set_str(tc.sigma)} deg={deg}")
     prod_payload = []
     prod_lines = ["nonzero products (positive-degree pairs):"]
-    count = 0
     for entry in table:
-        left = ring.class_by_name(entry["left"])
-        if left.q == 0 or ring.class_by_name(entry["right"]).q == 0:
+        if not entry["terms"]:
             continue
-        if entry["terms"]:
-            count += 1
-            combo = " + ".join(
-                (name if c == 1 else f"{c}*{name}") for name, c in entry["terms"]
-            )
-            prod_payload.append(
-                {
-                    "left": entry["left"],
-                    "right": entry["right"],
-                    "terms": [[name, str(c)] for name, c in entry["terms"]],
-                }
-            )
-            prod_lines.append(f"  [{entry['left']}] * [{entry['right']}] = {combo}")
-    if count == 0:
+        if ring.class_by_name(entry["left"]).q == 0 or ring.class_by_name(entry["right"]).q == 0:
+            continue
+        combo = " + ".join((name if c == 1 else f"{c}*{name}") for name, c in entry["terms"])
+        prod_payload.append(
+            {
+                "left": entry["left"],
+                "right": entry["right"],
+                "terms": [[name, str(c)] for name, c in entry["terms"]],
+            }
+        )
+        prod_lines.append(f"  [{entry['left']}] * [{entry['right']}] = {combo}")
+    if not prod_payload:
         prod_lines.append("  (none)")
     payload = {
         "command": "ring",

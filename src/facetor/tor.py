@@ -15,9 +15,12 @@ unless their supports are disjoint, in which case it is represented by
 the exterior product of representative cycles, reduced back to
 coordinates in the target block's basis by the block's linear forms,
 which also reject a product that is not a cycle.  Over Z the product is
-offered only in torsion-free blocks.  The ring laws are checked on the
-product table; associativity is read off it by bilinearity, on every
-triple of pairwise disjoint supports.
+offered only in torsion-free blocks.  The product table forms products
+for the support-disjoint pairs alone and writes every other entry as a
+zero.  The ring laws are checked on those products: graded
+commutativity on each disjoint pair, the unit law on the unit's row,
+and associativity, read off the table by bilinearity, on every triple
+of pairwise disjoint supports.
 """
 
 from __future__ import annotations
@@ -168,49 +171,50 @@ class TorRing:
 
     def product(self, a: TorClass, b: TorClass) -> TorClass:
         q, sigma = a.q + b.q, a.sigma | b.sigma
-        if a.sigma & b.sigma:
-            return self._zero_class(q, sigma)
-        chain = chain_product(a.chain_dict(), b.chain_dict())
+        chain = {} if a.sigma & b.sigma else chain_product(a.chain_dict(), b.chain_dict())
         if not chain:
-            return self._zero_class(q, sigma)
+            return TorClass(q, sigma, (0,) * self.tor.group(q, sigma).rank, ())
         group = self._group(q, sigma)
         vec = self.taylor.chain_vector(chain, sigma, q)
         coords = reduce_cycle(vec, group, self.coeff)
         return TorClass(q, sigma, coords, _chain_key(chain))
 
-    def _zero_class(self, q: int, sigma: int) -> TorClass:
-        rank = self.tor.group(q, sigma).rank
-        return TorClass(q, sigma, (0,) * rank, ())
-
     def multiplication_table(self) -> list[dict]:
         """All pairwise products of basis classes, in basis coordinates.
 
-        Entries are reported for unordered pairs (i <= j); graded
-        commutativity, the unit law, and associativity on basis triples
-        are checked along the way, raising AssertionError on a failure
-        (associativity on the triples of pairwise disjoint supports, as
-        every other triple gives zero on both sides).  Associativity is
-        read off the table by bilinearity:
-        with c the coordinates of i*j, (i*j)*k is the sum of c_l (l*k)
-        over the basis classes l of i*j's block, and i*(j*k) likewise.
+        Entries are reported for unordered pairs (i <= j).  product runs
+        only on the ordered pairs whose supports are disjoint; every
+        other entry is the zero of its block, written without a product.
+        The ring laws are checked on the products, raising AssertionError
+        on a failure: graded commutativity on every disjoint pair, the
+        unit law on the unit's row, and associativity on the basis
+        triples of pairwise disjoint supports, as every other triple
+        gives zero on both sides.  Associativity is read off the table by
+        bilinearity: with c the coordinates of i*j, (i*j)*k is the sum of
+        c_l (l*k) over the basis classes l of i*j's block, and i*(j*k)
+        likewise.
         """
         n = len(self.basis)
-        products: dict[tuple[int, int], TorClass] = {}
-        for i in range(n):
-            for j in range(n):
-                products[(i, j)] = self.product(self.basis[i][1], self.basis[j][1])
+        classes = [tc for _, tc in self.basis]
+        products = {
+            (i, j): self.product(a, b)
+            for i, a in enumerate(classes)
+            for j, b in enumerate(classes)
+            if not a.sigma & b.sigma
+        }
         self._assert_laws(products)
         table = []
-        for i in range(n):
+        for i, (left, a) in enumerate(self.basis):
             for j in range(i, n):
-                result = products[(i, j)]
+                right, b = self.basis[j]
+                result = products.get((i, j))
                 table.append(
                     {
-                        "left": self.basis[i][0],
-                        "right": self.basis[j][0],
-                        "q": result.q,
-                        "sigma": result.sigma,
-                        "terms": self._coords_terms(result),
+                        "left": left,
+                        "right": right,
+                        "q": a.q + b.q,
+                        "sigma": a.sigma | b.sigma,
+                        "terms": [] if result is None else self._coords_terms(result),
                     }
                 )
         return table
@@ -239,15 +243,12 @@ class TorRing:
     def _assert_laws(self, products: dict[tuple[int, int], TorClass]) -> None:
         n = len(self.basis)
         classes = [tc for _, tc in self.basis]
-        for i in range(n):
-            for j in range(n):
-                ab = products[(i, j)]
-                ba = products[(j, i)]
-                sign = -1 if (classes[i].q * classes[j].q) % 2 else 1
-                if ab.coords != self._scaled(ba.coords, sign):
-                    raise AssertionError(
-                        f"graded commutativity fails at ({self.basis[i][0]}, {self.basis[j][0]})"
-                    )
+        for (i, j), ab in products.items():
+            sign = -1 if (classes[i].q * classes[j].q) % 2 else 1
+            if ab.coords != self._scaled(products[(j, i)].coords, sign):
+                raise AssertionError(
+                    f"graded commutativity fails at ({self.basis[i][0]}, {self.basis[j][0]})"
+                )
         if self.basis and classes[0].q == 0 and classes[0].sigma == 0:
             for j in range(n):
                 if products[(0, j)].coords != classes[j].coords:
@@ -261,6 +262,7 @@ class TorRing:
                 for k in positive:
                     if ij.sigma & classes[k].sigma:
                         continue
+                    # i, j and k are pairwise disjoint, so l * k and i * l are in the table
                     jk = products[(j, k)]
                     rank = self.tor.group(ij.q + classes[k].q, ij.sigma | classes[k].sigma).rank
                     left = [products[(l, k)] for l in self._blocks.get((ij.q, ij.sigma), ())]

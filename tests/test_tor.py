@@ -396,6 +396,54 @@ def test_field_table_pinned(P, coeff, digest):
     assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
+_rng = random.Random(2024)
+_TABLE_INPUTS = [FIG1, EX513, _cycle(5), _cycle(6), complement_from_complex(rp2_complex())]
+_TABLE_INPUTS += [random_complement(_rng, 6, 5) for _ in range(20)]
+
+
+@pytest.mark.parametrize(
+    "P", _TABLE_INPUTS, ids=["fig1", "ex513", "c5", "c6", "rp2", *(f"random{k}" for k in range(20))]
+)
+def test_table_entries_are_products(P):
+    # the table forms products on support-disjoint pairs only; every
+    # entry, those it writes as zero included, must read as product does
+    torsion = any(g.torsion for g in tor_bigraded(P, ZZ).entries.values())
+    for coeff in (QQ, PrimeField(2), PrimeField(3)) + (() if torsion else (ZZ,)):
+        ring = TorRing(P, coeff)
+        n = len(ring.basis)
+        table = ring.multiplication_table()
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        assert len(table) == len(pairs)
+        for (i, j), entry in zip(pairs, table):
+            (left, a), (right, b) = ring.basis[i], ring.basis[j]
+            prod = ring.product(a, b)
+            want = {"left": left, "right": right, "q": prod.q, "sigma": prod.sigma, "terms": ring._coords_terms(prod)}
+            assert repr(entry) == repr(want)
+
+
+def test_table_forms_only_support_disjoint_products(monkeypatch):
+    # every other pair is zero by the support condition, so product
+    # runs once per ordered disjoint pair and on nothing else
+    ring = TorRing(_cycle(6), QQ)
+    index = {id(tc): k for k, (_, tc) in enumerate(ring.basis)}
+    calls = Counter()
+    product = TorRing.product
+
+    def counting(self, a, b):
+        calls[(index[id(a)], index[id(b)])] += 1
+        return product(self, a, b)
+
+    monkeypatch.setattr(TorRing, "product", counting)
+    ring.multiplication_table()
+    classes = [tc for _, tc in ring.basis]
+    disjoint = {
+        (i, j): 1 for i, a in enumerate(classes) for j, b in enumerate(classes) if not a.sigma & b.sigma
+    }
+    assert len(classes) ** 2 == 1296
+    assert calls == disjoint
+    assert len(disjoint) == 217
+
+
 def _product_ranks(ring: TorRing) -> dict:
     """Rank over Q of the coordinates of the products of positive-degree
     basis pairs, per target block (q, sigma) and per pair of factor
