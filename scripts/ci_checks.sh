@@ -7,11 +7,13 @@
 #
 # Runs the tests, the worked examples, three seeded random oracle sweeps,
 # sha256 pins of the 7-cycle (its ring over Q and F3 too: over F2 a sign
-# of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices and six
-# disjoint edges on 12, bounds on the peak memory of the 8-cycle's
-# ring and of maz on the six edges, and an m = 23 oracle trial under a
-# time bound.  Its input documents live in a temporary directory that is
-# removed on exit.
+# of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices, six
+# disjoint edges on 12 and the path on 12, bounds on the peak memory of
+# the 8-cycle's ring and of maz on the six edges and the path, the
+# series of joins checked against powers of their parts' series (twelve
+# disjoint edges on 24 under a time bound, and the 7-cycle joined with
+# itself), and an m = 23 oracle trial under a time bound.  Its input
+# documents live in a temporary directory that is removed on exit.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
@@ -73,20 +75,68 @@ peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(f"C8 ring --coeff f:2 peak {peak:.1f} MB")
 sys.exit(peak > 125)' "$work/c8.json" "$@"
 
-# six disjoint edges on [12]: K has 3^6 = 729 faces, and maz builds one
-# star complex per face but keeps at most two, so it peaks within 2 MB
-# of C7's maz; RUSAGE_CHILDREN reads the largest child so far, so the
-# second reading is the larger of the two peaks
+# six disjoint edges on [12]: six join parts of 3 faces each, so maz
+# peaks within 2 MB of C7's maz.  The path [[1,2],...,[11,12]] on [12]
+# is one part with 377 faces: maz builds one star complex per face but
+# keeps at most two, so it peaks within 2 MB of its own zk, which builds
+# the star of the empty face alone (all 377 kept peak near 48 MB).
+# RUSAGE_CHILDREN reads the largest child so far, so each reading is the
+# largest of the peaks up to it
 echo '{"m": 12, "complement": [[1,2],[3,4],[5,6],[7,8],[9,10],[11,12]]}' > "$work/matching12.json"
 pin 71434897cec442c709ef5158742931805a015ce11e46a3a21696610016c86337 "$@" -m facetor.cli maz "$work/matching12.json" --preset s2s1
+"$@" -c 'import json; print(json.dumps({"m": 12, "complement": [[i, i + 1] for i in range(1, 12)]}))' > "$work/path12.json"
+pin 408d2b1a4ab709bb6badcabd057d6504b9cf0048c5a8fa303f2e411f04d804a5 "$@" -m facetor.cli maz "$work/path12.json" --preset s2s1
 "$@" -c '
 import resource, subprocess, sys
-def peak(doc):
-    subprocess.run([*sys.argv[3:], "-m", "facetor.cli", "maz", doc, "--preset", "s2s1"], check=True, stdout=subprocess.DEVNULL)
+def peak(*args):
+    subprocess.run([*sys.argv[4:], "-m", "facetor.cli", *args], check=True, stdout=subprocess.DEVNULL)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-c7, matching = peak(sys.argv[1]), peak(sys.argv[2])
-print(f"maz --preset s2s1 peak: C7 {c7:.1f} MB, matching12 +{matching - c7:.1f} MB")
-sys.exit(matching > c7 + 2)' "$work/c7.json" "$work/matching12.json" "$@"
+c7 = peak("maz", sys.argv[1], "--preset", "s2s1")
+matching = peak("maz", sys.argv[2], "--preset", "s2s1")
+path_zk = peak("zk", sys.argv[3])
+path = peak("maz", sys.argv[3], "--preset", "s2s1")
+print(f"maz --preset s2s1 peak: C7 {c7:.1f} MB, matching12 +{matching - c7:.1f} MB; path12 zk {path_zk:.1f} MB, maz +{path - path_zk:.1f} MB")
+sys.exit(matching > c7 + 2 or path > path_zk + 2)' "$work/c7.json" "$work/matching12.json" "$work/path12.json" "$@"
+
+# power BASE N PYTHON...: the series of the maz or zk --json document on
+# stdin is the N-th power of BASE, a JSON list of [degree, rank] pairs
+power() {
+    local base=$1 n=$2
+    shift 2
+    "$@" -c '
+import json, sys
+def pmul(a, b):
+    out = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, 0) + ca * cb
+    return out
+base, n = dict(json.loads(sys.argv[1])), int(sys.argv[2])
+series = {0: 1}
+for _ in range(n):
+    series = pmul(series, base)
+got = dict(json.load(sys.stdin)["series"])
+if got != series:
+    sys.exit(f"series {got} is not the power {series}")' "$base" "$n"
+}
+
+# a join's series is the product of its parts' series: twelve disjoint
+# edges on [24] against the twelfth power of one edge's series (by hand:
+# s2s1 1 + 2x^2 + 3x^3, d2s1 1 + x^3), and the 7-cycle joined with
+# itself (28 members, past the cap of 24, but 14 in each part) against
+# the square of the 7-cycle's pinned series
+"$@" -c 'import json; print(json.dumps({"m": 24, "complement": [[2 * i - 1, 2 * i] for i in range(1, 13)]}))' > "$work/edges24.json"
+timeout 10 "$@" -m facetor.cli maz "$work/edges24.json" --preset s2s1 --json | power '[[0, 1], [2, 2], [3, 3]]' 12 "$@"
+timeout 10 "$@" -m facetor.cli maz "$work/edges24.json" --preset d2s1 --json | power '[[0, 1], [3, 1]]' 12 "$@"
+"$@" -c '
+import json
+c7 = [[i, j] for i in range(1, 8) for j in range(i + 2, 8) if (i, j) != (1, 7)]
+print(json.dumps({"m": 14, "complement": c7 + [[i + 7, j + 7] for i, j in c7]}))' > "$work/c7c7.json"
+for args in "maz --preset s2s1" "maz --preset d2s1" "zk"; do
+    # word splitting of $args is meant: it holds the subcommand and its options
+    base="$("$@" -m facetor.cli $args "$work/c7.json" --json | "$@" -c 'import json, sys; print(json.dumps(json.load(sys.stdin)["series"]))')"
+    "$@" -m facetor.cli $args "$work/c7c7.json" --json | power "$base" 2 "$@"
+done
 
 # every subset of 10 vertices, all read off one cochain complex on the
 # 256 non-faces inside [10], which are fewer than its 768 faces

@@ -207,6 +207,30 @@ def equivalent(P: Complement, Q: Complement) -> bool:
     )
 
 
+def join_parts(P: Complement) -> list[int]:
+    """Vertex sets of the connected parts of P's members, two members
+    being joined when they share a vertex, ordered by least vertex.
+
+    K is the join of the parts' complexes and a simplex on the vertices
+    in no member.  Parts stay disjoint, so one pass that merges every
+    part a member meets finds them.  An empty member makes K void, and
+    then nothing splits: one part holds every member.
+    """
+    if 0 in P.members:
+        union = 0
+        for mem in P.members:
+            union |= mem
+        return [union]
+    parts: list[int] = []
+    for mem in P.members:
+        met = [part for part in parts if part & mem]
+        for part in met:
+            parts.remove(part)
+            mem |= part
+        parts.append(mem)
+    return sorted(parts, key=lambda part: part & -part)
+
+
 def compress(P: Complement, omega: int) -> Complement:
     """Remove omega from every member, preserving order and multiplicity."""
     check_subset(omega, P.m)

@@ -2,14 +2,22 @@
 of a face's star and link.
 
 The input is a complement plus, for each vertex, the reduced Poincare
-polynomials of a pair (X_i, A_i).  The answer is assembled face by
-face: each face omega contributes its star's Tor, the block homology of
-the omega-compressed complement, shifted by |tau| - q and tensored with
-one reduced X class per vertex of omega and one reduced A class per
-vertex of tau.  Summation is pruned to faces because compressing by a
-non-face puts the empty set into the complement and kills every block.
-The faces, the subsets of [m] that hold no member, are walked straight
-off the members by bitsets.grow, with no facet or face list.
+polynomials of a pair (X_i, A_i).  The members split into the connected
+parts of their overlap graph (complexes.join_parts), and K is the join
+of the parts' complexes and a simplex on the vertices in no member.  A
+polyhedral product over a join is the product of the polyhedral
+products, so over a field the series is the product of the parts'
+series, times the series 1 + X~_v of X_v for each vertex v in no
+member.  A part's series is assembled face by face: each face omega of
+the part contributes its star's Tor, the block homology of the
+omega-compressed members inside the part (ambient m kept, nothing
+relabelled), shifted by |tau| - q and tensored with one reduced X class
+per vertex of omega and one reduced A class per vertex of tau.  The
+terms are summed per tau, and each sum takes its A classes once.
+Summation is pruned to faces because compressing by a non-face puts the
+empty set into the complement and kills every block.  The faces, the
+subsets of the part that hold no member, are walked straight off the
+members by bitsets.grow, with no facet or face list.
 The link's Tor is read off the minimal sets among the compressed
 members and omega's vertices.  Only block ranks enter, so every star
 and link reads its blocks through tor_bigraded, off the Lyubeznik
@@ -27,6 +35,7 @@ from .complexes import (
     Complement,
     complex_from_complement,  # unused here; perfbench/tracer.py patches it by this name
     compress,
+    join_parts,
     minimalize,
 )
 from .linalg import CoefficientSpec, HomologyGroup, ZERO_GROUP, is_field
@@ -83,28 +92,50 @@ class PairSpec:
 
 
 def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Poly:
-    """Graded dimensions of the moment-angle cohomology, degree -> rank."""
+    """Graded dimensions of the moment-angle cohomology, degree -> rank:
+    the product of the join parts' series, times 1 + X~_v for each
+    vertex v in no member."""
     if not is_field(coeff):
         raise ValueError("graded dimensions need field coefficients")
     if pairs.m != P.m:
         raise ValueError(f"pair spec covers {pairs.m} vertices, ambient is {P.m}")
-    acc: Poly = {}
-    for omega in grow(full_mask(P.m), lambda g: all(mem & ~g for mem in P.members)):
-        tor = star_tor(P, omega, coeff)
+    series: Poly = {0: 1}
+    cone = full_mask(P.m)
+    for part in join_parts(P):
+        cone &= ~part
+        series = pmul(series, _part_series(P, part, pairs, coeff))
+    for v in vertices(cone):
+        series = pmul(series, padd({0: 1}, pairs.x_poly(v - 1)))
+    return dict(sorted(series.items()))
+
+
+def _part_series(P: Complement, part: int, pairs: PairSpec, coeff: CoefficientSpec) -> Poly:
+    """The series of one join part: each of its faces omega adds, per
+    block (q, tau) of its star's Tor, rank x^(|tau| - q) X~_omega A~_tau.
+    The terms are summed per tau, and each sum is multiplied by A~_tau
+    once."""
+    inside = Complement(P.m, tuple(mem for mem in P.members if mem & ~part == 0))
+    by_tau: dict[int, Poly] = {}
+    for omega in grow(part, lambda g: all(mem & ~g for mem in inside.members)):
+        tor = star_tor(inside, omega, coeff)
         x_factor: Poly = {0: 1}
         for v in vertices(omega):
             x_factor = pmul(x_factor, pairs.x_poly(v - 1))
         if not x_factor:
             continue
-        rest = full_mask(P.m) & ~omega
         for (q, tau), group in tor.entries.items():
-            if tau & ~rest:
+            if tau & omega:
                 raise AssertionError("block support meets the compressed face")
-            contrib = pmul({popcount(tau) - q: group.rank}, x_factor)
-            for v in vertices(tau):
-                contrib = pmul(contrib, pairs.a_poly(v - 1))
-            acc = padd(acc, contrib)
-    return dict(sorted(acc.items()))
+            shift = popcount(tau) - q
+            terms = by_tau.setdefault(tau, {})
+            for deg, rank in x_factor.items():
+                terms[deg + shift] = terms.get(deg + shift, 0) + group.rank * rank
+    series: Poly = {}
+    for tau, terms in by_tau.items():
+        for v in vertices(tau):
+            terms = pmul(terms, pairs.a_poly(v - 1))
+        series = padd(series, terms)
+    return series
 
 
 def star_tor(P: Complement, omega: int, coeff: CoefficientSpec) -> BigradedTor:

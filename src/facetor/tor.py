@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import popcount, sort_key
-from .complexes import Complement
+from .complexes import Complement, join_parts
 from .linalg import (
     CoefficientSpec,
     HomologyBasis,
@@ -38,6 +38,7 @@ from .linalg import (
     is_field,
     reduce_cycle,
 )
+from .polynomials import pmul
 from .taylor import Chain, TaylorComplex, chain_product, taylor_complex
 
 
@@ -76,13 +77,22 @@ def tor_bigraded(P: Complement, coeff: CoefficientSpec) -> BigradedTor:
 
 
 def zk_poincare(P: Complement, coeff: CoefficientSpec) -> dict[int, int]:
-    """Poincare polynomial sum(rank * x^(2|sigma| - q)) as degree -> rank."""
+    """Poincare polynomial sum(rank * x^(2|sigma| - q)) as degree -> rank.
+
+    K is the join of its parts' complexes (complexes.join_parts) and a
+    simplex, and the Tor of a join is the tensor product of the parts'
+    Tor, so the series is the product of the parts' series; the simplex
+    contributes 1."""
     if not is_field(coeff):
         raise ValueError("Poincare polynomials need field coefficients")
-    series: dict[int, int] = {}
-    for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
-        deg = 2 * popcount(sigma) - q
-        series[deg] = series.get(deg, 0) + group.rank
+    series: dict[int, int] = {0: 1}
+    for part in join_parts(P):
+        inside = Complement(P.m, tuple(mem for mem in P.members if mem & ~part == 0))
+        part_series: dict[int, int] = {}
+        for (q, sigma), group in tor_bigraded(inside, coeff).entries.items():
+            deg = 2 * popcount(sigma) - q
+            part_series[deg] = part_series.get(deg, 0) + group.rank
+        series = pmul(series, part_series)
     return dict(sorted(series.items()))
 
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +16,7 @@ from facetor import (
     star,
 )
 from facetor.bitsets import full_mask, mask_of, sort_key
-from facetor.complexes import minimal_transversals
+from facetor.complexes import join_parts, minimal_transversals
 
 from helpers import (
     EX513,
@@ -149,6 +151,31 @@ class TestCompress:
     def test_keeps_order_and_multiplicity(self):
         P = Complement(4, (0b0011, 0b0011, 0b1100))
         assert compress(P, 0b0001).members == (0b0010, 0b0010, 0b1100)
+
+
+class TestJoinParts:
+    def test_empty_member_keeps_one_part(self):
+        P = Complement.from_vertex_lists(5, [[1, 2], [], [4]])
+        assert join_parts(P) == [mask_of([1, 2, 4], 5)]
+        assert join_parts(Complement(3, (0,))) == [0]
+
+    def test_connected_members_are_one_part(self):
+        assert join_parts(FIG1) == [full_mask(5)]
+
+    def test_cone_vertices_only(self):
+        assert join_parts(Complement(4, ())) == []
+
+    def test_parts_ordered_by_least_vertex(self):
+        P = Complement.from_vertex_lists(8, [[5, 6], [1, 7], [2, 3], [3, 4]])
+        assert join_parts(P) == [mask_of([1, 7], 8), mask_of([2, 3, 4], 8), mask_of([5, 6], 8)]
+        assert join_parts(EX513) == [0b000011, 0b001100, 0b110000]
+
+    def test_member_order_does_not_matter(self):
+        # [2, 3] meets two parts only once both are found: the pass merges them
+        lists = [[1, 2], [3, 4], [2, 3], [6, 7], [7]]
+        want = [mask_of([1, 2, 3, 4], 7), mask_of([6, 7], 7)]
+        for order in permutations(lists):
+            assert join_parts(Complement.from_vertex_lists(7, order)) == want
 
 
 class TestFullSubcomplex:

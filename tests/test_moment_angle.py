@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from facetor import (
     Complement,
@@ -11,7 +12,7 @@ from facetor import (
     tor_bigraded,
     zk_poincare,
 )
-from facetor.bitsets import full_mask, mask_of, popcount, vertices
+from facetor.bitsets import bit_positions, full_mask, mask_of, popcount, vertices
 from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.moment_angle import (
     PairSpec,
@@ -97,11 +98,20 @@ class TestSphereCirclePair:
         assert sum(total.values()) == 216
 
     def test_matching_keeps_at_most_two_complexes(self):
-        # six disjoint edges on [12]: 3^6 = 729 faces, each with its own
-        # star complex, of which the cache keeps the last two
+        # six disjoint edges on [12]: six join parts of 3 faces each,
+        # each face with its own star complex, of which the cache keeps
+        # the last two
         P = Complement(12, tuple(mask_of([2 * i - 1, 2 * i], 12) for i in range(1, 7)))
         series = maz_cohomology(P, PairSpec.spheres_s2_s1(12), QQ)
         assert sum(series.values()) == 46_656
+        assert taylor_complex.cache_info().currsize <= 2
+
+    def test_path_keeps_at_most_two_complexes(self):
+        # the path's complement [[1,2],[2,3],...,[11,12]] on [12] is one
+        # part with 377 faces, each with its own star complex
+        P = Complement(12, tuple(mask_of([i, i + 1], 12) for i in range(1, 12)))
+        series = maz_cohomology(P, PairSpec.spheres_s2_s1(12), QQ)
+        assert sum(series.values()) == 47_458
         assert taylor_complex.cache_info().currsize <= 2
 
     def test_wrapper_equals_pair_spec_path(self):
@@ -166,6 +176,55 @@ class TestClassicalCorollaries:
 
     def test_void_complement_gives_nothing(self):
         assert maz_cohomology(Complement(2, (0,)), PairSpec.spheres_s2_s1(2), QQ) == {}
+
+
+@st.composite
+def joins(draw):
+    """A join on at most 7 vertices: each vertex is drawn into one of
+    three blocks or left as a cone vertex, so the labels interleave, and
+    each block holds 1-2 drawn non-empty members, in a drawn order."""
+    m = draw(st.integers(2, 7))
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    members = []
+    for block in range(3):
+        verts = [v for v in range(m) if labels[v] == block]
+        for _ in range(draw(st.integers(1, 2)) if verts else 0):
+            picked = draw(st.integers(1, (1 << len(verts)) - 1))
+            members.append(sum(1 << verts[b] for b in bit_positions(picked)))
+    return Complement(m, tuple(draw(st.permutations(members))))
+
+
+# RP^2 on [6], joined with the edge {7, 8}
+RP2_JOIN_EDGE = Complement(8, RP2.members + (mask_of([7, 8], 8),))
+FIELDS = st.sampled_from([QQ, PrimeField(2)])
+
+
+class TestJoins:
+    @given(joins(), st.randoms(use_true_random=False), FIELDS)
+    @example(RP2_JOIN_EDGE, random.Random(3), QQ)
+    @example(RP2_JOIN_EDGE, random.Random(3), PrimeField(2))
+    def test_maz_is_the_link_sum(self, P, rng, coeff):
+        pairs = _random_pairs(rng, P.m)
+        assert maz_cohomology(P, pairs, coeff) == maz_by_links(P, pairs, coeff)
+
+    @given(joins(), FIELDS)
+    @example(RP2_JOIN_EDGE, QQ)
+    @example(RP2_JOIN_EDGE, PrimeField(2))
+    def test_zk_is_the_unsplit_series(self, P, coeff):
+        want = {}
+        for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
+            want = padd(want, {2 * popcount(sigma) - q: group.rank})
+        assert zk_poincare(P, coeff) == dict(sorted(want.items()))
+
+    def test_parts_within_the_member_cap(self):
+        # C7 * C7 has 28 members, past the cap of 24, but 14 in each part
+        c7 = [mask_of([i, j], 7) for i in range(1, 8) for j in range(i + 2, 8) if (i, j) != (1, 7)]
+        P = Complement(14, tuple(c7) + tuple(mem << 7 for mem in c7))
+        C7 = Complement(7, tuple(c7))
+        assert zk_poincare(P, QQ) == pmul(zk_poincare(C7, QQ), zk_poincare(C7, QQ))
+        for preset in (PairSpec.spheres_s2_s1, PairSpec.disks_d2_s1):
+            series = maz_cohomology(C7, preset(7), QQ)
+            assert maz_cohomology(P, preset(14), QQ) == pmul(series, series)
 
 
 class TestStarTor:
