@@ -19,13 +19,13 @@ except ImportError:
     import facetor  # noqa: F401
 
 from facetor import (
+    CochainComplex,
     Complement,
     QQ,
     ZZ,
     SimplicialComplex,
     TorRing,
     complement_from_complex,
-    reduced_cohomology,
     set_str,
     taylor_complex,
     tor_bigraded,
@@ -79,7 +79,7 @@ def projective_plane():
     P = complement_from_complex(K)
     print("  missing faces:", [list(vertices(m)) for m in P.members])
     block = taylor_complex(P).block_homology(full_mask(6), 3, ZZ)
-    oracle = reduced_cohomology(K, 2, ZZ)
+    oracle = CochainComplex(K).cohomology(2, ZZ)
     print(f"  block (q=3, sigma=[6]) over Z: {block}")
     print(f"  independent cohomology in degree 2 over Z: {oracle}")
 

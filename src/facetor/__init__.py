@@ -16,13 +16,12 @@ from .complexes import (
     complement_from_complex,
     complex_from_complement,
     compress,
-    equivalent,
     full_subcomplex,
     link,
     minimalize,
     star,
 )
-from .hochster import CochainComplex, compare_blocks, reduced_cohomology
+from .hochster import CochainComplex, compare_blocks
 from .linalg import (
     QQ,
     ZZ,
@@ -35,7 +34,6 @@ from .linalg import (
     Rationals,
     homology_at,
     reduce_cycle,
-    smith_normal_form,
 )
 from .moment_angle import PairSpec, link_cohomology, link_tor, maz_cohomology, star_tor
 from .taylor import (
@@ -70,7 +68,6 @@ __all__ = [
     "complement_from_complex",
     "complex_from_complement",
     "compress",
-    "equivalent",
     "full_mask",
     "full_subcomplex",
     "homology_at",
@@ -82,9 +79,7 @@ __all__ = [
     "minimalize",
     "popcount",
     "reduce_cycle",
-    "reduced_cohomology",
     "set_str",
-    "smith_normal_form",
     "star",
     "star_tor",
     "taylor_complex",

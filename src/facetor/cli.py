@@ -104,16 +104,14 @@ def load_pairs(path: str, m: int) -> PairSpec:
         raise InputError(f"{path}: expected a JSON list of {{'X': ..., 'A': ...}} entries")
     if len(doc) != m:
         raise InputError(f"pairs: expected {m} entries, got {len(doc)}")
-    xs, ans = [], []
+    polys: dict[str, list] = {"X": [], "A": []}
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or set(entry) - {"X", "A"}:
             raise InputError(f"pairs[{i}]: expected an object with keys 'X' and 'A'")
-        side_out = []
-        for key in ("X", "A"):
+        for key, side in polys.items():
             pairs = entry.get(key, [])
             if not isinstance(pairs, list):
                 raise InputError(f"pairs[{i}].{key}: expected a list of [degree, rank]")
-            parsed = []
             for j, dr in enumerate(pairs):
                 if (
                     not isinstance(dr, list)
@@ -121,18 +119,12 @@ def load_pairs(path: str, m: int) -> PairSpec:
                     or not all(isinstance(x, int) and not isinstance(x, bool) for x in dr)
                 ):
                     raise InputError(f"pairs[{i}].{key}[{j}]: expected [degree, rank]")
-                deg, rank = dr
-                if deg < 1:
-                    raise InputError(f"pairs[{i}].{key}[{j}]: degree {deg} must be >= 1")
-                if rank < 0:
-                    raise InputError(f"pairs[{i}].{key}[{j}]: rank {rank} must be >= 0")
-                if any(deg == d for d, _ in parsed):
-                    raise InputError(f"pairs[{i}].{key}[{j}]: degree {deg} is repeated")
-                parsed.append((deg, rank))
-            side_out.append(tuple(parsed))
-        xs.append(side_out[0])
-        ans.append(side_out[1])
-    return PairSpec(tuple(xs), tuple(ans))
+            side.append(tuple(map(tuple, pairs)))
+    # PairSpec checks the values: degrees >= 1 and distinct, ranks >= 0
+    try:
+        return PairSpec(tuple(polys["X"]), tuple(polys["A"]))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _parse_coeff(text: str) -> CoefficientSpec:

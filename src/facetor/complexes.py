@@ -99,14 +99,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    @property
-    def is_empty_complex(self) -> bool:
-        return self.facets == (0,)
-
-    def has_face(self, tau: int) -> bool:
-        check_subset(tau, self.m)
-        return any(tau & ~f == 0 for f in self.facets)
-
     def faces(self) -> list[int]:
         """All faces, sorted by (cardinality, lex).  Empty for VOID."""
         seen: set[int] = set()
@@ -192,19 +184,6 @@ def complement_from_complex(K: SimplicialComplex) -> Complement:
 def minimalize(P: Complement) -> Complement:
     """Drop duplicate members and members containing another member."""
     return Complement(P.m, tuple(_minimal_antichain(P.members)))
-
-
-def equivalent(P: Complement, Q: Complement) -> bool:
-    """Do P and Q generate the same square-free monomial ideal?
-
-    Containment criterion: every member of each must contain some
-    member of the other.
-    """
-    if P.m != Q.m:
-        raise ValueError(f"ambient mismatch: {P.m} != {Q.m}")
-    return all(any(q & ~p == 0 for q in Q.members) for p in P.members) and all(
-        any(p & ~q == 0 for p in P.members) for q in Q.members
-    )
 
 
 def join_parts(P: Complement) -> list[int]:

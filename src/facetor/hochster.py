@@ -182,10 +182,6 @@ class CochainComplex:
         # kept only once every pair has passed its check
         self._sigma, self._sigma_sizes, self._sigma_factors = sigma, sizes, factors
 
-    def euler_characteristic(self) -> int:
-        """Reduced Euler characteristic, alternating sum over n >= -1."""
-        return sum((-1 if n % 2 else 1) * len(fs) for n, fs in self.faces.items())
-
 
 def _family_within(members: Iterable[int], union: int, relative: bool | None) -> tuple[list[int], bool]:
     """The faces of the members' complex inside union (relative False),
@@ -208,10 +204,6 @@ def _family_within(members: Iterable[int], union: int, relative: bool | None) ->
     else:
         found = list(families[relative])
     return ([union ^ g for g in found] if relative else found), relative
-
-
-def reduced_cohomology(K: SimplicialComplex, n: int, coeff: CoefficientSpec) -> HomologyGroup:
-    return CochainComplex(K).cohomology(n, coeff)
 
 
 def compare_blocks(

@@ -214,7 +214,7 @@ class _SnfState:
     needs one side; skipping the updates matters on the larger blocks.
     """
 
-    def __init__(self, M: Matrix, track_u: bool = True, track_v: bool = True):
+    def __init__(self, M: Matrix, track_u: bool, track_v: bool):
         self.nr = M.nrows
         self.nc = M.ncols
         self.d = M.rows
@@ -342,24 +342,11 @@ def _check_invariant_factors(diag: Sequence[int]) -> None:
         raise AssertionError(f"invariant factors out of order: {diag}")
 
 
-def _snf_state(M: Matrix, track_u: bool = True, track_v: bool = True) -> tuple[_SnfState, int]:
+def _snf_state(M: Matrix, track_u: bool, track_v: bool) -> tuple[_SnfState, int]:
     st = _SnfState(M, track_u, track_v)
     rank = st.diagonalize()
     _check_invariant_factors([st.d[i][i] for i in range(rank)])
     return st, rank
-
-
-def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """(U, D, V) with U M V = D diagonal, d_1 | d_2 | ..., U and V unimodular."""
-    st, _ = _snf_state(M)
-    U = Matrix(M.nrows, M.nrows, st.u)
-    D = Matrix(M.nrows, M.ncols, st.d)
-    V = Matrix(M.ncols, M.ncols, st.v)
-    if __debug__ and M.nrows <= 40 and M.ncols <= 40:
-        assert (U @ M) @ V == D
-        assert Matrix(M.nrows, M.nrows, st.uinv) @ U == Matrix.identity(M.nrows)
-        assert V @ Matrix(M.ncols, M.ncols, st.vinv) == Matrix.identity(M.ncols)
-    return U, D, V
 
 
 def _eliminate_units(rows: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> int:
@@ -666,7 +653,7 @@ def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homo
 
 def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     n = d_out.ncols
-    st, rank_out = _snf_state(d_out, track_u=False)
+    st, rank_out = _snf_state(d_out, track_u=False, track_v=True)
     # z = V (Vinv z), and d_out V is zero beyond its first rank_out
     # columns, which are independent: z is a cycle exactly when the first
     # rank_out entries of Vinv z vanish, and the others are its
@@ -678,7 +665,7 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     # spanned by multiples of the first rank_in columns of Uinv2, and the
     # class of x has coordinate (U2 x)_j on the column j beyond them,
     # whose image under the kernel columns of V is its representative
-    st2, rank_in = _snf_state(X, track_v=False)
+    st2, rank_in = _snf_state(X, track_u=True, track_v=False)
     torsion = tuple(d for d in (st2.d[i][i] for i in range(rank_in)) if d > 1)
     forms = Matrix(k - rank_in, k, st2.u[rank_in:]) @ kernel_forms
     kernel_cols = Matrix(n, k, [row[rank_out:] for row in st.v])

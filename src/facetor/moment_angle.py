@@ -54,17 +54,19 @@ class PairSpec:
     a_polys: tuple[tuple[DegreeRank, ...], ...]
 
     def __post_init__(self) -> None:
+        """Checks each pair in order, vertex by vertex, X before A; a
+        message names the pair as pairs[i].X[j] or pairs[i].A[j]."""
         if len(self.x_polys) != len(self.a_polys):
             raise ValueError("X and A lists must have the same length")
-        for side in (self.x_polys, self.a_polys):
-            for poly in side:
-                for k, (deg, rank) in enumerate(poly):
+        for i, polys in enumerate(zip(self.x_polys, self.a_polys)):
+            for key, poly in zip("XA", polys):
+                for j, (deg, rank) in enumerate(poly):
                     if deg < 1:
-                        raise ValueError(f"reduced degree must be >= 1, got {deg}")
+                        raise ValueError(f"pairs[{i}].{key}[{j}]: degree {deg} must be >= 1")
                     if rank < 0:
-                        raise ValueError(f"rank must be >= 0, got {rank}")
-                    if any(deg == d for d, _ in poly[:k]):
-                        raise ValueError(f"degree {deg} is repeated")
+                        raise ValueError(f"pairs[{i}].{key}[{j}]: rank {rank} must be >= 0")
+                    if any(deg == d for d, _ in poly[:j]):
+                        raise ValueError(f"pairs[{i}].{key}[{j}]: degree {deg} is repeated")
 
     @property
     def m(self) -> int:

@@ -68,9 +68,6 @@ class BigradedTor:
     def total_rank(self) -> int:
         return sum(g.rank for g in self.entries.values())
 
-    def signature(self) -> dict[tuple[int, int], tuple]:
-        return {key: g.signature for key, g in self.entries.items()}
-
 
 def tor_bigraded(P: Complement, coeff: CoefficientSpec) -> BigradedTor:
     return BigradedTor(P, coeff)
@@ -109,10 +106,6 @@ class TorClass:
     sigma: int
     coords: tuple
     chain: tuple[tuple[int, int], ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def chain_dict(self) -> Chain:
         return dict(self.chain)
@@ -175,9 +168,6 @@ class TorRing:
 
     def class_by_name(self, name: str) -> TorClass:
         return self.basis[self._name_index[name]][1]
-
-    def unit(self) -> TorClass:
-        return self.basis[0][1] if self.basis else TorClass(0, 0, (), ())
 
     def product(self, a: TorClass, b: TorClass) -> TorClass:
         q, sigma = a.q + b.q, a.sigma | b.sigma

@@ -6,14 +6,16 @@ independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full differential,
 the (S^2, S^1) series, the accessors only tests read (field_rank,
 total_subset, generator_set, boundary_matrices, boundary_column,
-full_signature), the reduced differential from its definition, the
-redundant-presentation strategy, the moment-angle series summed over
-links without a Taylor complex, the per-bit loop the
-bitset tables replaced, compare_blocks with one full subcomplex
+full_signature, signature, has_face), the ideal-equivalence check
+equivalent, reduced_cohomology off the cochain complex on a complex's
+faces, the tracked dense smith_normal_form that the invariant-factor
+kernel is checked against, the reduced differential from its
+definition, the redundant-presentation strategy, the moment-angle
+series summed over links without a Taylor complex, the per-bit loop
+the bitset tables replaced, compare_blocks with one full subcomplex
 built per sigma, and the field RREF that turned every entry over Q
-into a Fraction.  Helpers return
-values or raise and never check with a bare assert, which python -O
-would strip outside test modules.
+into a Fraction.  Helpers return values or raise and never check with
+a bare assert, which python -O would strip outside test modules.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from facetor import (
     link,
     tor_bigraded,
 )
-from facetor.bitsets import bit_positions, full_mask, popcount, sort_key, vertices
+from facetor.bitsets import bit_positions, check_subset, full_mask, popcount, sort_key, vertices
 from facetor.hochster import CochainComplex, check_all_sigma
-from facetor.linalg import ZERO_GROUP, Matrix, _rref, _subtract, is_field
+from facetor.linalg import ZERO_GROUP, HomologyGroup, Matrix, _rref, _snf_state, _subtract, is_field
 from facetor.moment_angle import PairSpec
 from facetor.polynomials import padd, pmul
 from facetor.taylor import TaylorComplex, taylor_complex
+from facetor.tor import BigradedTor
 
 # pentagon-with-two-triangles complex on 5 vertices
 FIG1 = Complement.from_vertex_lists(5, [[1, 5], [2, 4], [1, 2, 3], [3, 4, 5]])
@@ -86,6 +89,25 @@ def brute_force_faces(P: Complement) -> list[int]:
     return sorted(out, key=sort_key)
 
 
+def equivalent(P: Complement, Q: Complement) -> bool:
+    """Do P and Q generate the same square-free monomial ideal?
+
+    Containment criterion: every member of each must contain some
+    member of the other.
+    """
+    if P.m != Q.m:
+        raise ValueError(f"ambient mismatch: {P.m} != {Q.m}")
+    return all(any(q & ~p == 0 for q in Q.members) for p in P.members) and all(
+        any(p & ~q == 0 for p in P.members) for q in Q.members
+    )
+
+
+def has_face(K: SimplicialComplex, tau: int) -> bool:
+    """Does some facet of K hold tau?  Never, for the VOID complex."""
+    check_subset(tau, K.m)
+    return any(tau & ~f == 0 for f in K.facets)
+
+
 def bit_loop_positions(mask: int) -> tuple[int, ...]:
     """0-based set-bit positions, ascending, one lowest bit at a time."""
     out = []
@@ -120,14 +142,19 @@ def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> 
     return out
 
 
+def reduced_cohomology(K: SimplicialComplex, n: int, coeff) -> HomologyGroup:
+    """Reduced H^n(K) over coeff, off the cochain complex on K's faces."""
+    return CochainComplex(K).cohomology(n, coeff)
+
+
 def brute_force_minimal_nonfaces(K: SimplicialComplex) -> list[int]:
     """Minimal non-faces by scanning all of 2^[m]."""
-    nonfaces = [tau for tau in range(1 << K.m) if not K.has_face(tau)]
+    nonfaces = [tau for tau in range(1 << K.m) if not has_face(K, tau)]
     minimal = []
     for tau in nonfaces:
         proper_subsets_are_faces = True
         for b in range(K.m):
-            if tau >> b & 1 and not K.has_face(tau & ~(1 << b)):
+            if tau >> b & 1 and not has_face(K, tau & ~(1 << b)):
                 proper_subsets_are_faces = False
                 break
         if proper_subsets_are_faces:
@@ -199,6 +226,11 @@ def full_signature(P: Complement, coeff) -> dict:
     return out
 
 
+def signature(tor: BigradedTor) -> dict:
+    """(q, sigma) -> (rank, torsion) of every nonzero block of tor."""
+    return {key: g.signature for key, g in tor.entries.items()}
+
+
 def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
     """Reduced row echelon form over F_p, or over Q when p == 0, of the
     matrix with these sparse rows, which are left unchanged.
@@ -228,6 +260,25 @@ def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
 
 def field_rank(M: Matrix, coeff) -> int:
     return len(_rref(M._entries, coeff.p))
+
+
+def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(U, D, V) with U M V = D diagonal, d_1 | d_2 | ..., U and V
+    unimodular: the tracked dense SNF the invariant-factor kernel is
+    checked against.  Up to 40 x 40, U M V = D and the tracked inverses
+    of U and V are checked too, raising AssertionError."""
+    st, _ = _snf_state(M, track_u=True, track_v=True)
+    U = Matrix(M.nrows, M.nrows, st.u)
+    D = Matrix(M.nrows, M.ncols, st.d)
+    V = Matrix(M.ncols, M.ncols, st.v)
+    if M.nrows <= 40 and M.ncols <= 40:
+        if (U @ M) @ V != D:
+            raise AssertionError("U M V != D")
+        if Matrix(M.nrows, M.nrows, st.uinv) @ U != Matrix.identity(M.nrows):
+            raise AssertionError("Uinv U != I")
+        if V @ Matrix(M.ncols, M.ncols, st.vinv) != Matrix.identity(M.ncols):
+            raise AssertionError("V Vinv != I")
+    return U, D, V
 
 
 def full_differential(tc: TaylorComplex, t: dict) -> dict:
@@ -302,7 +353,7 @@ def nonface_blocks(P: Complement, coeff) -> dict:
     K = complex_from_complement(P)
     out = {}
     for omega in range(1 << P.m):
-        if not K.has_face(omega):
+        if not has_face(K, omega):
             entries = tor_bigraded(compress(P, omega), coeff).entries
             if entries:
                 out[omega] = entries

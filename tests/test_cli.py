@@ -211,6 +211,17 @@ class TestMaz:
         assert out == ""
         assert f"pairs[0].{key}[2]" in err and "repeated" in err
 
+    def test_shape_checked_before_values(self, capsys, tmp_path):
+        # the document's shape is read whole before PairSpec checks the
+        # values, so a later malformed pair is named ahead of a bad degree
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"m": 2, "complement": [[1, 2]]}))
+        ppath = tmp_path / "pairs.json"
+        ppath.write_text(json.dumps([{"X": [[0, 1]], "A": []}, {"X": [], "A": [[1]]}]))
+        code, out, err = run(capsys, "maz", str(path), "--pairs", str(ppath))
+        assert (code, out) == (2, "")
+        assert "pairs[1].A[0]: expected [degree, rank]" in err
+
 
 class TestCompress:
     def test_document_round_trip(self, capsys, fig1_path):

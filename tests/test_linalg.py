@@ -20,13 +20,12 @@ from facetor.linalg import (
     homology_at,
     homology_representatives,
     reduce_cycle,
-    smith_normal_form,
     snf_diagonal,
     _PRIME_LIMIT,
     _rref,
 )
 
-from helpers import EX513, FIG1, bareiss_determinant, field_rank, fraction_rref, random_matrix
+from helpers import EX513, FIG1, bareiss_determinant, field_rank, fraction_rref, random_matrix, smith_normal_form
 
 
 def int_matrices(max_dim=6, bound=9, entries=None):
@@ -248,7 +247,7 @@ def _chain_pair(rng, n_mid=5):
     a = rng.randint(0, 4)
     b = rng.randint(0, 4)
     d_out = Matrix(a, n_mid, [[rng.randint(-3, 3) for _ in range(n_mid)] for _ in range(a)])
-    st_, rank = _snf_state(d_out)
+    st_, rank = _snf_state(d_out, track_u=False, track_v=True)
     ker = [[st_.v[i][j] for i in range(n_mid)] for j in range(rank, n_mid)]
     in_rows = [[0] * b for _ in range(n_mid)]
     for j in range(b):
