@@ -5,9 +5,9 @@
 #   bash scripts/ci_checks.sh python
 #   bash scripts/ci_checks.sh python -O
 #
-# Runs the tests, the worked examples, three seeded random oracle sweeps,
-# sha256 pins of the 7-cycle (its ring over Q and F3 too: over F2 a sign
-# of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices, six
+# Runs the tests, the benchmark's tests, the worked examples, three
+# seeded random oracle sweeps, sha256 pins of the 7-cycle (its ring over
+# Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices, six
 # disjoint edges on 12 and the path on 12, bounds on the peak memory of
 # the 8-cycle's ring and of maz on the six edges and the path, the
 # series of joins checked against powers of their parts' series (twelve
@@ -35,6 +35,8 @@ pin() {
 }
 
 "$@" -m pytest -q --durations=15
+# the benchmark's own checks: its golden gate, and the spans and counters it reads
+"$@" -m pytest perfbench -q
 "$@" scripts/worked_examples.py
 "$@" -m facetor.cli verify --random --trials 50 --seed 7 --max-m 7 --max-s 5
 "$@" -m facetor.cli verify --random --trials 30 --seed 7 --max-m 8 --max-s 24

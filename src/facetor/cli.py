@@ -338,9 +338,15 @@ def _sig_json(sig) -> dict:
 
 def _render_verify_results(results, as_json: bool, header: dict) -> int:
     names = [str(c) for c in VERIFY_COEFFS]
-    failed = [b for b in results if not _agrees(b[2])]
-    # a failing block has a nonzero side, so it is always shown
-    shown = [b for b in results if any(sig != (0, ()) for pair in b[2] for sig in pair)]
+    shown = []  # (q, sigma, pairs, ok) of the blocks with a nonzero side
+    failed = 0
+    for q, sigma, pairs in results:
+        ok = _agrees(pairs)
+        if not ok:
+            failed += 1  # a failing block has a nonzero side, so it is always shown
+        elif all(left == (0, ()) for left, _ in pairs):
+            continue  # both sides agree, so both are zero
+        shown.append((q, sigma, pairs, ok))
     if as_json:
         blocks = [
             {
@@ -350,32 +356,33 @@ def _render_verify_results(results, as_json: bool, header: dict) -> int:
                     name: {"left": _sig_json(left), "right": _sig_json(right)}
                     for name, (left, right) in zip(names, pairs)
                 },
-                "ok": _agrees(pairs),
+                "ok": ok,
             }
-            for q, sigma, pairs in shown
+            for q, sigma, pairs, ok in shown
         ]
         payload = dict(header)
-        payload.update(
-            {"coeffs": names, "blocks": blocks, "checked": len(results), "failed": len(failed)}
-        )
+        payload.update({"coeffs": names, "blocks": blocks, "checked": len(results), "failed": failed})
         print(json.dumps(payload, indent=2))
     else:
-        for q, sigma, pairs in shown:
-            ok = _agrees(pairs)
+        lines = []
+        for q, sigma, pairs, ok in shown:
             detail = ", ".join(
                 f"{name}:{_group_str(left)}" + ("" if ok else f"|oracle:{_group_str(right)}")
                 for name, (left, right) in zip(names, pairs)
             )
-            print(f"{'PASS' if ok else 'FAIL'} q={q} sigma={set_str(sigma)} [{detail}]")
-        print(
+            lines.append(f"{'PASS' if ok else 'FAIL'} q={q} sigma={set_str(sigma)} [{detail}]")
+        lines.append(
             f"checked {len(results)} (q, sigma) blocks over "
             + ", ".join(names)
-            + f": {len(results) - len(failed)} passed, {len(failed)} failed"
+            + f": {len(results) - failed} passed, {failed} failed"
         )
+        print("\n".join(lines))
     return 4 if failed else 0
 
 
 def _cmd_verify(args) -> int:
+    if args.random and args.input:
+        raise InputError("use either an input file or --random, not both")
     if args.random:
         if args.all_sigma:
             check_all_sigma(args.max_m)

@@ -19,7 +19,13 @@ d_in it was last checked against, so the product d_out @ d_in that
 proves a pair is a chain complex is taken once per pair, not once per
 ring, and not at all when either map is zero.  homology_at is that
 check followed by group_from_factors, which reads the group off the two
-maps' factors and serves restrictions too.  Cycle representatives are
+maps' factors and serves restrictions too; with no factors on either
+side the group is free on the middle term, ZERO_GROUP when that is
+empty.  A HomologyGroup is an immutable value in two slots, rank and
+torsion, which its constructor fills through their slot descriptors,
+the cheapest route, since every block read builds one; setting a field
+raises AttributeError, so ZERO_GROUP and the groups that BigradedTor
+keeps are shared safely.  Cycle representatives are
 separate, for the product structure alone; they use the dense Smith
 normal form with explicit unimodular transforms over Z, and over a
 field the reduced row echelon form, computed on the stored nonzeros and
@@ -459,12 +465,42 @@ def snf_diagonal(M: Matrix) -> list[int]:
     return list(_factors(M))
 
 
-@dataclass(frozen=True)
 class HomologyGroup:
-    """Finitely generated module: free rank and invariant factors > 1."""
+    """Finitely generated module: free rank and invariant factors > 1.
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    A group is an immutable value, compared and hashed by its fields:
+    ZERO_GROUP and the entries of every BigradedTor share instances.
+    Its fields live in slots that __init__ fills through their
+    descriptors, and setting or deleting one raises AttributeError."""
+
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        _set_rank(self, rank)
+        _set_torsion(self, torsion)
+
+    def _values(self) -> tuple:
+        return (self.rank, self.torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values()!r}"
 
     @property
     def is_zero(self) -> bool:
@@ -480,7 +516,10 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+_set_rank = HomologyGroup.rank.__set__
+_set_torsion = HomologyGroup.torsion.__set__
+
+
 class HomologyBasis(HomologyGroup):
     """A homology group together with integer cycle vectors spanning its
     free part in the block basis (residues over F_p), and linear forms
@@ -491,10 +530,23 @@ class HomologyBasis(HomologyGroup):
     (over F_p, reduced mod p).  size is the length of the block's
     vectors."""
 
-    representatives: tuple[tuple, ...] = ()
-    coordinates: tuple[tuple, ...] = ()
-    relations: tuple[tuple, ...] = ()
-    size: int = 0
+    __slots__ = ("representatives", "coordinates", "relations", "size")
+
+    def __init__(
+        self,
+        rank: int,
+        torsion: tuple[int, ...] = (),
+        representatives: tuple[tuple, ...] = (),
+        coordinates: tuple[tuple, ...] = (),
+        relations: tuple[tuple, ...] = (),
+        size: int = 0,
+    ):
+        super().__init__(rank, torsion)
+        for name, value in zip(self.__slots__, (representatives, coordinates, relations, size)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return (self.rank, self.torsion, self.representatives, self.coordinates, self.relations, self.size)
 
 
 ZERO_GROUP = HomologyGroup(0)
@@ -591,7 +643,10 @@ def group_from_factors(
     direct summand of Z^n containing im(d_in), so over Z the rank is n
     minus both factor counts and the torsion is the factors of d_in
     above 1; over F_p only the factors p does not divide count toward
-    the ranks."""
+    the ranks.  With no factors on either side the group is Z^n, over
+    every ring, and is read without a pass over them."""
+    if not out_factors and not in_factors:
+        return HomologyGroup(n) if n else ZERO_GROUP
     p = coeff.p
     if p:
         return HomologyGroup(

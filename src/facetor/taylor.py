@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bitsets import bit_positions, popcount, sort_key
+from .bitsets import bit_positions, popcount
 from .complexes import Complement, minimalize
 from .linalg import CapabilityError, CoefficientSpec, HomologyGroup, Matrix, homology_at
 
@@ -74,14 +74,14 @@ class TaylorComplex:
         for u, sigma in reversed(_generator_totals(complement.members, lyubeznik).items()):
             by_support.setdefault(sigma, {}).setdefault(popcount(u), []).append(u)
         self._by_support = by_support
-        self._supports = tuple(sorted(by_support, key=sort_key))
         self._matrices: dict[tuple[int, int], Matrix] = {}
         self._indexes: dict[tuple[int, int], dict[int, int]] = {}
 
-    def supports(self) -> list[int]:
-        """Total subsets with generators, in (card, lex) order; a copy of
-        the order sorted once per complex."""
-        return list(self._supports)
+    def slices(self):
+        """(sigma, {q: generators of the (q, sigma) block}) per total
+        subset with generators, as the build stored them, in no set
+        order; the caller must not change them."""
+        return self._by_support.items()
 
     def generators(self, sigma: int, q: int) -> list[int]:
         return self._by_support.get(sigma, {}).get(q, [])
@@ -93,9 +93,6 @@ class TaylorComplex:
         if index is None:
             index = self._indexes[key] = {u: i for i, u in enumerate(self.generators(sigma, q))}
         return index
-
-    def block_dims(self, sigma: int) -> dict[int, int]:
-        return {q: len(g) for q, g in sorted(self._by_support.get(sigma, {}).items())}
 
     def boundary_matrix(self, sigma: int, q: int) -> Matrix:
         """Matrix of d on the (q, sigma) block, mapping into (q - 1, sigma);

@@ -49,11 +49,12 @@ class BigradedTor:
     def __init__(self, complement: Complement, coeff: CoefficientSpec):
         self.complement = complement
         self.coeff = coeff
-        self.taylor = taylor_complex(complement, True)
+        taylor = self.taylor = taylor_complex(complement, True)
+        # in the order the build stored the slices: every reader sorts or sums
         entries: dict[tuple[int, int], HomologyGroup] = {}
-        for sigma in self.taylor.supports():
-            for q in self.taylor.block_dims(sigma):
-                group = self.taylor.block_homology(sigma, q, coeff)
+        for sigma, blocks in taylor.slices():
+            for q in blocks:
+                group = taylor.block_homology(sigma, q, coeff)
                 if not group.is_zero:
                     entries[(q, sigma)] = group
         self.entries = entries

@@ -3,19 +3,20 @@
 The brute-force functions here deliberately avoid the library's clever
 paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
-the package does not ship live here too: the monomial full differential,
-the (S^2, S^1) series, the accessors only tests read (field_rank,
-total_subset, generator_set, boundary_matrices, boundary_column,
-full_signature, signature, has_face), the ideal-equivalence check
-equivalent, reduced_cohomology off the cochain complex on a complex's
-faces, the tracked dense smith_normal_form that the invariant-factor
-kernel is checked against, the reduced differential from its
-definition, the redundant-presentation strategy, the moment-angle
-series summed over links without a Taylor complex, the per-bit loop
-the bitset tables replaced, compare_blocks with one full subcomplex
-built per sigma, and the field RREF that turned every entry over Q
-into a Fraction.  Helpers return values or raise and never check with
-a bare assert, which python -O would strip outside test modules.
+the package does not ship live here too: the monomial full
+differential, the (S^2, S^1) series, the accessors only tests read
+(field_rank, supports, block_dims, total_subset, generator_set,
+boundary_matrices, boundary_column, full_signature, signature,
+has_face), the ideal-equivalence check equivalent, reduced_cohomology
+off the cochain complex on a complex's faces, the tracked dense
+smith_normal_form that the invariant-factor kernel is checked against,
+the reduced differential from its definition, the
+redundant-presentation strategy, the moment-angle series summed over
+links without a Taylor complex, the per-bit loop the bitset tables
+replaced, compare_blocks with one full subcomplex built per sigma, and
+the field RREF that turned every entry over Q into a Fraction.
+Helpers return values or raise and never check with a bare assert,
+which python -O would strip outside test modules.
 """
 
 from __future__ import annotations
@@ -182,9 +183,19 @@ def total_subset(tc: TaylorComplex, u: int) -> int:
     return total
 
 
+def supports(tc: TaylorComplex) -> list[int]:
+    """Total subsets of tc with generators, in (card, lex) order."""
+    return sorted((sigma for sigma, _ in tc.slices()), key=sort_key)
+
+
+def block_dims(tc: TaylorComplex, sigma: int) -> dict[int, int]:
+    """q -> the number of generators of tc's (q, sigma) block, by q."""
+    return {q: len(gens) for q, gens in sorted(dict(tc.slices()).get(sigma, {}).items())}
+
+
 def generator_set(tc: TaylorComplex) -> set[int]:
     """Every generator of tc: the union of its blocks."""
-    return {u for sigma in tc.supports() for q in tc.block_dims(sigma) for u in tc.generators(sigma, q)}
+    return {u for sigma in supports(tc) for q in block_dims(tc, sigma) for u in tc.generators(sigma, q)}
 
 
 def reduced_differential(tc: TaylorComplex, u: int) -> dict:
@@ -209,7 +220,7 @@ def boundary_column(tc: TaylorComplex, u: int) -> dict:
 
 def boundary_matrices(tc: TaylorComplex, sigma: int) -> list[Matrix]:
     """Matrices of d for q = 1 .. top degree of the sigma block."""
-    top = max(tc.block_dims(sigma), default=0)
+    top = max(block_dims(tc, sigma), default=0)
     return [tc.boundary_matrix(sigma, q) for q in range(1, top + 1)]
 
 
@@ -218,8 +229,8 @@ def full_signature(P: Complement, coeff) -> dict:
     presentation, the side the Lyubeznik build is checked against."""
     tc = taylor_complex(P)
     out = {}
-    for sigma in tc.supports():
-        for q in tc.block_dims(sigma):
+    for sigma in supports(tc):
+        for q in block_dims(tc, sigma):
             group = tc.block_homology(sigma, q, coeff)
             if not group.is_zero:
                 out[(q, sigma)] = group.signature

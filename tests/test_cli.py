@@ -343,6 +343,15 @@ class TestVerify:
         assert code == 2
         assert "input" in err
 
+    def test_input_file_with_random_is_an_input_error(self, capsys, fig1_path, monkeypatch):
+        # the sweep would otherwise run and exit 0 without reading the file
+        import facetor.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "random_complement", lambda *a: pytest.fail("a trial ran"))
+        message = "input error: use either an input file or --random, not both\n"
+        for extra in ((), ("--trials", "1"), ("--json",)):
+            assert run(capsys, "verify", fig1_path, "--random", *extra) == (2, "", message)
+
     def test_failure_exit_code(self, capsys, fig1_path, monkeypatch):
         import facetor.cli as cli_mod
 
@@ -350,7 +359,28 @@ class TestVerify:
         monkeypatch.setattr(cli_mod, "compare_blocks", lambda P, coeffs, all_sigma: fake)
         code, out, _ = run(capsys, "verify", fig1_path)
         assert code == 4
-        assert "FAIL" in out
+        assert out == (
+            "FAIL q=0 sigma={} [Q:Z^1|oracle:0]\n"
+            "checked 1 (q, sigma) blocks over Q, F2, Z: 0 passed, 1 failed\n"
+        )
+        code, out, _ = run(capsys, "verify", fig1_path, "--json")
+        assert code == 4
+        assert json.loads(out) == {
+            "command": "verify",
+            "mode": "file",
+            "m": 5,
+            "coeffs": ["Q", "F2", "Z"],
+            "blocks": [
+                {
+                    "q": 0,
+                    "sigma": [],
+                    "groups": {"Q": {"left": {"rank": 1, "torsion": []}, "right": {"rank": 0, "torsion": []}}},
+                    "ok": False,
+                }
+            ],
+            "checked": 1,
+            "failed": 1,
+        }
 
 
 FIG1_VERIFY_TEXT = """\

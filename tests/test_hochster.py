@@ -181,6 +181,18 @@ class TestBaskakov:
         pairs = {(q, s): p for q, s, p in compare_blocks(P, (ZZ,))}
         assert pairs[(3, full_mask(6))] == (((0, (2,)), (0, (2,))),)
 
+    def test_projective_plane_over_every_ring(self):
+        # reduced H^2(RP^2) (q = 3) is Z/2 over Z, and H^1 (q = 4) is 0;
+        # over F2 each is one class, over Q neither is
+        P = complement_from_complex(rp2_complex())
+        coeffs = (QQ, PrimeField(2), ZZ)
+        results = compare_blocks(P, coeffs)
+        pairs = {(q, s): p for q, s, p in results}
+        zero, one = ((0, ()), (0, ())), ((1, ()), (1, ()))
+        assert pairs[(3, full_mask(6))] == (zero, one, ((0, (2,)), (0, (2,))))
+        assert pairs[(4, full_mask(6))] == (zero, one, zero)
+        assert results == compare_blocks_per_sigma(P, coeffs)
+
 
 ORACLE_CASES = {
     "void": Complement(3, (0,)),

@@ -590,6 +590,72 @@ class TestReduceCycle:
         assert diff[2] == 0 and diff[0] == -diff[1]
 
 
+class TestGroupValues:
+    """Groups are immutable values: ZERO_GROUP and the entries of every
+    BigradedTor share instances."""
+
+    def test_equal_groups_compare_and_hash_equal(self):
+        a, b = HomologyGroup(2, (2, 4)), HomologyGroup(rank=2, torsion=(2, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, HomologyGroup(2, (2, 4))}) == 1
+        assert HomologyGroup(3) == HomologyGroup(3, ()) and hash(HomologyGroup(3)) == hash(HomologyGroup(3, ()))
+        assert {HomologyGroup(0): "zero"}[linalg.ZERO_GROUP] == "zero"
+
+    def test_rank_or_torsion_tells_groups_apart(self):
+        group = HomologyGroup(1, (2,))
+        for other in (HomologyGroup(2, (2,)), HomologyGroup(1, (4,)), HomologyGroup(1), HomologyGroup(1, (2, 2))):
+            assert group != other and not group == other
+        assert HomologyGroup(0) != HomologyGroup(0, (2,))
+        # a basis is not a bare group, even with the same rank and torsion
+        assert HomologyGroup(0, (2,)) != HomologyBasis(0, (2,), ())
+
+    @pytest.mark.parametrize(
+        "group, text, signature, zero",
+        [
+            (HomologyGroup(0), "0", (0, ()), True),
+            (HomologyGroup(1), "Z", (1, ()), False),
+            (HomologyGroup(0, (2,)), "Z/2", (0, (2,)), False),
+            (HomologyGroup(3, (2, 6)), "Z^3 + Z/2 + Z/6", (3, (2, 6)), False),
+            (HomologyBasis(2, (), ((1, 0), (0, 1)), (), (), 2), "Z^2", (2, ()), False),
+        ],
+    )
+    def test_str_signature_and_is_zero(self, group, text, signature, zero):
+        assert (str(group), group.signature, group.is_zero) == (text, signature, zero)
+
+    def test_fields_cannot_be_set(self):
+        basis = HomologyBasis(1, (), ((1,),), (((0, 1),),), (), 1)
+        cases = [
+            (HomologyGroup(1, (2,)), ("rank", "torsion")),
+            (linalg.ZERO_GROUP, ("rank", "torsion")),
+            (basis, ("rank", "torsion", "representatives", "coordinates", "relations", "size")),
+        ]
+        for group, names in cases:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(group, name, 5)
+                with pytest.raises(AttributeError):
+                    delattr(group, name)
+        assert (basis.rank, basis.representatives, basis.size) == (1, ((1,),), 1)
+        assert linalg.ZERO_GROUP == HomologyGroup(0)
+
+    def test_reading_blocks_leaves_zero_group_zero(self):
+        from facetor.hochster import compare_blocks
+
+        for P in (FIG1, EX513):
+            compare_blocks(P, (QQ, PrimeField(2), ZZ), all_sigma=True)
+        assert linalg.ZERO_GROUP == HomologyGroup(0)
+        assert (linalg.ZERO_GROUP.rank, linalg.ZERO_GROUP.torsion) == (0, ())
+
+    def test_basis_constructs_positionally(self):
+        group = HomologyBasis(0, (2,), ())
+        fields = (group.rank, group.torsion, group.representatives, group.coordinates, group.relations, group.size)
+        assert fields == (0, (2,), (), (), (), 0)
+        assert group.signature == (0, (2,)) and not group.is_zero
+        assert group == HomologyBasis(0, (2,), (), (), (), 0)
+        assert hash(group) == hash(HomologyBasis(0, (2,), (), (), (), 0))
+        assert group != HomologyBasis(0, (2,), (), (), (), 1)
+
+
 class TestAcceptanceScaleSNF:
     def test_thousand_random_contracts_sample(self):
         # the full 1000-matrix sweep lives in the acceptance suite; keep

@@ -33,6 +33,7 @@ from facetor.sampling import random_complement
 from helpers import (
     EX513,
     FIG1,
+    block_dims,
     boundary_column,
     boundary_matrices,
     full_differential,
@@ -40,6 +41,7 @@ from helpers import (
     reduced_differential,
     redundant_presentations,
     rp2_complex,
+    supports,
     total_subset,
 )
 
@@ -137,20 +139,20 @@ class TestSupports:
     def test_disjoint_members(self):
         P = Complement.from_vertex_lists(4, [[1, 2], [3, 4]])
         tc = taylor_complex(P)
-        assert tc.supports() == [0, 0b0011, 0b1100, 0b1111]
-        assert all(len(tc.generators(s, q)) == 1 for s in tc.supports() for q in tc.block_dims(s))
+        assert supports(tc) == [0, 0b0011, 0b1100, 0b1111]
+        assert all(len(tc.generators(s, q)) == 1 for s in supports(tc) for q in block_dims(tc, s))
 
     def test_overlapping_members(self):
         P = Complement.from_vertex_lists(3, [[1, 2], [1, 3]])
         tc = taylor_complex(P)
-        assert tc.supports() == [0, 0b011, 0b101, 0b111]
+        assert supports(tc) == [0, 0b011, 0b101, 0b111]
 
     def test_pentagon_complement_top_support(self):
         tc = taylor_complex(FIG1)
         carriers = [u for u in range(16) if total_subset(tc, u) == FULL5]
         # one pair, all four triples, and the top generator
         assert sorted(carriers) == sorted([S3 | S4, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111])
-        assert sum(tc.block_dims(FULL5).values()) == 6
+        assert sum(block_dims(tc, FULL5).values()) == 6
 
     @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5), st.booleans())
     def test_partition_of_generators(self, m, members, lyubeznik):
@@ -158,13 +160,13 @@ class TestSupports:
         tc = taylor_complex(P, lyubeznik)
         members = tc.complement.members
         expected = [u for u in range(1 << tc.s) if not lyubeznik or _l_admissible(members, u)]
-        blocks = [tc.generators(s, q) for s in tc.supports() for q in tc.block_dims(s)]
+        blocks = [tc.generators(s, q) for s in supports(tc) for q in block_dims(tc, s)]
         assert sorted(u for block in blocks for u in block) == expected
-        for s in tc.supports():
-            for q in tc.block_dims(s):
+        for s in supports(tc):
+            for q in block_dims(tc, s):
                 assert all(total_subset(tc, u) == s and popcount(u) == q for u in tc.generators(s, q))
         for q in range(tc.s + 1):
-            count = sum(len(tc.generators(s, q)) for s in tc.supports())
+            count = sum(len(tc.generators(s, q)) for s in supports(tc))
             assert count == (sum(popcount(u) == q for u in expected) if lyubeznik else comb(tc.s, q))
         # nothing sorts a block: the reversed enumeration lists it in this order
         for block in blocks:
@@ -219,8 +221,8 @@ class TestLyubeznik:
         assert generator_set(tc) == expected
         for u in expected:
             assert all(u & ~(1 << b) in expected for b in bit_positions(u))
-        for sigma in tc.supports():
-            for q in tc.block_dims(sigma):
+        for sigma in supports(tc):
+            for q in block_dims(tc, sigma):
                 assert all(total_subset(tc, u) == sigma and popcount(u) == q for u in tc.generators(sigma, q))
 
     def test_cycle_generator_counts(self):
@@ -247,7 +249,7 @@ class TestBoundaryMatrices:
     def test_single_generator_blocks_are_zero(self):
         P = Complement.from_vertex_lists(4, [[1, 2], [3, 4]])
         tc = taylor_complex(P)
-        for sigma in tc.supports():
+        for sigma in supports(tc):
             for M in boundary_matrices(tc, sigma):
                 assert M.is_zero()
 
@@ -266,7 +268,7 @@ class TestBoundaryMatrices:
         for _ in range(80):
             P = random_complement(rng, 6, 5)
             tc = taylor_complex(P)
-            for sigma in tc.supports():
+            for sigma in supports(tc):
                 mats = boundary_matrices(tc, sigma)
                 for a, b in zip(mats, mats[1:]):
                     assert (a @ b).is_zero()
@@ -323,8 +325,8 @@ class TestIsolatedBlocks:
 
     @staticmethod
     def _assert_blocks_match_homology_at(tc: TaylorComplex, coeffs) -> None:
-        for sigma in tc.supports():
-            dims = tc.block_dims(sigma)
+        for sigma in supports(tc):
+            dims = block_dims(tc, sigma)
             for q in range(min(dims) - 1, max(dims) + 2):
                 d_in, d_out = tc.boundary_matrix(sigma, q + 1), tc.boundary_matrix(sigma, q)
                 for coeff in coeffs:
@@ -375,7 +377,7 @@ class TestIsolatedBlocks:
         P = complement_from_complex(c6)
         calls = self._count_calls(monkeypatch)
         tc = tor_bigraded(P, ZZ).taylor
-        slices = [tc.block_dims(sigma) for sigma in tc.supports()]
+        slices = [block_dims(tc, sigma) for sigma in supports(tc)]
         connected = sum(q - 1 in dims or q + 1 in dims for dims in slices for q in dims)
         assert 0 < connected < sum(map(len, slices))
         assert calls["homology_at"] == connected
@@ -455,7 +457,7 @@ def test_c7_largest_slice_matrices_stay_small():
 
     c7 = SimplicialComplex.from_facets(7, [[i, i % 7 + 1] for i in range(1, 8)])
     tc = TaylorComplex(complement_from_complex(c7))
-    sigma = max(tc.supports(), key=lambda s: sum(tc.block_dims(s).values()))
+    sigma = max(supports(tc), key=lambda s: sum(block_dims(tc, s).values()))
     tracemalloc.start()
     try:
         mats = boundary_matrices(tc, sigma)
