@@ -9,7 +9,8 @@
 # seeded random oracle sweeps, sha256 pins of the 7-cycle (its ring over
 # Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices, six
 # disjoint edges on 12 and the path on 12, bounds on the peak memory of
-# the 8-cycle's ring and of maz on the six edges and the path, the
+# the 8-cycle's ring (printed with its user+sys time, which is not
+# bounded) and of maz on the six edges and the path, the
 # series of joins checked against powers of their parts' series (twelve
 # disjoint edges on 24 under a time bound, and the 7-cycle joined with
 # itself), and an m = 23 oracle trial under a time bound.  Its input
@@ -69,12 +70,15 @@ pin be11f2984ae74da0b420b227b98a62d08f36f677dbb976347822bf4da96fc05e "$@" -m fac
 pin aa8a17b5a2bf02184cf1aa1d2bf644a3366dea1913e1bdfdf6a07408511abba6 "$@" -m facetor.cli ring "$work/c8.json" --coeff q
 pin 9ca48516cec21739fc4699e9640f7b1276dde64f9bcd60eb31e052bfdce4fbb5 "$@" -m facetor.cli tor "$work/c8.json" --coeff z
 pin b6446d646e744060f2113d1c69cf43d4f7f9a8b94c36f9c0253f027240d26236 "$@" -m facetor.cli maz "$work/c8.json" --preset s2s1
-# the full 2^20 build keeps its blocks alone: a fresh process peaks near 103 MB
+# the full 2^20 build keeps its blocks alone: a fresh process peaks near
+# 103 MB.  Its user+sys time, read from the same usage, is printed beside
+# the peak and bounds nothing
 "$@" -c '
 import resource, subprocess, sys
 subprocess.run([*sys.argv[2:], "-m", "facetor.cli", "ring", sys.argv[1], "--coeff", "f:2"], check=True, stdout=subprocess.DEVNULL)
-peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(f"C8 ring --coeff f:2 peak {peak:.1f} MB")
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+peak = usage.ru_maxrss / 1024
+print(f"C8 ring --coeff f:2 peak {peak:.1f} MB, {usage.ru_utime + usage.ru_stime:.2f} s user+sys")
 sys.exit(peak > 125)' "$work/c8.json" "$@"
 
 # six disjoint edges on [12]: six join parts of 3 faces each, so maz

@@ -20,19 +20,20 @@ proves a pair is a chain complex is taken once per pair, not once per
 ring, and not at all when either map is zero.  homology_at is that
 check followed by group_from_factors, which reads the group off the two
 maps' factors and serves restrictions too; with no factors on either
-side the group is free on the middle term, ZERO_GROUP when that is
-empty.  A HomologyGroup is an immutable value in two slots, rank and
-torsion, which its constructor fills through their slot descriptors,
-the cheapest route, since every block read builds one; setting a field
-raises AttributeError, so ZERO_GROUP and the groups that BigradedTor
-keeps are shared safely.  Cycle representatives are
+side the group is free on the middle term, and every zero group it
+reads is ZERO_GROUP.  A HomologyGroup is an immutable value in two
+slots, rank and torsion, which its constructor fills through their slot
+descriptors, the cheapest route, since every block read builds one;
+setting a field raises AttributeError, so ZERO_GROUP and the groups
+that BigradedTor keeps are shared safely.  Cycle representatives are
 separate, for the product structure alone; they use the dense Smith
 normal form with explicit unimodular transforms over Z, and over a
 field the reduced row echelon form, computed on the stored nonzeros and
 written once for Q and F_p.  The same eliminations yield linear forms,
 kept as their nonzero entries, that test whether a vector is a cycle
 and read off its coordinates in the representative basis, so reducing a
-cycle takes sparse dot products only.  The dense Smith normal form is
+cycle takes one pass over its nonzeros, through an index of the forms
+by position, and no elimination.  The dense Smith normal form is
 one pivot loop: a pivot divides the trailing block when it is placed,
 so the diagonal comes out in divisibility order with no pass
 afterwards.  Everything is arbitrary-precision: Python ints over Z and
@@ -45,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -528,9 +530,11 @@ class HomologyBasis(HomologyGroup):
     on it, and the coordinates of a cycle's class in the representative
     basis are the values of the coordinate forms, one per representative
     (over F_p, reduced mod p).  size is the length of the block's
-    vectors."""
+    vectors.  The same forms read by position, which reduce_cycle
+    evaluates, are derived once by columns() and are not part of the
+    value: equality, hashing and pickling ignore them."""
 
-    __slots__ = ("representatives", "coordinates", "relations", "size")
+    __slots__ = ("representatives", "coordinates", "relations", "size", "_columns")
 
     def __init__(
         self,
@@ -542,11 +546,23 @@ class HomologyBasis(HomologyGroup):
         size: int = 0,
     ):
         super().__init__(rank, torsion)
-        for name, value in zip(self.__slots__, (representatives, coordinates, relations, size)):
+        for name, value in zip(self.__slots__, (representatives, coordinates, relations, size, None)):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return (self.rank, self.torsion, self.representatives, self.coordinates, self.relations, self.size)
+
+    def columns(self) -> dict[int, list[tuple[int, object]]]:
+        """Position -> the (form, value) pairs of the forms' nonzeros
+        there, numbering the relations first and the coordinate forms
+        after them; built on first use and kept."""
+        if self._columns is None:
+            columns: dict[int, list[tuple[int, object]]] = {}
+            for k, form in enumerate(self.relations + self.coordinates):
+                for j, a in form:
+                    columns.setdefault(j, []).append((k, a))
+            object.__setattr__(self, "_columns", columns)
+        return self._columns
 
 
 ZERO_GROUP = HomologyGroup(0)
@@ -649,11 +665,11 @@ def group_from_factors(
         return HomologyGroup(n) if n else ZERO_GROUP
     p = coeff.p
     if p:
-        return HomologyGroup(
-            n - sum(1 for d in out_factors if d % p) - sum(1 for d in in_factors if d % p)
-        )
+        rank = n - sum(1 for d in out_factors if d % p) - sum(1 for d in in_factors if d % p)
+        return HomologyGroup(rank) if rank else ZERO_GROUP
+    rank = n - len(out_factors) - len(in_factors)
     torsion = tuple(d for d in in_factors if d > 1) if isinstance(coeff, Integers) else ()
-    return HomologyGroup(n - len(out_factors) - len(in_factors), torsion)
+    return HomologyGroup(rank, torsion) if rank or torsion else ZERO_GROUP
 
 
 def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
@@ -736,9 +752,7 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
     return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates), relations, n)
 
 
-def _form_value(form: tuple, z: Sequence, p: int):
-    value = sum(a * z[j] for j, a in form if z[j])
-    return value % p if p else value
+NOT_A_CYCLE = "not a cycle: no expression in representatives modulo boundaries"
 
 
 def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> tuple:
@@ -746,13 +760,23 @@ def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> t
 
     z is a cycle exactly when every relation of the group vanishes on
     it; each coordinate is then the value of one coordinate form (mod p
-    over F_p).  Over Z this is only defined in torsion-free blocks.
+    over F_p).  Every form is evaluated in one pass over the nonzeros of
+    z, through the group's columns().  Over Z this is only defined in
+    torsion-free blocks.
     """
     if isinstance(coeff, Integers) and group.torsion:
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
     if len(z) != group.size:
         raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
-    p = coeff.p
-    if any(_form_value(form, z, p) for form in group.relations):
-        raise ValueError("not a cycle: no expression in representatives modulo boundaries")
-    return tuple(_form_value(form, z, p) for form in group.coordinates)
+    columns = group.columns()
+    values: dict[int, object] = {}
+    for j in compress(range(len(z)), z):
+        x = z[j]
+        for k, a in columns.get(j, ()):
+            values[k] = values.get(k, 0) + a * x
+    p, n = coeff.p, len(group.relations)
+    if p:
+        values = {k: v % p for k, v in values.items()}
+    if any(v for k, v in values.items() if k < n):
+        raise ValueError(NOT_A_CYCLE)
+    return tuple(values.get(k, 0) for k in range(n, n + len(group.coordinates)))

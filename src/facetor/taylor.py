@@ -39,6 +39,8 @@ together with the invariant factors linalg computes for it, for as long
 as the complex lives; taylor_complex keeps the two most recent builds.
 The position index of a block, which places boundary terms and chain
 terms alike, is built once, on first use, and kept the same way.
+chain_boundary applies d to a sparse chain by the rule the matrices
+follow, through the index of the block below, and builds no matrix.
 """
 
 from __future__ import annotations
@@ -137,6 +139,26 @@ class TaylorComplex:
                 raise ValueError("chain term outside the requested block")
             vec[index[u]] = c
         return vec
+
+    def chain_boundary(self, chain: Chain, sigma: int, q: int) -> Chain:
+        """d of a chain in the (q, sigma) block, by boundary_matrix's
+        rule: the i-th deletion is signed (-1)^i and kept when it lies in
+        the (q - 1, sigma) block.  Terms that cancel are dropped, and d
+        into an empty block is zero, placed by no index."""
+        if not self.generators(sigma, q - 1):
+            return {}
+        index = self._index(sigma, q - 1)
+        out: Chain = {}
+        for u, c in chain.items():
+            for i, b in enumerate(bit_positions(u), start=1):
+                v = u & ~(1 << b)
+                if v in index:
+                    x = out.get(v, 0) + (-c if i % 2 else c)
+                    if x:
+                        out[v] = x
+                    else:
+                        del out[v]
+        return out
 
 
 def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, int]:

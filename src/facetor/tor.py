@@ -9,18 +9,21 @@ the oracle.  TorRing takes its block list and ranks from tor_bigraded
 too, and is the one builder of the full complex on the given
 presentation, for chains alone, because admissible sets are not closed
 under the exterior product and its basis names follow member order.
-TorRing alone builds representative cycles, for the nonzero blocks and
-for every block a product lands in.  The product of two classes is zero
+TorRing alone builds representative cycles, and only for the blocks
+tor_bigraded reads as nonzero.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
-the exterior product of representative cycles, reduced back to
-coordinates in the target block's basis by the block's linear forms,
-which also reject a product that is not a cycle.  Over Z the product is
-offered only in torsion-free blocks.  The product table forms products
-for the support-disjoint pairs alone and writes every other entry as a
-zero.  The ring laws are checked on those products: graded
-commutativity on each disjoint pair, the unit law on the unit's row,
-and associativity, read off the table by bilinearity, on every triple
-of pairwise disjoint supports.
+the exterior product of representative cycles.  In a nonzero target
+block it is reduced back to coordinates in the block's basis by the
+block's linear forms, which also reject a product that is not a cycle;
+in a zero block it has no coordinates, and d applied to the chain
+itself rejects a non-cycle, with no basis and no boundary matrix.  Over
+Z the product is offered only in torsion-free blocks: a block with
+torsion is not zero, so a product into it goes to reduce_cycle, which
+refuses it.  The product table forms products for the support-disjoint
+pairs alone and writes every other entry as a zero.  The ring laws are
+checked on those products: graded commutativity on each disjoint pair,
+the unit law on the unit's row, and associativity, read off the table
+by bilinearity, on every triple of pairwise disjoint supports.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .linalg import (
     CoefficientSpec,
     HomologyBasis,
     HomologyGroup,
+    NOT_A_CYCLE,
     ZERO_GROUP,
     homology_representatives,
     is_field,
@@ -156,8 +160,9 @@ class TorRing:
         return name
 
     def _group(self, q: int, sigma: int) -> HomologyBasis:
-        """Representatives and forms of any block, zero blocks included,
-        so that reduce_cycle can always reject a non-cycle."""
+        """Representatives and forms of a block that tor_bigraded reads
+        as nonzero; product checks a chain in a zero block by its
+        boundary alone and builds no basis there."""
         group = self._groups.get((q, sigma))
         if group is None:
             group = self._groups[(q, sigma)] = homology_representatives(
@@ -173,8 +178,14 @@ class TorRing:
     def product(self, a: TorClass, b: TorClass) -> TorClass:
         q, sigma = a.q + b.q, a.sigma | b.sigma
         chain = {} if a.sigma & b.sigma else chain_product(a.chain_dict(), b.chain_dict())
+        block = self.tor.group(q, sigma)
         if not chain:
-            return TorClass(q, sigma, (0,) * self.tor.group(q, sigma).rank, ())
+            return TorClass(q, sigma, (0,) * block.rank, ())
+        if block.is_zero:
+            p = self.coeff.p
+            if any(c % p if p else c for c in self.taylor.chain_boundary(chain, sigma, q).values()):
+                raise ValueError(NOT_A_CYCLE)
+            return TorClass(q, sigma, (), _chain_key(chain))
         group = self._group(q, sigma)
         vec = self.taylor.chain_vector(chain, sigma, q)
         coords = reduce_cycle(vec, group, self.coeff)

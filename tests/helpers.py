@@ -13,8 +13,9 @@ smith_normal_form that the invariant-factor kernel is checked against,
 the reduced differential from its definition, the
 redundant-presentation strategy, the moment-angle series summed over
 links without a Taylor complex, the per-bit loop the bitset tables
-replaced, compare_blocks with one full subcomplex built per sigma, and
-the field RREF that turned every entry over Q into a Fraction.
+replaced, compare_blocks with one full subcomplex built per sigma, the
+field RREF that turned every entry over Q into a Fraction, and the
+row-wise reduce_cycle that evaluated each form over its own nonzeros.
 Helpers return values or raise and never check with a bare assert,
 which python -O would strip outside test modules.
 """
@@ -36,7 +37,19 @@ from facetor import (
 )
 from facetor.bitsets import bit_positions, check_subset, full_mask, popcount, sort_key, vertices
 from facetor.hochster import CochainComplex, check_all_sigma
-from facetor.linalg import ZERO_GROUP, HomologyGroup, Matrix, _rref, _snf_state, _subtract, is_field
+from facetor.linalg import (
+    NOT_A_CYCLE,
+    ZERO_GROUP,
+    CapabilityError,
+    HomologyBasis,
+    HomologyGroup,
+    Integers,
+    Matrix,
+    _rref,
+    _snf_state,
+    _subtract,
+    is_field,
+)
 from facetor.moment_angle import PairSpec
 from facetor.polynomials import padd, pmul
 from facetor.taylor import TaylorComplex, taylor_complex
@@ -267,6 +280,25 @@ def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
                 _subtract(other, other[lead], r, p)
         pivots[lead] = r
     return pivots
+
+
+def _form_value(form: tuple, z: Sequence, p: int):
+    value = sum(a * z[j] for j, a in form if z[j])
+    return value % p if p else value
+
+
+def rowwise_reduce_cycle(z: Sequence, group: HomologyBasis, coeff) -> tuple:
+    """reduce_cycle with each relation and coordinate form evaluated on
+    its own, over all of its nonzeros: the same errors, in the same
+    order, and the same values."""
+    if isinstance(coeff, Integers) and group.torsion:
+        raise CapabilityError("unsupported: ring reduction over Z with torsion")
+    if len(z) != group.size:
+        raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
+    p = coeff.p
+    if any(_form_value(form, z, p) for form in group.relations):
+        raise ValueError(NOT_A_CYCLE)
+    return tuple(_form_value(form, z, p) for form in group.coordinates)
 
 
 def field_rank(M: Matrix, coeff) -> int:

@@ -25,7 +25,16 @@ from facetor.linalg import (
     _rref,
 )
 
-from helpers import EX513, FIG1, bareiss_determinant, field_rank, fraction_rref, random_matrix, smith_normal_form
+from helpers import (
+    EX513,
+    FIG1,
+    bareiss_determinant,
+    field_rank,
+    fraction_rref,
+    random_matrix,
+    rowwise_reduce_cycle,
+    smith_normal_form,
+)
 
 
 def int_matrices(max_dim=6, bound=9, entries=None):
@@ -646,6 +655,15 @@ class TestGroupValues:
         assert linalg.ZERO_GROUP == HomologyGroup(0)
         assert (linalg.ZERO_GROUP.rank, linalg.ZERO_GROUP.torsion) == (0, ())
 
+    @pytest.mark.parametrize("coeff", [QQ, PrimeField(2), ZZ], ids=str)
+    def test_zero_reads_share_zero_group(self, coeff):
+        # every zero group read off factors is the one shared instance,
+        # whether factors lie on both sides, on one side, or on neither
+        for n, out_factors, in_factors in ((0, (), ()), (2, (1,), (1,)), (1, (1,), ()), (1, (), (1,))):
+            assert linalg.group_from_factors(n, out_factors, in_factors, coeff) is linalg.ZERO_GROUP
+        d_in, d_out = Matrix(2, 1, [[1], [-1]]), Matrix(1, 2, [[1, 1]])
+        assert homology_at(d_in, d_out, coeff) is linalg.ZERO_GROUP
+
     def test_basis_constructs_positionally(self):
         group = HomologyBasis(0, (2,), ())
         fields = (group.rank, group.torsion, group.representatives, group.coordinates, group.relations, group.size)
@@ -708,6 +726,45 @@ def test_reduce_cycle_reads_coordinates(rng):
                 reduce_cycle(z, g, coeff)
 
 
+# d_out's rows lead with 2 and 3, and the image's row with 2: every
+# elimination over Q scales by 1 / Fraction(lead)
+_NON_UNIT_PAIR = (Matrix(5, 1, [[0], [0], [0], [2], [4]]), Matrix(2, 5, [[2, 1, 0, 0, 0], [0, 3, 1, 0, 0]]))
+
+
+def _outcome(route, z, group, coeff):
+    """The values route reads, each with its type, or the error it raises."""
+    try:
+        return [(type(x), x) for x in route(z, group, coeff)]
+    except (ValueError, CapabilityError) as e:
+        return (type(e), str(e))
+
+
+@given(st.randoms(use_true_random=False))
+def test_reduce_cycle_matches_rowwise_reference(rng):
+    # one pass over z's nonzeros through the column index reads every
+    # coordinate with the value and the type (a Fraction over Q where a
+    # form holds one) of each form evaluated on its own, and refuses the
+    # same non-cycles and torsion blocks with the same errors
+    for d_in, d_out in (_chain_pair(rng, rng.randint(1, 7)), _NON_UNIT_PAIR):
+        n = d_out.ncols
+        for coeff in (QQ, PrimeField(2), PrimeField(3), ZZ):
+            g = homology_representatives(d_in, d_out, coeff)
+            vectors = []
+            for _ in range(3):
+                c = [rng.randint(-3, 3) for _ in g.representatives]
+                y = [rng.randint(-3, 3) for _ in range(d_in.ncols)]
+                vectors.append(
+                    [
+                        sum(ci * rep[i] for ci, rep in zip(c, g.representatives))
+                        + sum(d_in.rows[i][j] * y[j] for j in range(d_in.ncols))
+                        for i in range(n)
+                    ]
+                )
+                vectors.append([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)])
+            for z in vectors:
+                assert _outcome(reduce_cycle, z, g, coeff) == _outcome(rowwise_reduce_cycle, z, g, coeff)
+
+
 @given(int_matrices(max_dim=5, bound=6))
 def test_rank_matches_over_q_and_fraction_free(M):
     # the sparse RREF over Q (p == 0) and F_p is reduced and echelon,
@@ -764,10 +821,7 @@ def test_rref_over_q_unit_leads_stay_ints(data):
 
 
 def test_representatives_over_q_through_non_unit_leads():
-    # d_out's rows lead with 2 and 3, and the image's row with 2, so both
-    # eliminations scale by 1 / Fraction(lead)
-    d_out = Matrix(2, 5, [[2, 1, 0, 0, 0], [0, 3, 1, 0, 0]])
-    d_in = Matrix(5, 1, [[0], [0], [0], [2], [4]])
+    d_in, d_out = _NON_UNIT_PAIR
     g = homology_representatives(d_in, d_out, QQ)
     assert g.representatives == ((1, -2, 6, 0, 0), (0, 0, 0, 0, 1))
     for rep in g.representatives:

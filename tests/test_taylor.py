@@ -184,6 +184,32 @@ class TestSupports:
         with pytest.raises(ValueError, match="outside the requested block"):
             lyubeznik.chain_vector({u: 1}, total_subset(tc, u), popcount(u))
 
+    @given(redundant_presentations(), st.booleans(), st.randoms(use_true_random=False))
+    def test_chain_boundary_follows_the_definition(self, P, lyubeznik, rng):
+        # d of a sparse chain equals the definition's differential summed
+        # over its terms and the boundary matrix applied to its vector;
+        # on a boundary every term cancels
+        tc = taylor_complex(P, lyubeznik)
+        for sigma, blocks in tc.slices():
+            for q, gens in blocks.items():
+                chain = {u: c for u in rng.sample(gens, min(3, len(gens))) if (c := rng.randint(-2, 2))}
+                want: dict = {}
+                for u, c in chain.items():
+                    for v, x in reduced_differential(tc, u).items():
+                        want[v] = want.get(v, 0) + c * x
+                want = {v: x for v, x in want.items() if x}
+                assert tc.chain_boundary(chain, sigma, q) == want
+                vec, below = tc.chain_vector(chain, sigma, q), tc.generators(sigma, q - 1)
+                image = {
+                    below[i]: value
+                    for i, row in enumerate(tc.boundary_matrix(sigma, q)._entries)
+                    if (value := sum(x * vec[j] for j, x in row.items()))
+                }
+                assert image == want
+                if q + 1 in blocks:
+                    u = rng.choice(blocks[q + 1])
+                    assert tc.chain_boundary(reduced_differential(tc, u), sigma, q) == {}
+
     def test_block_index_built_once(self, monkeypatch):
         # boundary_matrix places its terms, and chain_vector its chains,
         # by one index per block, built on first use

@@ -20,9 +20,17 @@ from facetor import (
     zk_poincare,
 )
 from facetor.bitsets import full_mask, mask_of, popcount
-from facetor.linalg import QQ, ZZ, CapabilityError, PrimeField, homology_representatives
+from facetor.linalg import (
+    QQ,
+    ZZ,
+    CapabilityError,
+    HomologyBasis,
+    HomologyGroup,
+    PrimeField,
+    homology_representatives,
+)
 from facetor.sampling import random_complement
-from facetor.taylor import TaylorComplex, taylor_complex
+from facetor.taylor import TaylorComplex, chain_product, taylor_complex
 
 from helpers import (
     EX513,
@@ -32,6 +40,7 @@ from helpers import (
     generator_set,
     redundant_presentations,
     reduced_cohomology,
+    reduced_differential,
     rp2_complex,
     signature,
 )
@@ -453,6 +462,80 @@ def test_table_forms_only_support_disjoint_products(monkeypatch):
     assert len(classes) ** 2 == 1296
     assert calls == disjoint
     assert len(disjoint) == 217
+
+
+def _products(ring: TorRing):
+    """(a, b, a * b) for the ordered support-disjoint basis pairs whose
+    product chain is nonempty."""
+    classes = [tc for _, tc in ring.basis]
+    for a in classes:
+        for b in classes:
+            if not a.sigma & b.sigma and (c := ring.product(a, b)).chain:
+                yield a, b, c
+
+
+def test_ring_builds_representatives_for_its_blocks_alone(monkeypatch):
+    # on C6 over Q the products reach 55 blocks, 21 of them zero; a
+    # product into a zero block builds no basis there, so
+    # homology_representatives runs once per block of the ring's basis
+    calls = []
+    real = homology_representatives
+    monkeypatch.setattr(
+        "facetor.tor.homology_representatives", lambda *args: calls.append(args) or real(*args)
+    )
+    ring = TorRing(_cycle(6), QQ)
+    ring.multiplication_table()
+    reached = {(c.q, c.sigma) for _, _, c in _products(ring)}
+    assert (len(reached), sum(ring.tor.group(q, sigma).is_zero for q, sigma in reached)) == (55, 21)
+    assert len(calls) == len(ring._blocks) == 34
+    assert set(ring._groups) == set(ring._blocks)
+
+
+@pytest.mark.parametrize("coeff", [QQ, PrimeField(2), PrimeField(3), ZZ], ids=str)
+def test_product_rejects_a_non_cycle(monkeypatch, coeff):
+    # a stray generator with a nonzero boundary makes a product chain a
+    # non-cycle; d applied to the chain refuses it in a zero target
+    # block, where no basis is built, and the relations in a nonzero one.
+    # The redundant member {1,2,5} gives a zero target block such a
+    # generator; the zero blocks that C5's and C6's products reach have none
+    P = Complement.from_vertex_lists(5, [[4, 5], [1, 5], [3, 4], [2, 3], [1, 2, 5], [1, 3]])
+    ring = TorRing(P, coeff)
+    cases = {}
+    for a, b, c in _products(ring):
+        strays = [u for u in ring.taylor.generators(c.sigma, c.q) if reduced_differential(ring.taylor, u)]
+        if strays:
+            cases.setdefault(ring.tor.group(c.q, c.sigma).is_zero, (a, b, strays[0]))
+    assert set(cases) == {True, False}
+    for a, b, u in cases.values():
+
+        def with_stray(x, y, u=u):
+            out = chain_product(x, y)
+            out[u] = out.get(u, 0) + 1
+            return out
+
+        monkeypatch.setattr("facetor.tor.chain_product", with_stray)
+        with pytest.raises(ValueError, match="not a cycle"):
+            ring.product(a, b)
+
+
+def test_integer_product_into_a_torsion_block_is_refused(monkeypatch):
+    # a block with torsion is not zero, so a product into one is reduced
+    # there and refused over Z.  No input small enough for the full build
+    # over Z has such a product, so C5 stands in: tor_bigraded reads a
+    # zero target as Z/2, and that block's basis carries the same torsion
+    ring = TorRing(_cycle(5), ZZ)
+    a, b, c = next(t for t in _products(ring) if ring.tor.group(t[2].q, t[2].sigma).is_zero)
+    assert c.coords == ()
+    real = homology_representatives
+
+    def with_torsion(*args):
+        g = real(*args)
+        return HomologyBasis(g.rank, (2,), g.representatives, g.coordinates, g.relations, g.size)
+
+    monkeypatch.setitem(ring.tor.entries, (c.q, c.sigma), HomologyGroup(0, (2,)))
+    monkeypatch.setattr("facetor.tor.homology_representatives", with_torsion)
+    with pytest.raises(CapabilityError, match="torsion"):
+        ring.product(a, b)
 
 
 def _product_ranks(ring: TorRing) -> dict:
