@@ -7,7 +7,8 @@
 #
 # Runs the tests, the benchmark's tests, the worked examples, three
 # seeded random oracle sweeps, sha256 pins of the 7-cycle (its ring over
-# Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle, an edge on 10 and 12 vertices, six
+# Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle (its ring
+# over F2, Q and F3), an edge on 10 and 12 vertices, six
 # disjoint edges on 12 and the path on 12, bounds on the peak memory of
 # the 8-cycle's ring (printed with its user+sys time, which is not
 # bounded) and of maz on the six edges and the path, the
@@ -68,6 +69,7 @@ pin e88ca92857f02da2f2f39054c7ae3fb399e7df006b6e3f3a37d3904f995a5892 "$@" -m fac
 "$@" -c 'import json; print(json.dumps({"m": 8, "facets": [[i, i % 8 + 1] for i in range(1, 9)]}))' > "$work/c8.json"
 pin be11f2984ae74da0b420b227b98a62d08f36f677dbb976347822bf4da96fc05e "$@" -m facetor.cli ring "$work/c8.json" --coeff f:2
 pin aa8a17b5a2bf02184cf1aa1d2bf644a3366dea1913e1bdfdf6a07408511abba6 "$@" -m facetor.cli ring "$work/c8.json" --coeff q
+pin 4fd6c102874d34d7ee8b2960f659e14c8ea1d76043490b425d7b6efa79cc6da6 "$@" -m facetor.cli ring "$work/c8.json" --coeff f:3
 pin 9ca48516cec21739fc4699e9640f7b1276dde64f9bcd60eb31e052bfdce4fbb5 "$@" -m facetor.cli tor "$work/c8.json" --coeff z
 pin b6446d646e744060f2113d1c69cf43d4f7f9a8b94c36f9c0253f027240d26236 "$@" -m facetor.cli maz "$work/c8.json" --preset s2s1
 # the full 2^20 build keeps its blocks alone: a fresh process peaks near

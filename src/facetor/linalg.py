@@ -28,12 +28,13 @@ setting a field raises AttributeError, so ZERO_GROUP and the groups
 that BigradedTor keeps are shared safely.  Cycle representatives are
 separate, for the product structure alone; they use the dense Smith
 normal form with explicit unimodular transforms over Z, and over a
-field the reduced row echelon form, computed on the stored nonzeros and
-written once for Q and F_p.  The same eliminations yield linear forms,
-kept as their nonzero entries, that test whether a vector is a cycle
-and read off its coordinates in the representative basis, so reducing a
-cycle takes one pass over its nonzeros, through an index of the forms
-by position, and no elimination.  The dense Smith normal form is
+field a row echelon form reduced at its leads only, on the stored
+nonzeros and written once for Q and F_p, with one back-substituted null
+vector per representative and per coordinate form.  The forms, kept as
+their nonzeros, read a cycle's coordinates in one pass over its
+(position, value) pairs, through an index of the forms by position, and
+no elimination; the caller tests that it is a cycle by applying d.  The
+dense Smith normal form is
 one pivot loop: a pivot divides the trailing block when it is placed,
 so the diagonal comes out in divisibility order with no pass
 afterwards.  Everything is arbitrary-precision: Python ints over Z and
@@ -46,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -524,17 +524,14 @@ _set_torsion = HomologyGroup.torsion.__set__
 
 class HomologyBasis(HomologyGroup):
     """A homology group together with integer cycle vectors spanning its
-    free part in the block basis (residues over F_p), and linear forms
-    on the block, each kept as the (position, value) pairs of its
-    nonzeros: a vector is a cycle exactly when every relation vanishes
-    on it, and the coordinates of a cycle's class in the representative
-    basis are the values of the coordinate forms, one per representative
-    (over F_p, reduced mod p).  size is the length of the block's
-    vectors.  The same forms read by position, which reduce_cycle
-    evaluates, are derived once by columns() and are not part of the
-    value: equality, hashing and pickling ignore them."""
+    free part in the block basis (residues over F_p), and one coordinate
+    form per representative, kept as the (position, value) pairs of its
+    nonzeros, whose values on a cycle are its class's coordinates (over
+    F_p, reduced mod p).  The same forms read by position, which
+    reduce_cycle evaluates, are derived once by columns() and are not
+    part of the value: equality, hashing and pickling ignore them."""
 
-    __slots__ = ("representatives", "coordinates", "relations", "size", "_columns")
+    __slots__ = ("representatives", "coordinates", "_columns")
 
     def __init__(
         self,
@@ -542,23 +539,20 @@ class HomologyBasis(HomologyGroup):
         torsion: tuple[int, ...] = (),
         representatives: tuple[tuple, ...] = (),
         coordinates: tuple[tuple, ...] = (),
-        relations: tuple[tuple, ...] = (),
-        size: int = 0,
     ):
         super().__init__(rank, torsion)
-        for name, value in zip(self.__slots__, (representatives, coordinates, relations, size, None)):
+        for name, value in zip(self.__slots__, (representatives, coordinates, None)):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return (self.rank, self.torsion, self.representatives, self.coordinates, self.relations, self.size)
+        return (self.rank, self.torsion, self.representatives, self.coordinates)
 
     def columns(self) -> dict[int, list[tuple[int, object]]]:
-        """Position -> the (form, value) pairs of the forms' nonzeros
-        there, numbering the relations first and the coordinate forms
-        after them; built on first use and kept."""
+        """Position -> the (form, value) pairs of the coordinate forms'
+        nonzeros there; built on first use and kept."""
         if self._columns is None:
             columns: dict[int, list[tuple[int, object]]] = {}
-            for k, form in enumerate(self.relations + self.coordinates):
+            for k, form in enumerate(self.coordinates):
                 for j, a in form:
                     columns.setdefault(j, []).append((k, a))
             object.__setattr__(self, "_columns", columns)
@@ -581,32 +575,51 @@ def _subtract(target: dict, f, row: dict, p: int) -> None:
             del target[j]
 
 
-def _rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
-    """Reduced row echelon form over F_p, or over Q when p == 0, of the
-    matrix with these sparse rows, which are left unchanged.
-
-    The result maps each pivot column to the nonzeros of its row: 1 at
-    the pivot, and no entry left of it or at another pivot column.
-    Each row is reduced by the pivot rows found so far, scaled to 1 on
-    its least column, and that column is cleared from the other pivot
-    rows.  Entries are residues mod p; over Q a row stays ints under a
-    +-1 lead, its own inverse, and only a non-unit lead makes Fractions.
-    """
-    pivots: dict[int, dict] = {}
+def _echelon(rows: Sequence[dict], p: int) -> dict[int, dict]:
+    """Row echelon form over F_p, or over Q when p == 0, of the matrix
+    with these sparse rows, which are left unchanged: lead column -> the
+    nonzeros of its row, 1 at the lead and none left of it.  Each row is
+    reduced at the earlier leads, in increasing column order, and scaled
+    to 1 on its least column; no earlier row changes.  The leads are the
+    reduced form's pivots.  Entries are residues mod p; over Q a row stays
+    ints under +-1 leads, and only a non-unit lead makes Fractions."""
+    leads: dict[int, dict] = {}
     for row in rows:
         r = {j: x % p for j, x in row.items() if x % p} if p else dict(row)
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, r[c], pivots[c], p)
+        hits = [c for c in r if c in leads]
+        heapify(hits)
+        while hits:
+            c = heappop(hits)
+            if c in r:
+                pivot = leads[c]
+                for j in pivot:
+                    if j in leads and j not in r:
+                        heappush(hits, j)
+                _subtract(r, r[c], pivot, p)
         if not r:
             continue
         lead = min(r)
         inv = pow(r[lead], -1, p) if p else r[lead] if r[lead] in (1, -1) else 1 / Fraction(r[lead])
-        r = {j: x * inv % p if p else x * inv for j, x in r.items()}
-        for other in pivots.values():
-            if lead in other:
-                _subtract(other, other[lead], r, p)
-        pivots[lead] = r
-    return pivots
+        leads[lead] = {j: x * inv % p if p else x * inv for j, x in r.items()}
+    return leads
+
+
+def _null_vector(leads: dict[int, dict], f: int, p: int) -> dict[int, object]:
+    """Nonzeros of the null vector of an _echelon form at free column f:
+    minus column f of the reduced form, with 1 at f and 0 at every other
+    free column.  A row's entries off its lead lie at free columns and at
+    the leads of rows found after it, so back-substitution takes the
+    rows in reverse order of finding; only leads left of f can be
+    nonzero."""
+    null = {f: 1}
+    for c in reversed(leads):
+        if c < f:
+            x = -sum(y * null[j] for j, y in leads[c].items() if j in null)
+            if p:
+                x %= p
+            if x:
+                null[c] = x
+    return null
 
 
 def _primitive_int_vector(vec: list, p: int) -> tuple[int, ...]:
@@ -684,8 +697,8 @@ def homology_representatives(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec
 
 def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> HomologyBasis:
     n, p = d_out.ncols, coeff.p
-    rr = _rref(d_out._entries, p)
-    free = [f for f in range(n) if f not in rr]
+    kernel = _echelon(d_out._entries, p)
+    free = [f for f in range(n) if f not in kernel]
     # A cycle's coordinates in the nullspace basis are its entries at the
     # free columns, so those of the image are the columns of d_in there.
     position = {f: g for g, f in enumerate(free)}
@@ -694,32 +707,25 @@ def _homology_field(d_in: Matrix, d_out: Matrix, coeff: CoefficientSpec) -> Homo
         if f in position:
             for c, x in row.items():
                 image[c][position[f]] = x
-    rr_image = _rref(image, p)
+    image_leads = _echelon(image, p)
     reps = []
     coordinates = []
     for g, f in enumerate(free):
-        if g in rr_image:
+        if g in image_leads:
             continue
-        # the nullspace vector at f: 1 at f, -rr[c][f] at each pivot column c
         null = [0] * n
-        null[f] = 1
-        for c, row in rr.items():
-            if f in row:
-                null[c] = -row[f] % p if p else -row[f]
+        for j, x in _null_vector(kernel, f, p).items():
+            null[j] = x
         rep = _primitive_int_vector(null, p)
         # Modulo the image, a cycle with nullspace coordinates x is the sum
-        # of (v_g . x) e_g over the free columns g of rr_image, v_g the
-        # nullspace vector of rr_image at g; rep is rep[f] e_g, and
+        # of (v_g . x) e_g over the free columns g of image_leads, v_g the
+        # null vector of image_leads at g; rep is rep[f] e_g, and
         # rep[f] == 1 over F_p.
         scale = 1 if p else Fraction(1, rep[f])
-        form = {f: scale}
-        for c, row in rr_image.items():
-            if g in row:
-                form[free[c]] = -row[g] % p if p else -row[g] * scale
+        form = {free[c]: x * scale for c, x in _null_vector(image_leads, g, p).items()}
         reps.append(rep)
         coordinates.append(tuple(sorted(form.items())))
-    relations = tuple(tuple(sorted(rr[c].items())) for c in sorted(rr))
-    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates), relations, n)
+    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates))
 
 
 def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
@@ -748,35 +754,22 @@ def _homology_integers(d_in: Matrix, d_out: Matrix) -> HomologyBasis:
         sign = -1 if next(x for x in vec if x) < 0 else 1
         reps.append(tuple(sign * x for x in vec))
         coordinates.append(tuple((i, sign * x) for i, x in sorted(form.items())))
-    relations = tuple(tuple(sorted(row.items())) for row in Matrix(rank_out, n, st.vinv[:rank_out])._entries)
-    return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates), relations, n)
+    return HomologyBasis(k - rank_in, torsion, tuple(reps), tuple(coordinates))
 
 
-NOT_A_CYCLE = "not a cycle: no expression in representatives modulo boundaries"
-
-
-def reduce_cycle(z: Sequence, group: HomologyBasis, coeff: CoefficientSpec) -> tuple:
-    """Coordinates of the class of z in the group's representative basis.
-
-    z is a cycle exactly when every relation of the group vanishes on
-    it; each coordinate is then the value of one coordinate form (mod p
-    over F_p).  Every form is evaluated in one pass over the nonzeros of
-    z, through the group's columns().  Over Z this is only defined in
-    torsion-free blocks.
-    """
+def reduce_cycle(terms: Iterable[tuple], group: HomologyBasis, coeff: CoefficientSpec) -> tuple:
+    """Coordinates, in the group's representative basis, of the class of
+    a cycle given by the (position, value) pairs of its nonzeros: each
+    is one coordinate form's value (mod p over F_p), all read in one
+    pass through columns().  The forms cannot tell a non-cycle, so the
+    caller applies d first, as TorRing.product does.  Over Z this is
+    only defined in torsion-free blocks."""
     if isinstance(coeff, Integers) and group.torsion:
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
-    if len(z) != group.size:
-        raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
     columns = group.columns()
-    values: dict[int, object] = {}
-    for j in compress(range(len(z)), z):
-        x = z[j]
+    values: list = [0] * len(group.coordinates)
+    for j, x in terms:
         for k, a in columns.get(j, ()):
-            values[k] = values.get(k, 0) + a * x
-    p, n = coeff.p, len(group.relations)
-    if p:
-        values = {k: v % p for k, v in values.items()}
-    if any(v for k, v in values.items() if k < n):
-        raise ValueError(NOT_A_CYCLE)
-    return tuple(values.get(k, 0) for k in range(n, n + len(group.coordinates)))
+            values[k] += a * x
+    p = coeff.p
+    return tuple(v % p for v in values) if p else tuple(values)

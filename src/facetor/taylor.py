@@ -39,7 +39,8 @@ together with the invariant factors linalg computes for it, for as long
 as the complex lives; taylor_complex keeps the two most recent builds.
 The position index of a block, which places boundary terms and chain
 terms alike, is built once, on first use, and kept the same way.
-chain_boundary applies d to a sparse chain by the rule the matrices
+chain_terms reads a sparse chain's (position, value) pairs through it,
+and chain_boundary applies d to a sparse chain by the rule the matrices
 follow, through the index of the block below, and builds no matrix.
 """
 
@@ -131,14 +132,15 @@ class TaylorComplex:
             self.boundary_matrix(sigma, q + 1), self.boundary_matrix(sigma, q), coeff
         )
 
-    def chain_vector(self, chain: Chain, sigma: int, q: int) -> list[int]:
+    def chain_terms(self, chain: Chain, sigma: int, q: int) -> list[tuple[int, int]]:
+        """The (position, value) pairs of a chain in the (q, sigma) block,
+        placed by the block's index; a term outside the block raises
+        ValueError."""
         index = self._index(sigma, q)
-        vec = [0] * len(index)
-        for u, c in chain.items():
-            if u not in index:
-                raise ValueError("chain term outside the requested block")
-            vec[index[u]] = c
-        return vec
+        try:
+            return [(index[u], c) for u, c in chain.items()]
+        except KeyError:
+            raise ValueError("chain term outside the requested block") from None
 
     def chain_boundary(self, chain: Chain, sigma: int, q: int) -> Chain:
         """d of a chain in the (q, sigma) block, by boundary_matrix's

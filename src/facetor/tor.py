@@ -12,18 +12,19 @@ under the exterior product and its basis names follow member order.
 TorRing alone builds representative cycles, and only for the blocks
 tor_bigraded reads as nonzero.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
-the exterior product of representative cycles.  In a nonzero target
-block it is reduced back to coordinates in the block's basis by the
-block's linear forms, which also reject a product that is not a cycle;
-in a zero block it has no coordinates, and d applied to the chain
-itself rejects a non-cycle, with no basis and no boundary matrix.  Over
-Z the product is offered only in torsion-free blocks: a block with
-torsion is not zero, so a product into it goes to reduce_cycle, which
-refuses it.  The product table forms products for the support-disjoint
-pairs alone and writes every other entry as a zero.  The ring laws are
-checked on those products: graded commutativity on each disjoint pair,
-the unit law on the unit's row, and associativity, read off the table
-by bilinearity, on every triple of pairwise disjoint supports.
+the exterior product of representative cycles.  d applied to that chain,
+with no boundary matrix, rejects a product that is not a cycle, in
+every target block.  In a nonzero block the cycle is then reduced back
+to coordinates in the block's basis by the block's coordinate forms,
+read off its (position, value) pairs; in a zero block it has no
+coordinates and no basis is built.  Over Z the product is offered only
+in torsion-free blocks: a block with torsion is not zero, so a cycle
+into it goes to reduce_cycle, which refuses it.  The product table
+forms products for the support-disjoint pairs alone and writes every
+other entry as a zero.  The ring laws are checked on those products:
+graded commutativity on each disjoint pair, the unit law on the unit's
+row, and associativity, read off the table by bilinearity, on every
+triple of pairwise disjoint supports.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .linalg import (
     CoefficientSpec,
     HomologyBasis,
     HomologyGroup,
-    NOT_A_CYCLE,
     ZERO_GROUP,
     homology_representatives,
     is_field,
@@ -44,6 +44,8 @@ from .linalg import (
 )
 from .polynomials import pmul
 from .taylor import Chain, TaylorComplex, chain_product, taylor_complex
+
+NOT_A_CYCLE = "not a cycle: no expression in representatives modulo boundaries"
 
 
 class BigradedTor:
@@ -161,8 +163,7 @@ class TorRing:
 
     def _group(self, q: int, sigma: int) -> HomologyBasis:
         """Representatives and forms of a block that tor_bigraded reads
-        as nonzero; product checks a chain in a zero block by its
-        boundary alone and builds no basis there."""
+        as nonzero; product builds no basis for a zero block."""
         group = self._groups.get((q, sigma))
         if group is None:
             group = self._groups[(q, sigma)] = homology_representatives(
@@ -181,14 +182,12 @@ class TorRing:
         block = self.tor.group(q, sigma)
         if not chain:
             return TorClass(q, sigma, (0,) * block.rank, ())
-        if block.is_zero:
-            p = self.coeff.p
-            if any(c % p if p else c for c in self.taylor.chain_boundary(chain, sigma, q).values()):
-                raise ValueError(NOT_A_CYCLE)
-            return TorClass(q, sigma, (), _chain_key(chain))
-        group = self._group(q, sigma)
-        vec = self.taylor.chain_vector(chain, sigma, q)
-        coords = reduce_cycle(vec, group, self.coeff)
+        p = self.coeff.p
+        if any(c % p if p else c for c in self.taylor.chain_boundary(chain, sigma, q).values()):
+            raise ValueError(NOT_A_CYCLE)
+        coords = () if block.is_zero else reduce_cycle(
+            self.taylor.chain_terms(chain, sigma, q), self._group(q, sigma), self.coeff
+        )
         return TorClass(q, sigma, coords, _chain_key(chain))
 
     def multiplication_table(self) -> list[dict]:

@@ -14,8 +14,10 @@ the reduced differential from its definition, the
 redundant-presentation strategy, the moment-angle series summed over
 links without a Taylor complex, the per-bit loop the bitset tables
 replaced, compare_blocks with one full subcomplex built per sigma, the
-field RREF that turned every entry over Q into a Fraction, and the
-row-wise reduce_cycle that evaluated each form over its own nonzeros.
+field RREF that turned every entry over Q into a Fraction and the field
+basis read off two of them, which the echelon forms are checked
+against, and the row-wise reduce_cycle that evaluated each form over
+its own nonzeros.
 Helpers return values or raise and never check with a bare assert,
 which python -O would strip outside test modules.
 """
@@ -38,14 +40,13 @@ from facetor import (
 from facetor.bitsets import bit_positions, check_subset, full_mask, popcount, sort_key, vertices
 from facetor.hochster import CochainComplex, check_all_sigma
 from facetor.linalg import (
-    NOT_A_CYCLE,
     ZERO_GROUP,
     CapabilityError,
     HomologyBasis,
     HomologyGroup,
     Integers,
     Matrix,
-    _rref,
+    _primitive_int_vector,
     _snf_state,
     _subtract,
     is_field,
@@ -282,27 +283,58 @@ def fraction_rref(rows: Sequence[dict], p: int) -> dict[int, dict]:
     return pivots
 
 
-def _form_value(form: tuple, z: Sequence, p: int):
-    value = sum(a * z[j] for j, a in form if z[j])
+def fraction_field_basis(d_in: Matrix, d_out: Matrix, coeff) -> HomologyBasis:
+    """The field homology basis read off the fraction_rref of d_out and
+    of the image in its nullspace coordinates: each representative is
+    minus a column of the first, with 1 at its free column, scaled to a
+    primitive integer vector, and each coordinate form is a column of the
+    second, scaled by 1 / rep[f] over Q."""
+    n, p = d_out.ncols, coeff.p
+    rr = fraction_rref(d_out._entries, p)
+    free = [f for f in range(n) if f not in rr]
+    position = {f: g for g, f in enumerate(free)}
+    image: list[dict] = [{} for _ in range(d_in.ncols)]
+    for f, row in enumerate(d_in._entries):
+        if f in position:
+            for c, x in row.items():
+                image[c][position[f]] = x
+    rr_image = fraction_rref(image, p)
+    reps, coordinates = [], []
+    for g, f in enumerate(free):
+        if g in rr_image:
+            continue
+        null = [0] * n
+        null[f] = 1
+        for c, row in rr.items():
+            if f in row:
+                null[c] = -row[f] % p if p else -row[f]
+        rep = _primitive_int_vector(null, p)
+        scale = 1 if p else Fraction(1, rep[f])
+        form = {f: scale}
+        for c, row in rr_image.items():
+            if g in row:
+                form[free[c]] = -row[g] % p if p else -row[g] * scale
+        reps.append(rep)
+        coordinates.append(tuple(sorted(form.items())))
+    return HomologyBasis(len(reps), (), tuple(reps), tuple(coordinates))
+
+
+def _form_value(form: tuple, z: dict, p: int):
+    value = sum(a * z[j] for j, a in form if j in z)
     return value % p if p else value
 
 
-def rowwise_reduce_cycle(z: Sequence, group: HomologyBasis, coeff) -> tuple:
-    """reduce_cycle with each relation and coordinate form evaluated on
-    its own, over all of its nonzeros: the same errors, in the same
-    order, and the same values."""
+def rowwise_reduce_cycle(terms, group: HomologyBasis, coeff) -> tuple:
+    """reduce_cycle with each coordinate form evaluated on its own, over
+    all of its nonzeros: the same error and the same values."""
     if isinstance(coeff, Integers) and group.torsion:
         raise CapabilityError("unsupported: ring reduction over Z with torsion")
-    if len(z) != group.size:
-        raise ValueError(f"a vector of length {len(z)} in a block of size {group.size}")
-    p = coeff.p
-    if any(_form_value(form, z, p) for form in group.relations):
-        raise ValueError(NOT_A_CYCLE)
-    return tuple(_form_value(form, z, p) for form in group.coordinates)
+    z = dict(terms)
+    return tuple(_form_value(form, z, coeff.p) for form in group.coordinates)
 
 
 def field_rank(M: Matrix, coeff) -> int:
-    return len(_rref(M._entries, coeff.p))
+    return len(fraction_rref(M._entries, coeff.p))
 
 
 def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -172,23 +172,24 @@ class TestSupports:
         for block in blocks:
             assert block == sorted(block, key=bit_positions)
 
-    def test_chain_vector_rejects_terms_outside_the_block(self):
+    def test_chain_terms_rejects_terms_outside_the_block(self):
         tc = taylor_complex(FIG1)
-        assert tc.chain_vector({S1 | S3 | S4: 2}, FULL5, 3) == [0, 0, 2, 0]
+        assert tc.chain_terms({S1 | S3 | S4: 2}, FULL5, 3) == [(2, 2)]
+        assert tc.chain_terms({S2 | S3 | S4: -1, S1 | S2 | S3: 3}, FULL5, 3) == [(3, -1), (0, 3)]
         with pytest.raises(ValueError, match="outside the requested block"):
-            tc.chain_vector({S1 | S2 | S3 | S4: 1}, FULL5, 3)  # wrong degree
+            tc.chain_terms({S1 | S3 | S4: 2, S1 | S2 | S3 | S4: 1}, FULL5, 3)  # wrong degree
         with pytest.raises(ValueError, match="outside the requested block"):
-            tc.chain_vector({S1 | S2: 1}, FULL5, 2)  # support {1,2,4,5}
+            tc.chain_terms({S1 | S2: 1}, FULL5, 2)  # support {1,2,4,5}
         lyubeznik = taylor_complex(FIG1, True)
         u = next(u for u in range(1 << lyubeznik.s) if u not in generator_set(lyubeznik))
         with pytest.raises(ValueError, match="outside the requested block"):
-            lyubeznik.chain_vector({u: 1}, total_subset(tc, u), popcount(u))
+            lyubeznik.chain_terms({u: 1}, total_subset(tc, u), popcount(u))
 
     @given(redundant_presentations(), st.booleans(), st.randoms(use_true_random=False))
     def test_chain_boundary_follows_the_definition(self, P, lyubeznik, rng):
         # d of a sparse chain equals the definition's differential summed
-        # over its terms and the boundary matrix applied to its vector;
-        # on a boundary every term cancels
+        # over its terms and the boundary matrix applied to the chain's
+        # (position, value) pairs; on a boundary every term cancels
         tc = taylor_complex(P, lyubeznik)
         for sigma, blocks in tc.slices():
             for q, gens in blocks.items():
@@ -199,11 +200,11 @@ class TestSupports:
                         want[v] = want.get(v, 0) + c * x
                 want = {v: x for v, x in want.items() if x}
                 assert tc.chain_boundary(chain, sigma, q) == want
-                vec, below = tc.chain_vector(chain, sigma, q), tc.generators(sigma, q - 1)
+                terms, below = dict(tc.chain_terms(chain, sigma, q)), tc.generators(sigma, q - 1)
                 image = {
                     below[i]: value
                     for i, row in enumerate(tc.boundary_matrix(sigma, q)._entries)
-                    if (value := sum(x * vec[j] for j, x in row.items()))
+                    if (value := sum(x * terms.get(j, 0) for j, x in row.items()))
                 }
                 assert image == want
                 if q + 1 in blocks:
@@ -211,7 +212,7 @@ class TestSupports:
                     assert tc.chain_boundary(reduced_differential(tc, u), sigma, q) == {}
 
     def test_block_index_built_once(self, monkeypatch):
-        # boundary_matrix places its terms, and chain_vector its chains,
+        # boundary_matrix places its terms, and chain_terms its chains,
         # by one index per block, built on first use
         tc = TaylorComplex(FIG1)
         real = tc.generators
@@ -219,7 +220,7 @@ class TestSupports:
         monkeypatch.setattr(tc, "generators", lambda sigma, q: calls.append((sigma, q)) or real(sigma, q))
         tc.boundary_matrix(FULL5, 4)
         for _ in range(3):
-            assert tc.chain_vector({S1 | S3 | S4: 2}, FULL5, 3) == [0, 0, 2, 0]
+            assert tc.chain_terms({S1 | S3 | S4: 2}, FULL5, 3) == [(2, 2)]
         assert calls.count((FULL5, 3)) == 1
 
 
@@ -307,20 +308,20 @@ class TestEmptyEdges:
     @given(redundant_presentations())
     def test_indexes_serve_only_assembled_maps_and_chains(self, P):
         built, read = [], []
-        index, chain_vector = TaylorComplex._index, TaylorComplex.chain_vector
+        index, chain_terms = TaylorComplex._index, TaylorComplex.chain_terms
 
         def spy_index(tc, sigma, q):
             built.append((tc, sigma, q))
             return index(tc, sigma, q)
 
-        def spy_chain_vector(tc, chain, sigma, q):
+        def spy_chain_terms(tc, chain, sigma, q):
             read.append((tc, sigma, q))
-            return chain_vector(tc, chain, sigma, q)
+            return chain_terms(tc, chain, sigma, q)
 
         taylor_complex.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(TaylorComplex, "_index", spy_index)
-            mp.setattr(TaylorComplex, "chain_vector", spy_chain_vector)
+            mp.setattr(TaylorComplex, "chain_terms", spy_chain_terms)
             # the Lyubeznik build for every ring, the full build for chains
             tor_bigraded(P, ZZ)
             for coeff in (QQ, PrimeField(2)):

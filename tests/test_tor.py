@@ -494,28 +494,90 @@ def test_ring_builds_representatives_for_its_blocks_alone(monkeypatch):
 @pytest.mark.parametrize("coeff", [QQ, PrimeField(2), PrimeField(3), ZZ], ids=str)
 def test_product_rejects_a_non_cycle(monkeypatch, coeff):
     # a stray generator with a nonzero boundary makes a product chain a
-    # non-cycle; d applied to the chain refuses it in a zero target
-    # block, where no basis is built, and the relations in a nonzero one.
-    # The redundant member {1,2,5} gives a zero target block such a
-    # generator; the zero blocks that C5's and C6's products reach have none
-    P = Complement.from_vertex_lists(5, [[4, 5], [1, 5], [3, 4], [2, 3], [1, 2, 5], [1, 3]])
-    ring = TorRing(P, coeff)
+    # non-cycle; d applied to the chain refuses it in every target block,
+    # a zero one, where no basis is built, and a nonzero one alike
+    ring = TorRing(_STRAY_P, coeff)
+    cases = _stray_cases(ring)
+    assert set(cases) == {True, False}
+    for a, b, u in cases.values():
+        _add_stray(monkeypatch, u)
+        with pytest.raises(ValueError, match="not a cycle"):
+            ring.product(a, b)
+
+
+# The redundant member {1,2,5} gives a zero target block a generator with
+# a nonzero boundary; the zero blocks that C5's and C6's products reach
+# have none
+_STRAY_P = Complement.from_vertex_lists(5, [[4, 5], [1, 5], [3, 4], [2, 3], [1, 2, 5], [1, 3]])
+
+
+def _stray_cases(ring: TorRing) -> dict:
+    """Whether the target block is zero -> (a, b, u) for the first product
+    a * b whose target block holds a generator u with a nonzero boundary."""
     cases = {}
     for a, b, c in _products(ring):
         strays = [u for u in ring.taylor.generators(c.sigma, c.q) if reduced_differential(ring.taylor, u)]
         if strays:
             cases.setdefault(ring.tor.group(c.q, c.sigma).is_zero, (a, b, strays[0]))
-    assert set(cases) == {True, False}
-    for a, b, u in cases.values():
+    return cases
 
-        def with_stray(x, y, u=u):
-            out = chain_product(x, y)
-            out[u] = out.get(u, 0) + 1
-            return out
 
-        monkeypatch.setattr("facetor.tor.chain_product", with_stray)
-        with pytest.raises(ValueError, match="not a cycle"):
-            ring.product(a, b)
+def _add_stray(monkeypatch, u: int) -> None:
+    """Make every product chain carry u once more."""
+
+    def with_stray(x, y):
+        out = chain_product(x, y)
+        out[u] = out.get(u, 0) + 1
+        return out
+
+    monkeypatch.setattr("facetor.tor.chain_product", with_stray)
+
+
+def _with_torsion(monkeypatch, ring: TorRing, q: int, sigma: int) -> None:
+    """Stand in a Z/2 for the block (q, sigma): tor_bigraded reads it, and
+    every basis built carries the same torsion."""
+    real = homology_representatives
+
+    def with_torsion(*args):
+        g = real(*args)
+        return HomologyBasis(g.rank, (2,), g.representatives, g.coordinates)
+
+    monkeypatch.setitem(ring.tor.entries, (q, sigma), HomologyGroup(0, (2,)))
+    monkeypatch.setattr("facetor.tor.homology_representatives", with_torsion)
+
+
+@pytest.mark.parametrize("coeff", [QQ, PrimeField(2), PrimeField(3), ZZ], ids=str)
+def test_product_rejects_a_term_outside_its_block(monkeypatch, coeff):
+    # the empty generator has no deletions, so as a stray term in degree
+    # q > 0 it adds nothing to d of the chain and the product passes as a
+    # cycle; placing its terms in the nonzero target block refuses it
+    ring = TorRing(_STRAY_P, coeff)
+    a, b, c = next(t for t in _products(ring) if t[2].q and not ring.tor.group(t[2].q, t[2].sigma).is_zero)
+    _add_stray(monkeypatch, 0)
+    with pytest.raises(ValueError, match="outside the requested block"):
+        ring.product(a, b)
+
+
+@pytest.mark.parametrize("coeff", [QQ, PrimeField(2)], ids=str)
+def test_every_product_chain_meets_one_boundary_check(monkeypatch, coeff):
+    # the one cycle check: d is applied once to each nonempty product
+    # chain, in zero and nonzero target blocks alike, and never to an
+    # empty one
+    ring = TorRing(_cycle(6), coeff)
+    checked = []
+    real = TaylorComplex.chain_boundary
+
+    def spy(tc, chain, sigma, q):
+        checked.append((q, sigma))
+        return real(tc, chain, sigma, q)
+
+    monkeypatch.setattr(TaylorComplex, "chain_boundary", spy)
+    targets = [(c.q, c.sigma) for _, _, c in _products(ring)]
+    assert {ring.tor.group(q, sigma).is_zero for q, sigma in targets} == {True, False}
+    assert checked == targets
+    checked.clear()
+    ring.multiplication_table()
+    assert checked == targets
 
 
 def test_integer_product_into_a_torsion_block_is_refused(monkeypatch):
@@ -526,15 +588,24 @@ def test_integer_product_into_a_torsion_block_is_refused(monkeypatch):
     ring = TorRing(_cycle(5), ZZ)
     a, b, c = next(t for t in _products(ring) if ring.tor.group(t[2].q, t[2].sigma).is_zero)
     assert c.coords == ()
-    real = homology_representatives
-
-    def with_torsion(*args):
-        g = real(*args)
-        return HomologyBasis(g.rank, (2,), g.representatives, g.coordinates, g.relations, g.size)
-
-    monkeypatch.setitem(ring.tor.entries, (c.q, c.sigma), HomologyGroup(0, (2,)))
-    monkeypatch.setattr("facetor.tor.homology_representatives", with_torsion)
+    _with_torsion(monkeypatch, ring, c.q, c.sigma)
     with pytest.raises(CapabilityError, match="torsion"):
+        ring.product(a, b)
+
+
+def test_integer_non_cycle_into_a_torsion_block_is_an_internal_fault(monkeypatch):
+    # the cycle test comes before the torsion refusal, so a non-cycle
+    # product into a block with torsion is a ValueError (exit 1, an
+    # internal fault), not a CapabilityError (exit 3, out of range).
+    # The stray generator's zero target block stands in for one with torsion
+    ring = TorRing(_STRAY_P, ZZ)
+    a, b, u = _stray_cases(ring)[True]
+    c = ring.product(a, b)
+    _with_torsion(monkeypatch, ring, c.q, c.sigma)
+    with pytest.raises(CapabilityError, match="torsion"):
+        ring.product(a, b)
+    _add_stray(monkeypatch, u)
+    with pytest.raises(ValueError, match="not a cycle"):
         ring.product(a, b)
 
 
