@@ -10,12 +10,14 @@
 # Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle (its ring
 # over F2, Q and F3), an edge on 10 and 12 vertices, six
 # disjoint edges on 12 and the path on 12, bounds on the peak memory of
-# the 8-cycle's ring (printed with its user+sys time, which is not
-# bounded) and of maz on the six edges and the path, the
+# the 8-cycle's ring and of verify --all-sigma on the edge on 12 against
+# its tor (each printed with its user+sys time, which is not bounded)
+# and of maz on the six edges and the path, the
 # series of joins checked against powers of their parts' series (twelve
 # disjoint edges on 24 under a time bound, and the 7-cycle joined with
-# itself), and an m = 23 oracle trial under a time bound.  Its input
-# documents live in a temporary directory that is removed on exit.
+# itself), and an m = 23 oracle trial under a time bound, printed with
+# its peak, which is not bounded.  Its input documents live in a
+# temporary directory that is removed on exit.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
@@ -152,10 +154,29 @@ echo '{"m": 10, "complement": [[1, 2]]}' > "$work/edge10.json"
 pin e068f4941ba4590e935225bc0e89c682c8d611c34d662dcc1a1a5186d48ca442 "$@" -m facetor.cli verify "$work/edge10.json" --all-sigma
 echo '{"m": 12, "complement": [[1, 2]]}' > "$work/edge12.json"
 pin 1d56b6c125dcaa6e286cf74fd8b2fb6005ede898a9e23e186f407547e9920902 "$@" -m facetor.cli verify "$work/edge12.json" --all-sigma
+# the sweep factors one degree of a sigma's rows at a time, and its
+# 28,672 blocks share one pairs tuple wherever both sides are zero, so
+# it peaks near 3 MB above edge12's tor (20 MB above when every block
+# kept its own).  RUSAGE_CHILDREN sums the children's times, so the
+# sweep's user+sys is the difference of two readings
+"$@" -c '
+import resource, subprocess, sys
+def run(*args):
+    subprocess.run([*sys.argv[2:], "-m", "facetor.cli", *args], check=True, stdout=subprocess.DEVNULL)
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_maxrss / 1024, usage.ru_utime + usage.ru_stime
+tor, before = run("tor", sys.argv[1])
+sweep, after = run("verify", sys.argv[1], "--all-sigma")
+print(f"edge12 tor peak {tor:.1f} MB, verify --all-sigma +{sweep - tor:.1f} MB, {after - before:.2f} s user+sys")
+sys.exit(sweep > tor + 8)' "$work/edge12.json" "$@"
 
 # the second trial has m = 23: its oracle reads the 53,744 non-faces
-# inside U, not the 8,334,864 faces
-out="$(timeout 120 "$@" -m facetor.cli verify --random --trials 2 --seed 3 --max-m 24 --max-s 24)"
-last="$(printf '%s\n' "$out" | tail -1)"
-echo "$last"
-[[ $last == *", 0 failures" ]]
+# inside U, not the 8,334,864 faces.  Its peak (near 68 MB) is printed
+# beside the summary line
+"$@" -c '
+import resource, subprocess, sys
+args = ["verify", "--random", "--trials", "2", "--seed", "3", "--max-m", "24", "--max-s", "24"]
+out = subprocess.run([*sys.argv[1:], "-m", "facetor.cli", *args], check=True, stdout=subprocess.PIPE, text=True, timeout=120)
+last = out.stdout.splitlines()[-1]
+print(f"{last} (peak {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f} MB)")
+sys.exit(not last.endswith(", 0 failures"))' "$@"

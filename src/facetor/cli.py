@@ -340,12 +340,12 @@ def _render_verify_results(results, as_json: bool, header: dict) -> int:
     names = [str(c) for c in VERIFY_COEFFS]
     shown = []  # (q, sigma, pairs, ok) of the blocks with a nonzero side
     failed = 0
+    zero = (((0, ()), (0, ())),) * len(names)
     for q, sigma, pairs in results:
+        if pairs == zero:
+            continue  # both sides are zero, so they agree
         ok = _agrees(pairs)
-        if not ok:
-            failed += 1  # a failing block has a nonzero side, so it is always shown
-        elif all(left == (0, ()) for left, _ in pairs):
-            continue  # both sides agree, so both are zero
+        failed += not ok
         shown.append((q, sigma, pairs, ok))
     if as_json:
         blocks = [

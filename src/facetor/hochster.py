@@ -27,9 +27,11 @@ Miller and Sturmfels, Combinatorial Commutative Algebra, Thm 1.34 and
 Cor. 1.40).  sigma = 0 is read directly.  Faces are closed downward and
 non-faces upward, so either way sigma's coboundaries are U's on the
 rows of the sets inside sigma, and those rows meet no column outside
-them.  Their invariant factors are read off those rows as they stand,
-and only U's pairs are checked to compose to zero, each with one
-product, which covers every restriction.  A coboundary matrix is built
+them.  They are walked one degree at a time, whose rows are factored
+as they stand and dropped.  Only U's pairs are checked to compose to
+zero, each with one product, which covers every restriction.  The
+oracle is read only where sigma has sets, and blocks zero on both
+sides share one pairs tuple.  A coboundary matrix is built
 from its nonzero entries alone, one set and one-larger set at a time;
 a map out of or into an empty degree is the zero matrix of its shape.
 """
@@ -59,8 +61,8 @@ from .tor import tor_bigraded
 
 # The all_sigma sweep reads every subset of [m], visiting up to 3^m sets
 # of the smaller family in all.  In a fresh process on a 2-core machine,
-# verify --all-sigma on {1, 2} in [m] takes 0.18, 0.33 and 0.72 s at
-# m = 10, 11 and 12, and on random 12-vertex complements 0.5-0.8 s.
+# verify --all-sigma on {1, 2} in [m] takes 0.12, 0.19 and 0.36 s at
+# m = 10, 11 and 12, and on random 12-vertex complements 0.11-0.13 s.
 ALL_SIGMA_MAX_M = 12
 
 
@@ -145,40 +147,50 @@ class CochainComplex:
         """Keep the set counts and the coboundaries' invariant factors of
         the full subcomplex on sigma, per degree.
 
-        On faces, those inside sigma grow from the empty one by
-        bitsets.grow, as U's families do in _family_within; a set that
-        is no face lies in none, so only faces are visited.  Every face
-        of a face inside sigma lies inside sigma, so the full
-        subcomplex's coboundary C^(n-1) -> C^n is delta(n - 1) on the
-        rows of the n-faces inside sigma, and those rows have no entry
-        off the (n-1)-faces inside sigma: its factors are read off the
-        rows as they stand.
+        The sets inside sigma, base ^ G with base 0 on faces and sigma on
+        non-faces, are walked level by level: the G of one size, each
+        reached from G minus its highest vertex, as bitsets.grow would.
+        A level is one degree: its pair is checked and its rows factored
+        once it is complete, then dropped.  Rows are factored in the
+        complex's order, the cheapest measured: lex order of G is that
+        order on faces and its reverse on non-faces.
 
-        On non-faces, those inside sigma are sigma minus G, G growing
-        from the empty set in the same way.  A set holding a non-face is
-        one, so the rows at the non-faces inside sigma have no entry off
-        them.  They span C*(Delta_sigma, K_sigma), whose degree n + 1,
-        read as degree n, is reduced H^n(K_sigma) for nonempty sigma.
+        On faces, a set that is no face lies in none.  Every face of a
+        face inside sigma lies inside sigma, so the full subcomplex's
+        coboundary C^(n-1) -> C^n is delta(n - 1) on the rows of the
+        n-faces inside sigma, with no entry off the (n-1)-faces inside
+        sigma: its factors are read off the rows as they stand.  On
+        non-faces, a set holding a non-face is one, so the rows at the
+        non-faces inside sigma have no entry off them.  They span
+        C*(Delta_sigma, K_sigma), whose degree n + 1, read as degree n,
+        is reduced H^n(K_sigma) for nonempty sigma.
 
         d o d = 0 on the complex's own pair implies it on every
         restriction, so that pair is checked instead, and its product is
         taken once however many sigmas read it."""
-        position = self._position
-        base = sigma if self.relative else 0
-        rows: dict[int, list[int]] = {}  # degree -> positions of its sets inside sigma
-        for g in grow(sigma, lambda g: base ^ g in position):
-            f = base ^ g
-            rows.setdefault(popcount(f) - 1 - self.relative, []).append(position[f])
-        sizes = {n: len(r) for n, r in rows.items()}
-        if self.relative and not sigma:
-            # Delta_0 is not acyclic, so K_0 is read directly: the empty
-            # complex, or void when the empty set is a non-face
-            rows, sizes = {}, ({} if rows else {-1: 1})
-        factors: dict[int, tuple[int, ...]] = {}
-        for n, r in rows.items():
+        position, relative = self._position, self.relative
+        base = sigma if relative else 0
+        n, step = (popcount(sigma) - 2, -1) if relative else (-1, 1)
+        level, rows = ([0], [position[base]]) if base in position and (sigma or not relative) else ([], [])
+        sizes, factors = {}, {}
+        while level:
+            sizes[n] = len(level)
             d_in = self.delta(n - 1)
             check_chain_pair(d_in, self.delta(n))
-            factors[n - 1] = factors_at_rows(d_in, r)
+            factors[n - 1] = factors_at_rows(d_in, reversed(rows) if relative else rows)
+            grown, rows = [], []
+            for g in level:
+                above = sigma & -(1 << g.bit_length())
+                while above:
+                    low = above & -above
+                    above ^= low
+                    if (i := position.get(base ^ (g | low))) is not None:
+                        grown.append(g | low)
+                        rows.append(i)
+            level, n = grown, n + step
+        if relative and not sigma:
+            # Delta_0 is not acyclic: K_0 is the empty complex, or void
+            sizes = {} if 0 in position else {-1: 1}
         # kept only once every pair has passed its check
         self._sigma, self._sigma_sizes, self._sigma_factors = sigma, sizes, factors
 
@@ -213,13 +225,15 @@ def compare_blocks(
     members, 0 included, or with all_sigma every subset of [m]) and
     every q up to the top degree of the full complex's sigma slice, at
     least |sigma|; pairs holds, per ring of coeffs, the (q, sigma)
-    signature of tor_bigraded and the oracle's in degree |sigma| - q - 1.
-    Blocks come in (card, lex) order of sigma, then q.  With all_sigma,
-    m above ALL_SIGMA_MAX_M raises CapabilityError before any block is
-    built."""
+    signature of tor_bigraded and the oracle's in degree |sigma| - q - 1,
+    read only where sigma has sets; blocks zero on both sides share one
+    pairs tuple.  Blocks come in (card, lex) order of sigma, then q.  With
+    all_sigma, m above ALL_SIGMA_MAX_M raises CapabilityError first."""
     if all_sigma:
         check_all_sigma(P.m)
     tors = [tor_bigraded(P, coeff) for coeff in coeffs]
+    nonzero = {key for tor in tors for key in tor.entries}
+    zero = (((0, ()), (0, ())),) * len(tors)
     closure = {0}
     for member in P.members:
         closure |= {c | member for c in closure}
@@ -231,10 +245,16 @@ def compare_blocks(
         n = popcount(sigma)
         # the full slice's top generator selects every member inside sigma
         top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
+        oracle._restrict(sigma)
         for q in range(max(n, top) + 1):
-            pairs = []
-            for tor in tors:
-                right = oracle.cohomology(n - q - 1, tor.coeff, sigma)
-                pairs.append((tor.group(q, sigma).signature, right.signature))
-            out.append((q, sigma, tuple(pairs)))
+            d = n - q - 1
+            if d in oracle._sigma_sizes:
+                pairs = tuple(
+                    (tor.group(q, sigma).signature, oracle.cohomology(d, tor.coeff, sigma).signature) for tor in tors
+                )
+            elif (q, sigma) in nonzero:  # the oracle has no sets here, so the sides differ
+                pairs = tuple((tor.group(q, sigma).signature, (0, ())) for tor in tors)
+            else:
+                pairs = zero
+            out.append((q, sigma, zero if pairs == zero else pairs))
     return out

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from functools import reduce
 from operator import or_
@@ -15,8 +17,9 @@ from facetor import (
     tor_bigraded,
 )
 from facetor.bitsets import full_mask, mask_of, popcount, subsets_of
+from facetor.cli import VERIFY_COEFFS, _render_verify_results
 from facetor.hochster import CochainComplex
-from facetor.linalg import QQ, ZZ, Matrix, PrimeField, homology_at
+from facetor.linalg import QQ, ZZ, HomologyGroup, Matrix, PrimeField, factors_at_rows, homology_at
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -341,6 +344,76 @@ def _sigmas(P: Complement, all_sigma: bool) -> list[int]:
     for member in P.members:
         closure |= {c | member for c in closure}
     return list(range(1 << P.m)) if all_sigma else sorted(closure)
+
+
+@pytest.mark.parametrize("all_sigma", [False, True])
+@pytest.mark.parametrize("relative", [False, True])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_restriction_factors_one_degree_at_a_time(name, relative, all_sigma, monkeypatch):
+    # a sigma's restriction factors once per degree that holds sets inside
+    # sigma, on the rows of that degree's sets alone
+    P = ORACLE_CASES[name]
+    cc = CochainComplex(P, _union(P, all_sigma), relative)
+    calls = []
+    real = factors_at_rows
+
+    def spy(M, positions):
+        calls.append((M, list(positions)))
+        return real(M, positions)
+
+    monkeypatch.setattr("facetor.hochster.factors_at_rows", spy)
+    for sigma in _sigmas(P, all_sigma):
+        calls.clear()
+        cc._restrict(sigma)
+        inside = {n: [i for i, f in enumerate(fs) if f & ~sigma == 0] for n, fs in cc.faces.items()}
+        inside = {n: rows for n, rows in inside.items() if rows and (sigma or not relative)}
+        got = {next(n + 1 for n, D in cc._matrices.items() if D is M): sorted(rows) for M, rows in calls}
+        assert len(got) == len(calls)
+        assert got == inside
+        if sigma or not relative:
+            assert cc._sigma_sizes == {n: len(rows) for n, rows in inside.items()}
+
+
+def test_blocks_zero_on_both_sides_share_one_pairs_object():
+    # zero blocks off sigma's degrees and at them alike: {1, 2, 3} holds
+    # the non-faces {1, 2} and {1, 2, 3}, and its relative complex is acyclic
+    P = Complement.from_vertex_lists(10, [[1, 2]])
+    blocks = compare_blocks(P, VERIFY_COEFFS, all_sigma=True)
+    zero = [pairs for _, _, pairs in blocks if all(left == right == (0, ()) for left, right in pairs)]
+    assert 0 < len(zero) < len(blocks)
+    assert len({id(pairs) for pairs in zero}) == 1
+    at = {(q, sigma): pairs for q, sigma, pairs in blocks}
+    assert at[(1, mask_of([1, 2, 3], 10))] is zero[0]
+
+
+def test_a_tor_block_where_sigma_has_no_sets_still_disagrees(monkeypatch):
+    # the oracle is read as zero at a degree where sigma has no sets, so a
+    # nonzero Tor block planted there must still come out as a disagreement
+    real = tor_bigraded
+
+    def planted(P, coeff):
+        tor = real(P, coeff)
+        tor.entries[(0, full_mask(P.m))] = HomologyGroup(1)
+        return tor
+
+    monkeypatch.setattr("facetor.hochster.tor_bigraded", planted)
+    assert _disagreements(compare_blocks(FIG1, (QQ, ZZ))) == [(0, full_mask(FIG1.m))]
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_report_reads_the_same_off_a_complex_per_sigma(rng, all_sigma, as_json):
+    P = random_complement(rng, 7, 6)
+    header = {"command": "verify", "mode": "file", "m": P.m}
+    reports = []
+    for blocks in (
+        compare_blocks(P, VERIFY_COEFFS, all_sigma),
+        compare_blocks_per_sigma(P, VERIFY_COEFFS, all_sigma),
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = _render_verify_results(blocks, as_json, header)
+        reports.append((code, out.getvalue()))
+    assert reports[0] == reports[1]
 
 
 class TestNonFaceFamily:
