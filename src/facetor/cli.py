@@ -322,10 +322,6 @@ def _cmd_compress(args) -> int:
 VERIFY_COEFFS: tuple[CoefficientSpec, ...] = (QQ, PrimeField(2), ZZ)
 
 
-def _agrees(pairs) -> bool:
-    return all(full == oracle for full, oracle in pairs)
-
-
 def _group_str(sig) -> str:
     rank, torsion = sig
     parts = ([f"Z^{rank}"] if rank else []) + [f"Z/{t}" for t in torsion]
@@ -336,19 +332,11 @@ def _sig_json(sig) -> dict:
     return {"rank": sig[0], "torsion": list(sig[1])}
 
 
-def _render_verify_results(results, as_json: bool, header: dict) -> int:
+def _render_verify_results(checked: int, blocks: list[tuple], as_json: bool, header: dict) -> int:
     names = [str(c) for c in VERIFY_COEFFS]
-    shown = []  # (q, sigma, pairs, ok) of the blocks with a nonzero side
-    failed = 0
-    zero = (((0, ()), (0, ())),) * len(names)
-    for q, sigma, pairs in results:
-        if pairs == zero:
-            continue  # both sides are zero, so they agree
-        ok = _agrees(pairs)
-        failed += not ok
-        shown.append((q, sigma, pairs, ok))
+    failed = sum(not ok for *_, ok in blocks)
     if as_json:
-        blocks = [
+        shown = [
             {
                 "q": q,
                 "sigma": list(vertices(sigma)),
@@ -358,23 +346,23 @@ def _render_verify_results(results, as_json: bool, header: dict) -> int:
                 },
                 "ok": ok,
             }
-            for q, sigma, pairs, ok in shown
+            for q, sigma, pairs, ok in blocks
         ]
         payload = dict(header)
-        payload.update({"coeffs": names, "blocks": blocks, "checked": len(results), "failed": failed})
+        payload.update({"coeffs": names, "blocks": shown, "checked": checked, "failed": failed})
         print(json.dumps(payload, indent=2))
     else:
         lines = []
-        for q, sigma, pairs, ok in shown:
+        for q, sigma, pairs, ok in blocks:
             detail = ", ".join(
                 f"{name}:{_group_str(left)}" + ("" if ok else f"|oracle:{_group_str(right)}")
                 for name, (left, right) in zip(names, pairs)
             )
             lines.append(f"{'PASS' if ok else 'FAIL'} q={q} sigma={set_str(sigma)} [{detail}]")
         lines.append(
-            f"checked {len(results)} (q, sigma) blocks over "
+            f"checked {checked} (q, sigma) blocks over "
             + ", ".join(names)
-            + f": {len(results) - failed} passed, {failed} failed"
+            + f": {checked - failed} passed, {failed} failed"
         )
         print("\n".join(lines))
     return 4 if failed else 0
@@ -390,15 +378,12 @@ def _cmd_verify(args) -> int:
         checked = failed = 0
         for trial in range(args.trials):
             P = random_complement(rng, args.max_m, args.max_s)
-            results = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
-            bad = sum(not _agrees(pairs) for _, _, pairs in results)
-            checked += len(results)
+            count, blocks = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
+            bad = sum(not ok for *_, ok in blocks)
+            checked += count
             failed += bad
             if not args.json:
-                print(
-                    f"trial {trial}: m={P.m} s={P.s} P={P} "
-                    f"{len(results)} blocks {'FAIL' if bad else 'PASS'}"
-                )
+                print(f"trial {trial}: m={P.m} s={P.s} P={P} {count} blocks {'FAIL' if bad else 'PASS'}")
         if args.json:
             print(
                 json.dumps(
@@ -419,10 +404,8 @@ def _cmd_verify(args) -> int:
     if not args.input:
         raise InputError("an input file is required unless --random is given")
     P = load_input(args.input)
-    results = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
-    return _render_verify_results(
-        results, args.json, {"command": "verify", "mode": "file", "m": P.m}
-    )
+    checked, blocks = compare_blocks(P, VERIFY_COEFFS, args.all_sigma)
+    return _render_verify_results(checked, blocks, args.json, {"command": "verify", "mode": "file", "m": P.m})
 
 
 @functools.cache

@@ -23,6 +23,7 @@ from .bitsets import (
     check_subset,
     full_mask,
     mask_of,
+    set_str,
     sort_key,
     subsets_of,
     vertices,
@@ -55,8 +56,6 @@ class Complement:
         return [list(vertices(mem)) for mem in self.members]
 
     def __str__(self) -> str:
-        from .bitsets import set_str
-
         return "{" + ", ".join(set_str(mem) for mem in self.members) + "}"
 
 

@@ -30,10 +30,10 @@ rows of the sets inside sigma, and those rows meet no column outside
 them.  They are walked one degree at a time, whose rows are factored
 as they stand and dropped.  Only U's pairs are checked to compose to
 zero, each with one product, which covers every restriction.  The
-oracle is read only where sigma has sets, and blocks zero on both
-sides share one pairs tuple.  A coboundary matrix is built
-from its nonzero entries alone, one set and one-larger set at a time;
-a map out of or into an empty degree is the zero matrix of its shape.
+oracle is read only where sigma has sets, and a block zero on both
+sides is counted but not listed.  A coboundary matrix is built from
+its nonzero entries alone, one set and one-larger set at a time; a map
+out of or into an empty degree is the zero matrix of its shape.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ from .tor import tor_bigraded
 
 # The all_sigma sweep reads every subset of [m], visiting up to 3^m sets
 # of the smaller family in all.  In a fresh process on a 2-core machine,
-# verify --all-sigma on {1, 2} in [m] takes 0.12, 0.19 and 0.36 s at
-# m = 10, 11 and 12, and on random 12-vertex complements 0.11-0.13 s.
+# verify --all-sigma on {1, 2} in [m] takes 0.13, 0.21 and 0.42 s at
+# m = 10, 11 and 12, and on random 12-vertex complements 0.14-0.26 s
+# (medians of 7 runs).
 ALL_SIGMA_MAX_M = 12
 
 
@@ -220,15 +221,17 @@ def _family_within(members: Iterable[int], union: int, relative: bool | None) ->
 
 def compare_blocks(
     P: Complement, coeffs: tuple[CoefficientSpec, ...], all_sigma: bool = False
-) -> list[tuple]:
-    """(q, sigma, pairs) for every sigma (the union-closure of the given
-    members, 0 included, or with all_sigma every subset of [m]) and
-    every q up to the top degree of the full complex's sigma slice, at
-    least |sigma|; pairs holds, per ring of coeffs, the (q, sigma)
-    signature of tor_bigraded and the oracle's in degree |sigma| - q - 1,
-    read only where sigma has sets; blocks zero on both sides share one
-    pairs tuple.  Blocks come in (card, lex) order of sigma, then q.  With
-    all_sigma, m above ALL_SIGMA_MAX_M raises CapabilityError first."""
+) -> tuple[int, list[tuple]]:
+    """(checked, blocks).  checked counts the (q, sigma) compared: every
+    sigma (the union-closure of the given members, 0 included, or with
+    all_sigma every subset of [m]) and every q up to the top degree of
+    the full complex's sigma slice, at least |sigma|.  blocks lists, in
+    (card, lex) order of sigma, then q, the (q, sigma, pairs, ok) with a
+    nonzero side on some ring: pairs holds, per ring of coeffs, the
+    (q, sigma) signature of tor_bigraded and the oracle's in degree
+    |sigma| - q - 1, read only where sigma has sets, and ok is whether
+    every pair agrees.  With all_sigma, m above ALL_SIGMA_MAX_M raises
+    CapabilityError first."""
     if all_sigma:
         check_all_sigma(P.m)
     tors = [tor_bigraded(P, coeff) for coeff in coeffs]
@@ -240,13 +243,15 @@ def compare_blocks(
     # every sigma lies inside U, the union of the members or [m]
     union = full_mask(P.m) if all_sigma else max(closure)
     oracle = CochainComplex(P, union)
-    out = []
+    checked, blocks = 0, []
     for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
         n = popcount(sigma)
         # the full slice's top generator selects every member inside sigma
         top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
         oracle._restrict(sigma)
-        for q in range(max(n, top) + 1):
+        qs = range(max(n, top) + 1)
+        checked += len(qs)
+        for q in qs:
             d = n - q - 1
             if d in oracle._sigma_sizes:
                 pairs = tuple(
@@ -255,6 +260,7 @@ def compare_blocks(
             elif (q, sigma) in nonzero:  # the oracle has no sets here, so the sides differ
                 pairs = tuple((tor.group(q, sigma).signature, (0, ())) for tor in tors)
             else:
-                pairs = zero
-            out.append((q, sigma, zero if pairs == zero else pairs))
-    return out
+                continue
+            if pairs != zero:  # a block zero on both sides is only counted
+                blocks.append((q, sigma, pairs, all(left == right for left, right in pairs)))
+    return checked, blocks

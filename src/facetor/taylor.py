@@ -177,8 +177,10 @@ def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, in
     return totals
 
 
-# two: the full and the Lyubeznik build of one presentation, all that a
-# command reads again (verify's rings, TorRing); maz reads each star once
+# two: the full and the Lyubeznik build of one presentation.  Only verify
+# reads one again (1 miss, 2 hits: its Lyubeznik build, over three rings);
+# tor, ring and maz read each build once, so one slot would serve the
+# same hits (path12 maz peaks the same with either)
 @lru_cache(maxsize=2)
 def taylor_complex(P: Complement, lyubeznik: bool = False) -> TaylorComplex:
     return TaylorComplex(P, lyubeznik)

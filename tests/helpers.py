@@ -133,9 +133,10 @@ def bit_loop_positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> list[tuple]:
+def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> tuple[int, list[tuple]]:
     """hochster.compare_blocks with the oracle's faces enumerated anew
-    for every sigma, from its own full subcomplex."""
+    for every sigma, from its own full subcomplex, and the cohomology
+    read at every degree."""
     if all_sigma:
         check_all_sigma(P.m)
     tors = [tor_bigraded(P, coeff) for coeff in coeffs]
@@ -143,18 +144,20 @@ def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> 
     closure = {0}
     for member in P.members:
         closure |= {c | member for c in closure}
-    out = []
+    checked, blocks = 0, []
     for sigma in sorted(range(1 << P.m) if all_sigma else closure, key=sort_key):
         n = popcount(sigma)
         top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
         oracle = None if K.is_void else CochainComplex(full_subcomplex(K, sigma))
         for q in range(max(n, top) + 1):
+            checked += 1
             pairs = []
             for tor in tors:
                 right = ZERO_GROUP if oracle is None else oracle.cohomology(n - q - 1, tor.coeff)
                 pairs.append((tor.group(q, sigma).signature, right.signature))
-            out.append((q, sigma, tuple(pairs)))
-    return out
+            if any(side != ZERO_GROUP.signature for pair in pairs for side in pair):
+                blocks.append((q, sigma, tuple(pairs), all(left == right for left, right in pairs)))
+    return checked, blocks
 
 
 def reduced_cohomology(K: SimplicialComplex, n: int, coeff) -> HomologyGroup:

@@ -267,6 +267,45 @@ class TestVerify:
         assert out.endswith("random sweep: 3 trials, 28 blocks, 0 failures\n")
         assert out_all.endswith("random sweep: 3 trials, 79 blocks, 0 failures\n")
 
+    def test_random_mode_json(self, capsys):
+        # the JSON summary counts what the text summary reads
+        code, out, _ = run(capsys, "verify", "--random", "--trials", "3", "--seed", "1", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "verify",
+            "mode": "random",
+            "trials": 3,
+            "seed": 1,
+            "checked": 28,
+            "failed": 0,
+        }
+
+    def test_random_mode_failure(self, capsys, monkeypatch):
+        # one failing block planted in the first trial fails that trial
+        # alone, and the sweep exits 4
+        import facetor.cli as cli_mod
+
+        real, planted = cli_mod.compare_blocks, []
+
+        def plant_once(P, coeffs, all_sigma):
+            checked, blocks = real(P, coeffs, all_sigma)
+            if not planted:
+                planted.append(P)
+                blocks = blocks + [(0, 0, (((1, ()), (0, ())),) * len(coeffs), False)]
+            return checked, blocks
+
+        monkeypatch.setattr(cli_mod, "compare_blocks", plant_once)
+        argv = ("verify", "--random", "--trials", "2", "--seed", "1")
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 4
+        assert lines[0].endswith(" FAIL") and lines[1].endswith(" PASS")
+        assert lines[2].startswith("random sweep: 2 trials, ") and lines[2].endswith(" blocks, 1 failures")
+        planted.clear()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 4
+        assert json.loads(out)["failed"] == 1
+
     def test_all_sigma_gated_above_twelve_vertices(self, capsys, tmp_path, monkeypatch):
         # 2^m subsets, about threefold per vertex: m = 13 exits 3 before
         # any block is built, and in random mode before the first trial
@@ -355,7 +394,7 @@ class TestVerify:
     def test_failure_exit_code(self, capsys, fig1_path, monkeypatch):
         import facetor.cli as cli_mod
 
-        fake = [(0, 0, (((1, ()), (0, ())),))]
+        fake = (1, [(0, 0, (((1, ()), (0, ())),), False)])
         monkeypatch.setattr(cli_mod, "compare_blocks", lambda P, coeffs, all_sigma: fake)
         code, out, _ = run(capsys, "verify", fig1_path)
         assert code == 4

@@ -16,7 +16,7 @@ from facetor import (
     full_subcomplex,
     tor_bigraded,
 )
-from facetor.bitsets import full_mask, mask_of, popcount, subsets_of
+from facetor.bitsets import full_mask, mask_of, popcount, sort_key, subsets_of
 from facetor.cli import VERIFY_COEFFS, _render_verify_results
 from facetor.hochster import CochainComplex
 from facetor.linalg import QQ, ZZ, HomologyGroup, Matrix, PrimeField, factors_at_rows, homology_at
@@ -119,17 +119,28 @@ def _dense_factors(M: Matrix) -> tuple[int, ...]:
     return tuple(x for i, row in enumerate(D.rows) if i < M.ncols and (x := row[i]))
 
 
-def _disagreements(blocks) -> list:
-    return [(q, sigma) for q, sigma, pairs in blocks if any(full != oracle for full, oracle in pairs)]
+def _disagreements(result) -> list:
+    """The (q, sigma) that compare_blocks reports as failing, after
+    checking that every listed block has a nonzero side and is ok
+    exactly when each ring's pair agrees."""
+    _, blocks = result
+    for _, _, pairs, ok in blocks:
+        assert any(side != (0, ()) for pair in pairs for side in pair)
+        assert ok == all(full == oracle for full, oracle in pairs)
+    return [(q, sigma) for q, sigma, _, ok in blocks if not ok]
+
+
+def _pairs_at(result) -> dict:
+    return {(q, sigma): pairs for q, sigma, pairs, _ in result[1]}
 
 
 class TestBaskakov:
     def test_trivial_complement(self):
-        assert compare_blocks(Complement(1, ()), (QQ,)) == [(0, 0, (((1, ()), (1, ())),))]
+        assert compare_blocks(Complement(1, ()), (QQ,)) == (1, [(0, 0, (((1, ()), (1, ())),), True)])
 
     def test_pentagon_block_both_sides_rank_one(self):
         sigma = mask_of([1, 2, 4, 5], 5)
-        pairs = {(q, s): p for q, s, p in compare_blocks(FIG1, (QQ,))}
+        pairs = _pairs_at(compare_blocks(FIG1, (QQ,)))
         assert pairs[(2, sigma)] == (((1, ()), (1, ())),)
         K = full_subcomplex(complex_from_complement(FIG1), sigma)
         # the full subcomplex is the 4-cycle 1-2-5-4
@@ -137,12 +148,9 @@ class TestBaskakov:
         assert reduced_cohomology(K, 1, QQ).signature == (1, ())
 
     def test_void_complement(self):
-        blocks = compare_blocks(Complement(2, (0,)), (ZZ,), all_sigma=True)
-        # sigma in (card, lex) order, then q up to max(top degree 1, |sigma|)
-        assert [(q, sigma) for q, sigma, _ in blocks] == [
-            (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)
-        ]
-        assert all(pairs == (((0, ()), (0, ())),) for _, _, pairs in blocks)
+        # q up to max(top degree 1, |sigma|) on each of the four sigma:
+        # 2 + 2 + 2 + 3 blocks, every one zero on both sides, so none listed
+        assert compare_blocks(Complement(2, (0,)), (ZZ,), all_sigma=True) == (9, [])
 
     def test_random_sweep(self):
         rng = random.Random(99)
@@ -154,9 +162,12 @@ class TestBaskakov:
         # four copies of {1,2}: the full complex's slice on sigma = {1,2}
         # has degrees up to 4, and q still runs that far, while the left
         # side comes from the Lyubeznik build (one member, degrees up to 1)
-        blocks = compare_blocks(Complement.from_vertex_lists(2, [[1, 2]] * 4), (QQ, ZZ))
-        assert [(q, sigma) for q, sigma, _ in blocks] == [(0, 0)] + [(q, 3) for q in range(5)]
-        assert _disagreements(blocks) == []
+        result = compare_blocks(Complement.from_vertex_lists(2, [[1, 2]] * 4), (QQ, ZZ))
+        # q runs 0 on sigma = 0 and 0..4 on {1,2}; only K_0's unit and the
+        # member's block are nonzero
+        assert result[0] == 1 + 5
+        assert [(q, sigma) for q, sigma, _, _ in result[1]] == [(0, 0), (1, 3)]
+        assert _disagreements(result) == []
 
     def test_reads_tor_bigraded(self, monkeypatch):
         # the left side is the Tor that tor_bigraded reports: no full
@@ -173,7 +184,7 @@ class TestBaskakov:
         coeffs = (QQ, PrimeField(2), ZZ)
         for P in (FIG1, EX513, Complement.from_vertex_lists(3, [[1], [1, 2], [1, 2, 3], [2]])):
             taylor_complex.cache_clear()
-            blocks = {(q, sigma): pairs for q, sigma, pairs in compare_blocks(P, coeffs)}
+            blocks = _pairs_at(compare_blocks(P, coeffs))
             for i, coeff in enumerate(coeffs):
                 for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
                     assert blocks[(q, sigma)][i][0] == group.signature
@@ -181,7 +192,7 @@ class TestBaskakov:
 
     def test_projective_plane_torsion_block(self):
         P = complement_from_complex(rp2_complex())
-        pairs = {(q, s): p for q, s, p in compare_blocks(P, (ZZ,))}
+        pairs = _pairs_at(compare_blocks(P, (ZZ,)))
         assert pairs[(3, full_mask(6))] == (((0, (2,)), (0, (2,))),)
 
     def test_projective_plane_over_every_ring(self):
@@ -190,7 +201,7 @@ class TestBaskakov:
         P = complement_from_complex(rp2_complex())
         coeffs = (QQ, PrimeField(2), ZZ)
         results = compare_blocks(P, coeffs)
-        pairs = {(q, s): p for q, s, p in results}
+        pairs = _pairs_at(results)
         zero, one = ((0, ()), (0, ())), ((1, ()), (1, ()))
         assert pairs[(3, full_mask(6))] == (zero, one, ((0, (2,)), (0, (2,))))
         assert pairs[(4, full_mask(6))] == (zero, one, zero)
@@ -255,11 +266,12 @@ class TestOracleFaces:
 
         monkeypatch.setattr(CochainComplex, "__init__", spy_init)
         monkeypatch.setattr(CochainComplex, "_restrict", spy_restrict)
-        sigmas = list(dict.fromkeys(s for _, s, _ in compare_blocks(P, (QQ, ZZ), all_sigma)))
+        _, blocks = compare_blocks(P, (QQ, ZZ), all_sigma)
         assert len(built) == 1
         monkeypatch.undo()
         K = complex_from_complement(P)
-        assert list(read) == sigmas
+        assert list(read) == sorted(_sigmas(P, all_sigma), key=sort_key)
+        assert {sigma for _, sigma, _, _ in blocks} <= set(read)
         for sigma, (sizes, factors) in read.items():
             if built[0].relative and sigma:
                 own = CochainComplex(P, sigma, relative=True)
@@ -273,9 +285,9 @@ class TestOracleFaces:
     def test_blocks_match_a_full_subcomplex_per_sigma(self, name, all_sigma):
         P = ORACLE_CASES[name]
         coeffs = (QQ, PrimeField(2), ZZ)
-        blocks = compare_blocks(P, coeffs, all_sigma)
-        assert blocks == compare_blocks_per_sigma(P, coeffs, all_sigma)
-        assert _disagreements(blocks) == []
+        result = compare_blocks(P, coeffs, all_sigma)
+        assert result == compare_blocks_per_sigma(P, coeffs, all_sigma)
+        assert _disagreements(result) == []
 
 
 def _flip_first_entry(M: Matrix) -> Matrix:
@@ -374,16 +386,14 @@ def test_restriction_factors_one_degree_at_a_time(name, relative, all_sigma, mon
             assert cc._sigma_sizes == {n: len(rows) for n, rows in inside.items()}
 
 
-def test_blocks_zero_on_both_sides_share_one_pairs_object():
-    # zero blocks off sigma's degrees and at them alike: {1, 2, 3} holds
-    # the non-faces {1, 2} and {1, 2, 3}, and its relative complex is acyclic
+def test_blocks_zero_on_both_sides_are_counted_not_listed():
+    # zero blocks off sigma's degrees and at them alike are counted: {1, 2, 3}
+    # holds the non-faces {1, 2} and {1, 2, 3}, and its relative complex is
+    # acyclic.  Of the 6,144 blocks only K_0's unit and the edge's are listed
     P = Complement.from_vertex_lists(10, [[1, 2]])
-    blocks = compare_blocks(P, VERIFY_COEFFS, all_sigma=True)
-    zero = [pairs for _, _, pairs in blocks if all(left == right == (0, ()) for left, right in pairs)]
-    assert 0 < len(zero) < len(blocks)
-    assert len({id(pairs) for pairs in zero}) == 1
-    at = {(q, sigma): pairs for q, sigma, pairs in blocks}
-    assert at[(1, mask_of([1, 2, 3], 10))] is zero[0]
+    checked, blocks = compare_blocks(P, VERIFY_COEFFS, all_sigma=True)
+    assert checked == 6144
+    assert [(q, sigma, ok) for q, sigma, _, ok in blocks] == [(0, 0, True), (1, mask_of([1, 2], 10), True)]
 
 
 def test_a_tor_block_where_sigma_has_no_sets_still_disagrees(monkeypatch):
@@ -405,13 +415,13 @@ def test_report_reads_the_same_off_a_complex_per_sigma(rng, all_sigma, as_json):
     P = random_complement(rng, 7, 6)
     header = {"command": "verify", "mode": "file", "m": P.m}
     reports = []
-    for blocks in (
+    for checked, blocks in (
         compare_blocks(P, VERIFY_COEFFS, all_sigma),
         compare_blocks_per_sigma(P, VERIFY_COEFFS, all_sigma),
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = _render_verify_results(blocks, as_json, header)
+            code = _render_verify_results(checked, blocks, as_json, header)
         reports.append((code, out.getvalue()))
     assert reports[0] == reports[1]
 
