@@ -9,10 +9,11 @@
 # seeded random oracle sweeps, sha256 pins of the 7-cycle (its ring over
 # Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle (its ring
 # over F2, Q and F3), an edge on 10 and 12 vertices, six
-# disjoint edges on 12 and the path on 12, bounds on the peak memory of
-# the 8-cycle's ring and of verify --all-sigma on the edge on 12 against
-# its tor (each printed with its user+sys time, which is not bounded)
-# and of maz on the six edges and the path, the
+# disjoint edges on 12 and the path on 12, the wall time and peak of one
+# fresh tor of the 7-cycle over Z (printed, not bounded), bounds on the
+# peak memory of the 8-cycle's ring and of verify --all-sigma on the
+# edge on 12 against its tor (each printed with its user+sys time, which
+# is not bounded) and of maz on the six edges and the path, the
 # series of joins checked against powers of their parts' series (twelve
 # disjoint edges on 24 under a time bound, and the 7-cycle joined with
 # itself), and an m = 23 oracle trial under a time bound, printed with
@@ -65,6 +66,15 @@ pin c280570ccd8d49f8377074766e76369e7e785f0bc456d0f6524876447fc84145 "$@" -m fac
 # the ring's products in every sign: F3 tells -1 from +1, as F2 cannot
 pin c412967ac80bd5fdd50b4209eaeb1167d79402c97d8f884af7b82ecabeb41f2c "$@" -m facetor.cli ring "$work/c7.json" --coeff q
 pin e88ca92857f02da2f2f39054c7ae3fb399e7df006b6e3f3a37d3904f995a5892 "$@" -m facetor.cli ring "$work/c7.json" --coeff f:3
+# one fresh command, start-up included: most of a fresh tor of the
+# 7-cycle is the interpreter and the imports, not the job (README,
+# "Start-up").  Its wall time and peak are printed and bound nothing
+"$@" -c '
+import resource, subprocess, sys, time
+start = time.perf_counter()
+subprocess.run([*sys.argv[2:], "-m", "facetor.cli", "tor", sys.argv[1], "--coeff", "z"], check=True, stdout=subprocess.DEVNULL)
+wall = time.perf_counter() - start
+print(f"fresh C7 tor --coeff z {wall * 1000:.0f} ms wall, peak {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f} MB")' "$work/c7.json" "$@"
 
 # the 8-cycle's ring reads the full 2^20 build, past every pinned input;
 # its tor and maz read most Lyubeznik blocks off their size

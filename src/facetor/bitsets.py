@@ -14,7 +14,7 @@ those.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 MAX_AMBIENT = 24
 

@@ -170,19 +170,17 @@ def _parse_omega(text: str, m: int) -> int:
         raise InputError(f"omega: {exc}")
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        for line in lines:
-            print(line)
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _emit_series(command: str, m: int, series, as_json: bool) -> None:
     total = sum(series.values())
-    series_json = [[d, c] for d, c in sorted(series.items())]
-    payload = {"command": command, "m": m, "series": series_json, "total": total}
-    _emit(payload, as_json, [f"{pstr(series)} (total {total})"])
+    if as_json:
+        series_json = [[d, c] for d, c in sorted(series.items())]
+        _print_json({"command": command, "m": m, "series": series_json, "total": total})
+    else:
+        print(f"{pstr(series)} (total {total})")
 
 
 def _tor_payload(tor) -> dict:
@@ -214,9 +212,10 @@ def _tor_lines(tor) -> list[str]:
 def _cmd_tor(args) -> int:
     P = load_input(args.input)
     tor = tor_bigraded(P, args.coeff)
-    payload = {"command": "tor", "m": P.m, "coeff": str(args.coeff)}
-    payload.update(_tor_payload(tor))
-    _emit(payload, args.json, _tor_lines(tor))
+    if args.json:
+        _print_json({"command": "tor", "m": P.m, "coeff": str(args.coeff), **_tor_payload(tor)})
+    else:
+        print("\n".join(_tor_lines(tor)))
     return 0
 
 
@@ -229,41 +228,32 @@ def _cmd_zk(args) -> int:
 def _cmd_ring(args) -> int:
     P = load_input(args.input)
     ring = TorRing(P, args.coeff)
-    table = ring.multiplication_table()
-    basis_payload = []
-    basis_lines = [f"basis (rank {len(ring.basis)}):"]
+    products = [
+        entry
+        for entry in ring.multiplication_table()
+        if entry["terms"] and ring.class_by_name(entry["left"]).q and ring.class_by_name(entry["right"]).q
+    ]
+    if args.json:
+        basis = [
+            {"name": name, "q": tc.q, "sigma": list(vertices(tc.sigma)), "deg": 2 * popcount(tc.sigma) - tc.q}
+            for name, tc in ring.basis
+        ]
+        shown = [
+            {"left": e["left"], "right": e["right"], "terms": [[name, str(c)] for name, c in e["terms"]]}
+            for e in products
+        ]
+        _print_json({"command": "ring", "m": P.m, "coeff": str(args.coeff), "basis": basis, "products": shown})
+        return 0
+    lines = [f"basis (rank {len(ring.basis)}):"]
     for name, tc in ring.basis:
-        deg = 2 * popcount(tc.sigma) - tc.q
-        basis_payload.append(
-            {"name": name, "q": tc.q, "sigma": list(vertices(tc.sigma)), "deg": deg}
-        )
-        basis_lines.append(f"  [{name}] q={tc.q} sigma={set_str(tc.sigma)} deg={deg}")
-    prod_payload = []
-    prod_lines = ["nonzero products (positive-degree pairs):"]
-    for entry in table:
-        if not entry["terms"]:
-            continue
-        if ring.class_by_name(entry["left"]).q == 0 or ring.class_by_name(entry["right"]).q == 0:
-            continue
-        combo = " + ".join((name if c == 1 else f"{c}*{name}") for name, c in entry["terms"])
-        prod_payload.append(
-            {
-                "left": entry["left"],
-                "right": entry["right"],
-                "terms": [[name, str(c)] for name, c in entry["terms"]],
-            }
-        )
-        prod_lines.append(f"  [{entry['left']}] * [{entry['right']}] = {combo}")
-    if not prod_payload:
-        prod_lines.append("  (none)")
-    payload = {
-        "command": "ring",
-        "m": P.m,
-        "coeff": str(args.coeff),
-        "basis": basis_payload,
-        "products": prod_payload,
-    }
-    _emit(payload, args.json, basis_lines + prod_lines)
+        lines.append(f"  [{name}] q={tc.q} sigma={set_str(tc.sigma)} deg={2 * popcount(tc.sigma) - tc.q}")
+    lines.append("nonzero products (positive-degree pairs):")
+    for e in products:
+        combo = " + ".join((name if c == 1 else f"{c}*{name}") for name, c in e["terms"])
+        lines.append(f"  [{e['left']}] * [{e['right']}] = {combo}")
+    if not products:
+        lines.append("  (none)")
+    print("\n".join(lines))
     return 0
 
 
@@ -275,23 +265,20 @@ def _cmd_star_link(args, which: str) -> int:
         raise CapabilityError("the void complex has no star or link")
     shape, shape_tor = (star, star_tor) if which == "star" else (link, link_tor)
     result, tor = shape(K, omega), shape_tor(P, omega, args.coeff)
-    payload = {
-        "command": which,
-        "m": P.m,
-        "omega": list(vertices(omega)),
-        "coeff": str(args.coeff),
-        "void": result.is_void,
-        "facets": result.facet_vertex_lists(),
-        "tor": _tor_payload(tor),
-    }
-    lines = []
-    if result.is_void:
-        lines.append(f"{which} of {set_str(omega)}: void complex")
+    if args.json:
+        payload = {
+            "command": which,
+            "m": P.m,
+            "omega": list(vertices(omega)),
+            "coeff": str(args.coeff),
+            "void": result.is_void,
+            "facets": result.facet_vertex_lists(),
+            "tor": _tor_payload(tor),
+        }
+        _print_json(payload)
     else:
-        facets = ", ".join(set_str(f) for f in result.facets)
-        lines.append(f"{which} of {set_str(omega)}: facets {facets}")
-    lines.extend(_tor_lines(tor))
-    _emit(payload, args.json, lines)
+        shape_str = "void complex" if result.is_void else "facets " + ", ".join(set_str(f) for f in result.facets)
+        print("\n".join([f"{which} of {set_str(omega)}: {shape_str}", *_tor_lines(tor)]))
     return 0
 
 
@@ -350,7 +337,7 @@ def _render_verify_results(checked: int, blocks: list[tuple], as_json: bool, hea
         ]
         payload = dict(header)
         payload.update({"coeffs": names, "blocks": shown, "checked": checked, "failed": failed})
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         lines = []
         for q, sigma, pairs, ok in blocks:

@@ -14,8 +14,7 @@ complement) and the EMPTY complex whose single face is the empty face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .bitsets import (
     bit_positions,
@@ -28,20 +27,24 @@ from .bitsets import (
     subsets_of,
     vertices,
 )
+from .linalg import Value
 
 
-@dataclass(frozen=True)
-class Complement:
+class Complement(Value):
     """Ordered sequence of vertex subsets over ambient [m]."""
 
-    m: int
-    members: tuple[int, ...]
+    __slots__ = ("m", "members")
 
-    def __post_init__(self) -> None:
-        check_ambient(self.m)
-        object.__setattr__(self, "members", tuple(self.members))
-        for mem in self.members:
-            check_subset(mem, self.m)
+    def __init__(self, m: int, members: Iterable[int]):
+        check_ambient(m)
+        members = tuple(members)
+        for mem in members:
+            check_subset(mem, m)
+        _set_complement_m(self, m)
+        _set_complement_members(self, members)
+
+    def _values(self) -> tuple:
+        return (self.m, self.members)
 
     @classmethod
     def from_vertex_lists(cls, m: int, lists: Iterable[Iterable[int]]) -> "Complement":
@@ -59,8 +62,11 @@ class Complement:
         return "{" + ", ".join(set_str(mem) for mem in self.members) + "}"
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+_set_complement_m = Complement.m.__set__
+_set_complement_members = Complement.members.__set__
+
+
+class SimplicialComplex(Value):
     """Simplicial complex over ambient [m], stored by its facets.
 
     facets == () encodes the VOID complex (no faces); facets == (0,)
@@ -69,14 +75,17 @@ class SimplicialComplex:
     dropped and the rest sorted by (cardinality, lex).
     """
 
-    m: int
-    facets: tuple[int, ...]
+    __slots__ = ("m", "facets")
 
-    def __post_init__(self) -> None:
-        check_ambient(self.m)
-        for f in self.facets:
-            check_subset(f, self.m)
-        object.__setattr__(self, "facets", _maximal_antichain(self.facets))
+    def __init__(self, m: int, facets: Sequence[int]):
+        check_ambient(m)
+        for f in facets:
+            check_subset(f, m)
+        _set_complex_m(self, m)
+        _set_complex_facets(self, _maximal_antichain(facets))
+
+    def _values(self) -> tuple:
+        return (self.m, self.facets)
 
     @classmethod
     def void(cls, m: int) -> "SimplicialComplex":
@@ -108,6 +117,10 @@ class SimplicialComplex:
 
     def facet_vertex_lists(self) -> list[list[int]]:
         return [list(vertices(f)) for f in self.facets]
+
+
+_set_complex_m = SimplicialComplex.m.__set__
+_set_complex_facets = SimplicialComplex.facets.__set__
 
 
 def _maximal_antichain(masks: Sequence[int]) -> tuple[int, ...]:

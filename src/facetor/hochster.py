@@ -38,7 +38,7 @@ out of or into an empty degree is the zero matrix of its shape.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .bitsets import full_mask, grow, popcount, sort_key, vertices
 from .complexes import (

@@ -21,11 +21,14 @@ ring, and not at all when either map is zero.  homology_at is that
 check followed by group_from_factors, which reads the group off the two
 maps' factors and serves restrictions too; with no factors on either
 side the group is free on the middle term, and every zero group it
-reads is ZERO_GROUP.  A HomologyGroup is an immutable value in two
-slots, rank and torsion, which its constructor fills through their slot
-descriptors, the cheapest route, since every block read builds one;
-setting a field raises AttributeError, so ZERO_GROUP and the groups
-that BigradedTor keeps are shared safely.  Cycle representatives are
+reads is ZERO_GROUP.  A HomologyGroup is a Value, the package's base
+for immutable values: its two slots, rank and torsion, are filled
+through their slot descriptors, the cheapest route, since every block
+read builds one, and setting a field raises AttributeError, so
+ZERO_GROUP and the groups that BigradedTor keeps are shared safely.
+Value stands in for frozen dataclasses, whose import alone (with
+inspect, ast, dis and tokenize) costs a CLI command milliseconds of
+start-up.  Cycle representatives are
 separate, for the product structure alone; they use the dense Smith
 normal form with explicit unimodular transforms over Z, and over a
 field a row echelon form reduced at its leads only, on the stored
@@ -44,27 +47,62 @@ fractions.Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 
 class CapabilityError(Exception):
     """The requested computation is outside the supported coefficient range."""
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Value:
+    """An immutable value, compared and hashed by its fields.
+
+    A subclass names its fields in __slots__, fills them in __init__
+    through their slot descriptors and returns them in order from
+    _values.  Values of different classes are never equal, setting or
+    deleting an attribute raises AttributeError, repr reads
+    Name(field=value, ...), and pickling and copying call __init__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Rationals(Value):
+    __slots__ = ()
     p = 0  # no modulus: arithmetic is exact
 
     def __str__(self) -> str:
         return "Q"
 
 
-@dataclass(frozen=True)
-class Integers:
+class Integers(Value):
+    __slots__ = ()
     p = 0  # no modulus: arithmetic is exact
 
     def __str__(self) -> str:
@@ -99,21 +137,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class PrimeField(Value):
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"{p!r} is not a prime")
         if p >= _PRIME_LIMIT:
             raise ValueError(f"{p} is too large: primes are checked exactly only below {_PRIME_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"{p!r} is not a prime")
+        _set_p(self, p)
+
+    def _values(self) -> tuple:
+        return (self.p,)
 
     def __str__(self) -> str:
         return f"F{self.p}"
+
+
+_set_p = PrimeField.p.__set__
 
 
 QQ = Rationals()
@@ -467,13 +510,11 @@ def snf_diagonal(M: Matrix) -> list[int]:
     return list(_factors(M))
 
 
-class HomologyGroup:
+class HomologyGroup(Value):
     """Finitely generated module: free rank and invariant factors > 1.
 
-    A group is an immutable value, compared and hashed by its fields:
-    ZERO_GROUP and the entries of every BigradedTor share instances.
-    Its fields live in slots that __init__ fills through their
-    descriptors, and setting or deleting one raises AttributeError."""
+    A group is a Value, so ZERO_GROUP and the entries of every
+    BigradedTor share instances; its repr is positional."""
 
     __slots__ = ("rank", "torsion")
 
@@ -483,23 +524,6 @@ class HomologyGroup:
 
     def _values(self) -> tuple:
         return (self.rank, self.torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self._values()!r}"

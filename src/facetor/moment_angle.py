@@ -28,8 +28,6 @@ drops them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitsets import bit_positions, full_mask, grow, popcount, vertices
 from .complexes import (
     Complement,
@@ -38,27 +36,25 @@ from .complexes import (
     join_parts,
     minimalize,
 )
-from .linalg import CoefficientSpec, HomologyGroup, ZERO_GROUP, is_field
+from .linalg import CoefficientSpec, HomologyGroup, Value, ZERO_GROUP, is_field
 from .polynomials import Poly, padd, pmul
 from .tor import BigradedTor, tor_bigraded
 
 DegreeRank = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(Value):
     """Per-vertex reduced Poincare polynomials of (X_i, A_i), stored as
     tuples of (degree >= 1, rank >= 0) pairs with distinct degrees."""
 
-    x_polys: tuple[tuple[DegreeRank, ...], ...]
-    a_polys: tuple[tuple[DegreeRank, ...], ...]
+    __slots__ = ("x_polys", "a_polys")
 
-    def __post_init__(self) -> None:
+    def __init__(self, x_polys: tuple[tuple[DegreeRank, ...], ...], a_polys: tuple[tuple[DegreeRank, ...], ...]):
         """Checks each pair in order, vertex by vertex, X before A; a
         message names the pair as pairs[i].X[j] or pairs[i].A[j]."""
-        if len(self.x_polys) != len(self.a_polys):
+        if len(x_polys) != len(a_polys):
             raise ValueError("X and A lists must have the same length")
-        for i, polys in enumerate(zip(self.x_polys, self.a_polys)):
+        for i, polys in enumerate(zip(x_polys, a_polys)):
             for key, poly in zip("XA", polys):
                 for j, (deg, rank) in enumerate(poly):
                     if deg < 1:
@@ -67,6 +63,11 @@ class PairSpec:
                         raise ValueError(f"pairs[{i}].{key}[{j}]: rank {rank} must be >= 0")
                     if any(deg == d for d, _ in poly[:j]):
                         raise ValueError(f"pairs[{i}].{key}[{j}]: degree {deg} is repeated")
+        _set_x_polys(self, x_polys)
+        _set_a_polys(self, a_polys)
+
+    def _values(self) -> tuple:
+        return (self.x_polys, self.a_polys)
 
     @property
     def m(self) -> int:
@@ -91,6 +92,10 @@ class PairSpec:
 
     def a_poly(self, i: int) -> Poly:
         return {deg: rank for deg, rank in self.a_polys[i] if rank}
+
+
+_set_x_polys = PairSpec.x_polys.__set__
+_set_a_polys = PairSpec.a_polys.__set__
 
 
 def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Poly:

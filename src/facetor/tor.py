@@ -29,14 +29,13 @@ triple of pairwise disjoint supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitsets import popcount, sort_key
 from .complexes import Complement, join_parts
 from .linalg import (
     CoefficientSpec,
     HomologyBasis,
     HomologyGroup,
+    Value,
     ZERO_GROUP,
     homology_representatives,
     is_field,
@@ -104,18 +103,29 @@ def _chain_key(chain: Chain) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(chain.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class TorClass:
+class TorClass(Value):
     """A homology class: block, coordinates in the block basis, and a
     representative cycle (kept as a chain for further products)."""
 
-    q: int
-    sigma: int
-    coords: tuple
-    chain: tuple[tuple[int, int], ...]
+    __slots__ = ("q", "sigma", "coords", "chain")
+
+    def __init__(self, q: int, sigma: int, coords: tuple, chain: tuple[tuple[int, int], ...]):
+        _set_q(self, q)
+        _set_sigma(self, sigma)
+        _set_coords(self, coords)
+        _set_chain(self, chain)
+
+    def _values(self) -> tuple:
+        return (self.q, self.sigma, self.coords, self.chain)
 
     def chain_dict(self) -> Chain:
         return dict(self.chain)
+
+
+_set_q = TorClass.q.__set__
+_set_sigma = TorClass.sigma.__set__
+_set_coords = TorClass.coords.__set__
+_set_chain = TorClass.chain.__set__
 
 
 def _monomial_name(u: int) -> str:

@@ -864,7 +864,7 @@ def test_signature_matches_representatives_route(rng):
 
 def test_coefficient_rings_carry_their_modulus():
     # p is 0 for exact arithmetic, a class constant and not a field, so
-    # equality, hashing and names are those of the field-free dataclasses
+    # equality, hashing and names are those of values with no fields
     assert QQ.p == ZZ.p == 0
     assert PrimeField(2).p == 2
     assert (QQ, ZZ, PrimeField(2)) == (Rationals(), Integers(), PrimeField(2))

@@ -1,9 +1,13 @@
 """The package's public surface as documented: the README's library
 example runs as written, facetor exports exactly the names listed here,
-and the test helpers never check with a bare assert."""
+the CLI imports none of the slow standard modules, and the test helpers
+never check with a bare assert."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import facetor
@@ -83,6 +87,18 @@ def test_exports_are_pinned_and_resolve():
     assert sorted(facetor.__all__) == EXPORTS
     for name in facetor.__all__:
         assert getattr(facetor, name) is not None
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # start-up dominates a CLI command; each of these costs milliseconds
+    # (dataclasses brings inspect, ast, dis and tokenize).  -S keeps site
+    # from loading typing on its own, and -O stays on when the suite runs
+    # under it
+    code = "import sys, facetor.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    flags = ["-O"] * sys.flags.optimize
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, *flags, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_helpers_never_assert():
