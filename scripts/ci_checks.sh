@@ -10,15 +10,16 @@
 # Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle (its ring
 # over F2, Q and F3), an edge on 10 and 12 vertices, six
 # disjoint edges on 12 and the path on 12, the wall time and peak of one
-# fresh tor of the 7-cycle over Z (printed, not bounded), bounds on the
-# peak memory of the 8-cycle's ring and of verify --all-sigma on the
-# edge on 12 against its tor (each printed with its user+sys time, which
-# is not bounded) and of maz on the six edges and the path, the
-# series of joins checked against powers of their parts' series (twelve
-# disjoint edges on 24 under a time bound, and the 7-cycle joined with
-# itself), and an m = 23 oracle trial under a time bound, printed with
-# its peak, which is not bounded.  Its input documents live in a
-# temporary directory that is removed on exit.
+# fresh tor of the 7-cycle over Z (printed, not bounded), the sha256 of
+# the 7-cycle's ring table over Z (its wall and user+sys time printed,
+# not bounded), bounds on the peak memory of the 8-cycle's ring and of
+# verify --all-sigma on the edge on 12 against its tor (each printed with
+# its user+sys time, which is not bounded) and of maz on the six edges
+# and the path, the series of joins checked against powers of their
+# parts' series (twelve disjoint edges on 24 under a time bound, and the
+# 7-cycle joined with itself), and an m = 23 oracle trial under a time
+# bound, printed with its peak, which is not bounded.  Its input
+# documents live in a temporary directory that is removed on exit.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
@@ -75,6 +76,20 @@ start = time.perf_counter()
 subprocess.run([*sys.argv[2:], "-m", "facetor.cli", "tor", sys.argv[1], "--coeff", "z"], check=True, stdout=subprocess.DEVNULL)
 wall = time.perf_counter() - start
 print(f"fresh C7 tor --coeff z {wall * 1000:.0f} ms wall, peak {resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f} MB")' "$work/c7.json" "$@"
+# the ring over Z, which no command reads (ring needs a field), runs 172
+# dense Smith forms with tracked transforms, the largest of 814,086
+# cells.  Its table's digest is pinned; its times are printed and bound
+# nothing
+"$@" -c '
+import hashlib, sys, time
+from facetor.cli import load_input
+from facetor.linalg import ZZ
+from facetor.tor import TorRing
+wall, cpu = time.perf_counter(), time.process_time()
+table = repr(TorRing(load_input(sys.argv[1]), ZZ).multiplication_table())
+print(f"C7 ring table over Z {time.perf_counter() - wall:.2f} s wall, {time.process_time() - cpu:.2f} s user+sys")
+digest = hashlib.sha256(table.encode()).hexdigest()
+sys.exit(digest != "e9e09cbe9b36b1f31c214d612bc292ab06df6e620caeb7fcd99d856bce8db7c2" and "digest mismatch: C7 ring table over Z")' "$work/c7.json"
 
 # the 8-cycle's ring reads the full 2^20 build, past every pinned input;
 # its tor and maz read most Lyubeznik blocks off their size
@@ -166,10 +181,8 @@ echo '{"m": 12, "complement": [[1, 2]]}' > "$work/edge12.json"
 pin 1d56b6c125dcaa6e286cf74fd8b2fb6005ede898a9e23e186f407547e9920902 "$@" -m facetor.cli verify "$work/edge12.json" --all-sigma
 # the sweep factors one degree of a sigma's rows at a time, and of its
 # 28,672 blocks it keeps only the two with a nonzero side, so it peaks
-# near 1.3 MB above edge12's tor (3 MB above when every block was kept
-# and the zero ones shared one pairs tuple, 20 MB when each had its
-# own).  RUSAGE_CHILDREN sums the children's times, so the sweep's
-# user+sys is the difference of two readings
+# near 1.3 MB above edge12's tor.  RUSAGE_CHILDREN sums the children's
+# times, so the sweep's user+sys is the difference of two readings
 "$@" -c '
 import resource, subprocess, sys
 def run(*args):

@@ -282,14 +282,15 @@ def _cmd_star_link(args, which: str) -> int:
     return 0
 
 
+MAZ_PRESETS = {"s2s1": PairSpec.spheres_s2_s1, "d2s1": PairSpec.disks_d2_s1}
+
+
 def _cmd_maz(args) -> int:
     P = load_input(args.input)
     if args.preset and args.pairs:
         raise InputError("use either --pairs or --preset, not both")
-    if args.preset == "s2s1":
-        pairs = PairSpec.spheres_s2_s1(P.m)
-    elif args.preset == "d2s1":
-        pairs = PairSpec.disks_d2_s1(P.m)
+    if args.preset:
+        pairs = MAZ_PRESETS[args.preset](P.m)
     elif args.pairs:
         pairs = load_pairs(args.pairs, P.m)
     else:
@@ -335,9 +336,7 @@ def _render_verify_results(checked: int, blocks: list[tuple], as_json: bool, hea
             }
             for q, sigma, pairs, ok in blocks
         ]
-        payload = dict(header)
-        payload.update({"coeffs": names, "blocks": shown, "checked": checked, "failed": failed})
-        _print_json(payload)
+        _print_json({**header, "coeffs": names, "blocks": shown, "checked": checked, "failed": failed})
     else:
         lines = []
         for q, sigma, pairs, ok in blocks:
@@ -372,19 +371,8 @@ def _cmd_verify(args) -> int:
             if not args.json:
                 print(f"trial {trial}: m={P.m} s={P.s} P={P} {count} blocks {'FAIL' if bad else 'PASS'}")
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "command": "verify",
-                        "mode": "random",
-                        "trials": args.trials,
-                        "seed": args.seed,
-                        "checked": checked,
-                        "failed": failed,
-                    },
-                    indent=2,
-                )
-            )
+            header = {"command": "verify", "mode": "random", "trials": args.trials, "seed": args.seed}
+            _print_json({**header, "checked": checked, "failed": failed})
         else:
             print(f"random sweep: {args.trials} trials, {checked} blocks, {failed} failures")
         return 4 if failed else 0
@@ -407,11 +395,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, coeff_default=None, coeff_parser=_parse_coeff):
         p.add_argument("input", help="JSON input document")
         if coeff_default is not None:
+            integers = "" if coeff_parser is _parse_field_coeff else "z (integers), "
             p.add_argument(
                 "--coeff",
                 type=coeff_parser,
                 default=coeff_parser(coeff_default),
-                help="coefficients: q (rationals), z (integers), f:<p> (prime field)",
+                help=f"coefficients: q (rationals), {integers}f:<p> (prime field)",
             )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -436,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_maz = sub.add_parser("maz", help="graded dimensions of a generalized moment-angle complex")
     add_common(p_maz)
     p_maz.add_argument("--pairs", help="JSON pair-spec document")
-    p_maz.add_argument("--preset", choices=["s2s1", "d2s1"], help="built-in pair spec")
+    p_maz.add_argument("--preset", choices=list(MAZ_PRESETS), help="built-in pair spec")
     p_maz.set_defaults(fn=_cmd_maz)
 
     p_comp = sub.add_parser("compress", help="remove a subset from every member")
@@ -449,10 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--json", action="store_true", help="machine-readable output")
     p_ver.add_argument("--all-sigma", action="store_true", help="sweep every subset, not just supports")
     p_ver.add_argument("--random", action="store_true", help="randomized sweep instead of a file")
-    p_ver.add_argument("--trials", type=_int_in(0), default=50)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-m", type=_int_in(1, MAX_AMBIENT), default=6)
-    p_ver.add_argument("--max-s", type=_int_in(0, MAX_GENERATORS), default=4)
+    for flag, kind, default, what in (
+        ("--trials", _int_in(0), 50, "number of trials, >= 0"),
+        ("--seed", int, 0, "seed of the trial stream"),
+        ("--max-m", _int_in(1, MAX_AMBIENT), 6, f"most vertices per trial, 1..{MAX_AMBIENT}"),
+        ("--max-s", _int_in(0, MAX_GENERATORS), 4, f"most members per trial, 0..{MAX_GENERATORS}"),
+    ):
+        p_ver.add_argument(flag, type=kind, default=default, help=f"--random only: {what} (default {default})")
     p_ver.set_defaults(fn=_cmd_verify)
 
     return parser

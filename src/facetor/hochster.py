@@ -30,10 +30,11 @@ rows of the sets inside sigma, and those rows meet no column outside
 them.  They are walked one degree at a time, whose rows are factored
 as they stand and dropped.  Only U's pairs are checked to compose to
 zero, each with one product, which covers every restriction.  The
-oracle is read only where sigma has sets, and a block zero on both
-sides is counted but not listed.  A coboundary matrix is built from
-its nonzero entries alone, one set and one-larger set at a time; a map
-out of or into an empty degree is the zero matrix of its shape.
+oracle is read where sigma has sets or the Tor side is nonzero, and a
+block zero on both sides is counted but not listed.  A coboundary
+matrix is built from its nonzero entries alone, one set and one-larger
+set at a time; a map out of or into an empty degree is the zero matrix
+of its shape.
 """
 
 from __future__ import annotations
@@ -111,10 +112,8 @@ class CochainComplex:
         self._matrices: dict[int, Matrix] = {}
         # each set's position in faces[its degree]
         self._position = {f: i for fs in by_dim.values() for i, f in enumerate(fs)}
-        # the full subcomplex last read by cohomology
-        self._sigma: int | None = None
-        self._sigma_sizes: dict[int, int] = {}
-        self._sigma_factors: dict[int, tuple[int, ...]] = {}
+        # the full subcomplex last restricted to: (sigma, sizes, factors)
+        self._last: tuple[int | None, dict[int, int], dict[int, tuple[int, ...]]] = (None, {}, {})
 
     def delta(self, n: int) -> Matrix:
         cached = self._matrices.get(n)
@@ -139,14 +138,14 @@ class CochainComplex:
         factor each map once."""
         if sigma is None:
             sigma = self.union
-        if sigma != self._sigma:
-            self._restrict(sigma)
-        factors = self._sigma_factors
-        return group_from_factors(self._sigma_sizes.get(n, 0), factors.get(n, ()), factors.get(n - 1, ()), coeff)
+        last, sizes, factors = self._last
+        if sigma != last:
+            sizes, factors = self._restrict(sigma)
+        return group_from_factors(sizes.get(n, 0), factors.get(n, ()), factors.get(n - 1, ()), coeff)
 
-    def _restrict(self, sigma: int) -> None:
-        """Keep the set counts and the coboundaries' invariant factors of
-        the full subcomplex on sigma, per degree.
+    def _restrict(self, sigma: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+        """The set counts and the coboundaries' invariant factors of the
+        full subcomplex on sigma, per degree, kept as the last record.
 
         The sets inside sigma, base ^ G with base 0 on faces and sigma on
         non-faces, are walked level by level: the G of one size, each
@@ -193,7 +192,8 @@ class CochainComplex:
             # Delta_0 is not acyclic: K_0 is the empty complex, or void
             sizes = {} if 0 in position else {-1: 1}
         # kept only once every pair has passed its check
-        self._sigma, self._sigma_sizes, self._sigma_factors = sigma, sizes, factors
+        self._last = (sigma, sizes, factors)
+        return sizes, factors
 
 
 def _family_within(members: Iterable[int], union: int, relative: bool | None) -> tuple[list[int], bool]:
@@ -229,9 +229,9 @@ def compare_blocks(
     (card, lex) order of sigma, then q, the (q, sigma, pairs, ok) with a
     nonzero side on some ring: pairs holds, per ring of coeffs, the
     (q, sigma) signature of tor_bigraded and the oracle's in degree
-    |sigma| - q - 1, read only where sigma has sets, and ok is whether
-    every pair agrees.  With all_sigma, m above ALL_SIGMA_MAX_M raises
-    CapabilityError first."""
+    |sigma| - q - 1, read where sigma has sets or the Tor side is
+    nonzero, and ok is whether every pair agrees.  With all_sigma, m
+    above ALL_SIGMA_MAX_M raises CapabilityError first."""
     if all_sigma:
         check_all_sigma(P.m)
     tors = [tor_bigraded(P, coeff) for coeff in coeffs]
@@ -248,19 +248,16 @@ def compare_blocks(
         n = popcount(sigma)
         # the full slice's top generator selects every member inside sigma
         top = sum(member & ~sigma == 0 for member in P.members) if sigma in closure else 0
-        oracle._restrict(sigma)
+        sizes, _ = oracle._restrict(sigma)
         qs = range(max(n, top) + 1)
         checked += len(qs)
         for q in qs:
             d = n - q - 1
-            if d in oracle._sigma_sizes:
-                pairs = tuple(
-                    (tor.group(q, sigma).signature, oracle.cohomology(d, tor.coeff, sigma).signature) for tor in tors
-                )
-            elif (q, sigma) in nonzero:  # the oracle has no sets here, so the sides differ
-                pairs = tuple((tor.group(q, sigma).signature, (0, ())) for tor in tors)
-            else:
+            if d not in sizes and (q, sigma) not in nonzero:
                 continue
+            pairs = tuple(
+                (tor.group(q, sigma).signature, oracle.cohomology(d, tor.coeff, sigma).signature) for tor in tors
+            )
             if pairs != zero:  # a block zero on both sides is only counted
                 blocks.append((q, sigma, pairs, all(left == right for left, right in pairs)))
     return checked, blocks

@@ -118,6 +118,12 @@ class TestRing:
         with pytest.raises(SystemExit) as err:
             main(["ring", fig1_path, "--coeff", "z"])
         assert err.value.code == 2
+        # so the help offers only the fields
+        with pytest.raises(SystemExit):
+            main(["ring", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "coefficients: q (rationals), f:<p> (prime field)" in help_text
+        assert "z (integers)" not in help_text
 
 
 class TestStarLink:
@@ -187,6 +193,19 @@ class TestMaz:
         code, _, err = run(capsys, "maz", ex513_path)
         assert code == 2
         assert "pairs" in err or "preset" in err
+
+    def test_preset_choices_and_conflicts(self, capsys, tmp_path, ex513_path):
+        with pytest.raises(SystemExit) as err:
+            main(["maz", ex513_path, "--preset", "s3s1"])
+        assert err.value.code == 2
+        assert "invalid choice: 's3s1' (choose from 's2s1', 'd2s1')" in capsys.readouterr().err
+        ppath = tmp_path / "pairs.json"
+        ppath.write_text(json.dumps([{"X": [[2, 1]], "A": []}] * 6))
+        code, out, err = run(capsys, "maz", ex513_path, "--preset", "d2s1", "--pairs", str(ppath))
+        assert (code, out, err) == (2, "", "input error: use either --pairs or --preset, not both\n")
+        with pytest.raises(SystemExit):
+            main(["maz", "--help"])
+        assert "--preset {s2s1,d2s1}" in capsys.readouterr().out
 
     def test_bad_pairs_degree(self, capsys, tmp_path, ex513_path):
         pairs = [{"X": [[0, 1]], "A": []} for _ in range(6)]
@@ -258,6 +277,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--random", "--trials", "5", "--seed", "3")
         assert code == 0
         assert "5 trials" in out
+
+    def test_random_options_have_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for line in (
+            "--trials TRIALS --random only: number of trials, >= 0 (default 50)",
+            "--seed SEED --random only: seed of the trial stream (default 0)",
+            "--max-m MAX_M --random only: most vertices per trial, 1..24 (default 6)",
+            "--max-s MAX_S --random only: most members per trial, 0..24 (default 4)",
+        ):
+            assert line in help_text
 
     def test_random_mode_honours_all_sigma(self, capsys):
         argv = ("verify", "--random", "--trials", "3", "--seed", "1")
