@@ -8,8 +8,10 @@
 # Runs the tests, the benchmark's tests, the worked examples, three
 # seeded random oracle sweeps, sha256 pins of the 7-cycle (its ring over
 # Q and F3 too: over F2 a sign of -1 reads as +1), the 8-cycle (its ring
-# over F2, Q and F3), an edge on 10 and 12 vertices, six
-# disjoint edges on 12 and the path on 12, the wall time and peak of one
+# over F2, Q and F3), the link of vertex 1 of the 9-cycle (27 members,
+# past the cap, which link applies to the link's 8 minimal members), an
+# edge on 10 and 12 vertices, six disjoint edges on 12 and the path on
+# 12, the wall time and peak of one
 # fresh tor of the 7-cycle over Z (printed, not bounded), the sha256 of
 # the 7-cycle's ring table over Z (its wall and user+sys time printed,
 # not bounded), bounds on the peak memory of the 8-cycle's ring and of
@@ -110,11 +112,17 @@ peak = usage.ru_maxrss / 1024
 print(f"C8 ring --coeff f:2 peak {peak:.1f} MB, {usage.ru_utime + usage.ru_stime:.2f} s user+sys")
 sys.exit(peak > 125)' "$work/c8.json" "$@"
 
+# the 9-cycle has 27 members, past the cap of 24, which tor, zk, star and
+# verify apply to it; link applies it to the link's minimal complement
+"$@" -c 'import json; print(json.dumps({"m": 9, "facets": [[i, i % 9 + 1] for i in range(1, 10)]}))' > "$work/c9.json"
+pin 81130cefb8cc2a5f31ea52f788d236d3d141db839a6dd9f2ffa08b59340d1b90 "$@" -m facetor.cli link "$work/c9.json" --omega 1
+
 # six disjoint edges on [12]: six join parts of 3 faces each, so maz
 # peaks within 2 MB of C7's maz.  The path [[1,2],...,[11,12]] on [12]
-# is one part with 377 faces: maz builds one star complex per face but
-# keeps at most two, so it peaks within 2 MB of its own zk, which builds
-# the star of the empty face alone (all 377 kept peak near 48 MB).
+# is one part with 377 faces: maz builds one star complex per face, and
+# the cache keeps only the last, so it peaks within 2 MB of its own zk,
+# which builds the star of the empty face alone (all 377 kept peak near
+# 48 MB).
 # RUSAGE_CHILDREN reads the largest child so far, so each reading is the
 # largest of the peaks up to it
 echo '{"m": 12, "complement": [[1,2],[3,4],[5,6],[7,8],[9,10],[11,12]]}' > "$work/matching12.json"

@@ -24,10 +24,10 @@ from facetor import (
     QQ,
     ZZ,
     SimplicialComplex,
+    TaylorComplex,
     TorRing,
     complement_from_complex,
     set_str,
-    taylor_complex,
     tor_bigraded,
     zk_poincare,
 )
@@ -78,7 +78,7 @@ def projective_plane():
     K = SimplicialComplex.from_facets(6, facets)
     P = complement_from_complex(K)
     print("  missing faces:", [list(vertices(m)) for m in P.members])
-    block = taylor_complex(P).block_homology(full_mask(6), 3, ZZ)
+    block = TaylorComplex(P).block_homology(full_mask(6), 3, ZZ)
     oracle = CochainComplex(K).cohomology(2, ZZ)
     print(f"  block (q=3, sigma=[6]) over Z: {block}")
     print(f"  independent cohomology in degree 2 over Z: {oracle}")

@@ -12,15 +12,15 @@ blocks, and the complex drops them once it is built.
 
 The full complex (the reduced Taylor resolution) has all 2^s subsets
 as generators; TorRing alone builds it, for chains on the given
-presentation.  The Lyubeznik build
-minimalizes the presentation first and keeps only the L-admissible
-subsets: a set may take a new smallest member i when no earlier member
-lies in the union of the set and i.  Admissible sets are closed under
-taking subsets, and they span a subcomplex that is still a free
-resolution over Z (Lyubeznik 1988), so every sigma slice has the
-homology of the Taylor slice, torsion included, from far fewer
-generators (368 against 16,384 for the 7-cycle).  tor_bigraded reads
-its blocks, and with it every command, verify included.
+presentation.  The Lyubeznik build minimalizes the presentation first
+and keeps only the L-admissible subsets: a set may take a new smallest
+member i when no earlier member lies in the union of the set and i.
+Admissible sets are closed under taking subsets, and they span a
+subcomplex that is still a free resolution over Z (Lyubeznik 1988), so
+every sigma slice has the homology of the Taylor slice, torsion
+included, from far fewer generators (368 against 16,384 for the
+7-cycle).  tor_bigraded reads its blocks, and with it every command,
+verify included.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
@@ -36,7 +36,8 @@ is free on its generators, over Z, Q and F_p alike, and block_homology
 reads it off the block's size without building either map; every other
 block goes through linalg.homology_at.  It keeps each matrix,
 together with the invariant factors linalg computes for it, for as long
-as the complex lives; taylor_complex keeps the two most recent builds.
+as the complex lives; taylor_complex keeps the last Lyubeznik build,
+which only verify reads again, and TorRing owns its full one.
 The position index of a block, which places boundary terms and chain
 terms alike, is built once, on first use, and kept the same way.
 chain_terms reads a sparse chain's (position, value) pairs through it,
@@ -177,13 +178,12 @@ def _generator_totals(members: tuple[int, ...], lyubeznik: bool) -> dict[int, in
     return totals
 
 
-# two: the full and the Lyubeznik build of one presentation.  Only verify
-# reads one again (1 miss, 2 hits: its Lyubeznik build, over three rings);
-# tor, ring and maz read each build once, so one slot would serve the
-# same hits (path12 maz peaks the same with either)
-@lru_cache(maxsize=2)
-def taylor_complex(P: Complement, lyubeznik: bool = False) -> TaylorComplex:
-    return TaylorComplex(P, lyubeznik)
+# one: only verify reads a build again (its Q, F2 and Z reads of one
+# presentation: 1 miss, 2 hits); tor, ring and maz read each build once
+@lru_cache(maxsize=1)
+def taylor_complex(P: Complement) -> TaylorComplex:
+    """The Lyubeznik build of P, the one tor_bigraded reads."""
+    return TaylorComplex(P, True)
 
 
 def generator_sign(u: int, v: int) -> int:

@@ -6,9 +6,9 @@ It reads the blocks off the Lyubeznik subcomplex of the minimalized
 presentation; the signatures depend only on the ideal, so they equal
 those of the full complex.  compare_blocks checks these blocks against
 the oracle.  TorRing takes its block list and ranks from tor_bigraded
-too, and is the one builder of the full complex on the given
-presentation, for chains alone, because admissible sets are not closed
-under the exterior product and its basis names follow member order.
+too, and builds its own full complex on the given presentation, which
+is dropped with the ring, for chains alone: admissible sets are not
+closed under the exterior product, and basis names follow member order.
 TorRing alone builds representative cycles, and only for the blocks
 tor_bigraded reads as nonzero.  The product of two classes is zero
 unless their supports are disjoint, in which case it is represented by
@@ -54,7 +54,7 @@ class BigradedTor:
     def __init__(self, complement: Complement, coeff: CoefficientSpec):
         self.complement = complement
         self.coeff = coeff
-        taylor = self.taylor = taylor_complex(complement, True)
+        taylor = self.taylor = taylor_complex(complement)
         # in the order the build stored the slices: every reader sorts or sums
         entries: dict[tuple[int, int], HomologyGroup] = {}
         for sigma, blocks in taylor.slices():
@@ -140,7 +140,7 @@ class TorRing:
     def __init__(self, complement: Complement, coeff: CoefficientSpec):
         self.tor = tor_bigraded(complement, coeff)
         self.coeff = coeff
-        self.taylor: TaylorComplex = taylor_complex(complement)
+        self.taylor = TaylorComplex(complement)
         self._groups: dict[tuple[int, int], HomologyBasis] = {}
         # (q, sigma) -> the basis positions of that block, in basis order
         self._blocks: dict[tuple[int, int], range] = {}

@@ -16,8 +16,9 @@ links without a Taylor complex, the per-bit loop the bitset tables
 replaced, compare_blocks with one full subcomplex built per sigma, the
 field RREF that turned every entry over Q into a Fraction and the field
 basis read off two of them, which the echelon forms are checked
-against, and the row-wise reduce_cycle that evaluated each form over
-its own nonzeros.
+against, the row-wise reduce_cycle that evaluated each form over
+its own nonzeros, and Baskakov's F2 cochain product on full
+subcomplexes, which the ring's products are checked against.
 Helpers return values or raise and never check with a bare assert,
 which python -O would strip outside test modules.
 """
@@ -25,7 +26,7 @@ which python -O would strip outside test modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 from facetor import (
@@ -37,7 +38,7 @@ from facetor import (
     link,
     tor_bigraded,
 )
-from facetor.bitsets import bit_positions, check_subset, full_mask, popcount, sort_key, vertices
+from facetor.bitsets import bit_positions, check_subset, full_mask, popcount, sort_key, subsets_of, vertices
 from facetor.hochster import CochainComplex, check_all_sigma
 from facetor.linalg import (
     ZERO_GROUP,
@@ -53,7 +54,7 @@ from facetor.linalg import (
 )
 from facetor.moment_angle import PairSpec
 from facetor.polynomials import padd, pmul
-from facetor.taylor import TaylorComplex, taylor_complex
+from facetor.taylor import TaylorComplex
 from facetor.tor import BigradedTor
 
 # pentagon-with-two-triangles complex on 5 vertices
@@ -244,7 +245,7 @@ def boundary_matrices(tc: TaylorComplex, sigma: int) -> list[Matrix]:
 def full_signature(P: Complement, coeff) -> dict:
     """Nonzero block signatures of the full complex on the given
     presentation, the side the Lyubeznik build is checked against."""
-    tc = taylor_complex(P)
+    tc = TaylorComplex(P)
     out = {}
     for sigma in supports(tc):
         for q in block_dims(tc, sigma):
@@ -466,3 +467,97 @@ def random_matrix(rng, max_dim: int = 12, lo: int = -9, hi: int = 9):
     nr = rng.randint(0, max_dim)
     nc = rng.randint(0, max_dim)
     return Matrix(nr, nc, [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)])
+
+
+def _f2_reduce(pivots: dict[int, int], v: int) -> int:
+    """v, a vector over F2 as a bitmask, reduced by an echelon basis
+    keyed by each vector's top bit; zero when v lies in its span."""
+    while v and (top := v.bit_length() - 1) in pivots:
+        v ^= pivots[top]
+    return v
+
+
+def _f2_extend(pivots: dict[int, int], vectors: Iterable[int]) -> list[int]:
+    """Add vectors to the echelon basis; return those independent of the
+    basis and of the vectors before them."""
+    kept = []
+    for v in vectors:
+        r = _f2_reduce(pivots, v)
+        if r:
+            pivots[r.bit_length() - 1] = r
+            kept.append(v)
+    return kept
+
+
+def f2_rank(vectors: Iterable[int]) -> int:
+    """Rank over F2 of bitmask vectors."""
+    return len(_f2_extend({}, vectors))
+
+
+def _f2_columns(M: Matrix) -> list[int]:
+    """The columns of M over F2, each a bitmask over M's rows."""
+    cols = [0] * M.ncols
+    for i, row in enumerate(M._entries):
+        for j, x in row.items():
+            if x % 2:
+                cols[j] |= 1 << i
+    return cols
+
+
+def _independent_mod_coboundaries(cc: CochainComplex, n: int, cochains: Iterable[int]) -> list[int]:
+    """The cochains of degree n, bitmasks over cc.faces[n], that are
+    independent over F2 of the coboundaries and of the ones before them."""
+    boundaries: dict[int, int] = {}
+    _f2_extend(boundaries, _f2_columns(cc.delta(n - 1)))
+    return _f2_extend(boundaries, cochains)
+
+
+def f2_cocycle_basis(cc: CochainComplex, n: int) -> list[int]:
+    """Cocycles of degree n over F2, as bitmasks over cc.faces[n], whose
+    classes are a basis of reduced H^n."""
+    width = len(cc.faces.get(n, ()))
+    kernel, pivots = [], {}
+    for j, col in enumerate(_f2_columns(cc.delta(n))):
+        # the coboundary sits above the cochain's own bit, so whatever
+        # reduces to nothing above the cochain bits is a cocycle
+        r = _f2_reduce(pivots, col << width | 1 << j)
+        if r >> width:
+            pivots[r.bit_length() - 1] = r
+        else:
+            kernel.append(r)
+    return _independent_mod_coboundaries(cc, n, kernel)
+
+
+def baskakov_product_ranks(K: SimplicialComplex) -> dict[tuple, int]:
+    """Rank over F2 of the products of every pair of nonzero Tor blocks
+    with disjoint supports I and J, read off Baskakov's cochain product
+    on full subcomplexes (Russian Math. Surveys 57:5, 2002) and not off
+    any exterior complex.  Cocycles x of K_I in degree a and y of K_J in
+    degree b multiply to (x.y)(tau) = x(tau & I) y(tau & J) on the
+    (a + b + 1)-faces tau of K_sigma, sigma = I | J; over F2 no sign is
+    needed.  The rank is that of the span of the products of cocycle
+    bases modulo the coboundaries of K_sigma.  A degree n on I is the
+    block (|I| - n - 1, I), and a key is the sorted pair of blocks."""
+    complexes, cocycles = {}, {}
+    for S in range(1 << K.m):
+        cc = complexes[S] = CochainComplex(full_subcomplex(K, S))
+        cocycles[S] = {n: basis for n in range(-1, popcount(S)) if (basis := f2_cocycle_basis(cc, n))}
+    ranks = {}
+    for sigma, target in complexes.items():
+        for I in subsets_of(sigma):
+            J = sigma & ~I
+            if I > J:
+                continue  # the pair was read as (J, I)
+            for a, xs in cocycles[I].items():
+                index_i = {f: k for k, f in enumerate(complexes[I].faces[a])}
+                for b, ys in cocycles[J].items():
+                    index_j = {f: k for k, f in enumerate(complexes[J].faces[b])}
+                    places = [
+                        (t, index_i[tau & I], index_j[tau & J])
+                        for t, tau in enumerate(target.faces.get(a + b + 1, ()))
+                        if tau & I in index_i and tau & J in index_j
+                    ]
+                    products = [sum(1 << t for t, i, j in places if x >> i & y >> j & 1) for x in xs for y in ys]
+                    key = tuple(sorted(((popcount(I) - a - 1, I), (popcount(J) - b - 1, J))))
+                    ranks[key] = len(_independent_mod_coboundaries(target, a + b + 1, products))
+    return ranks

@@ -26,7 +26,7 @@ from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.moment_angle import PairSpec, maz_cohomology, star_tor
 from facetor.polynomials import padd, pmul
 from facetor.sampling import random_complement
-from facetor.taylor import taylor_complex
+from facetor.taylor import TaylorComplex
 from facetor.tor import TorRing
 
 from helpers import (
@@ -184,7 +184,7 @@ def test_criterion_05_randomized_oracle_sweep(capsys):
 def test_criterion_06_projective_plane_torsion():
     K = rp2_complex()
     P = complement_from_complex(K)
-    taylor_side = taylor_complex(P).block_homology(full_mask(6), 3, ZZ)
+    taylor_side = TaylorComplex(P).block_homology(full_mask(6), 3, ZZ)
     oracle_side = reduced_cohomology(K, 2, ZZ)
     assert taylor_side.signature == (0, (2,))
     assert oracle_side.signature == (0, (2,))
@@ -197,7 +197,7 @@ def test_criterion_07_chain_complex_properties():
     rng = random.Random(2024)
     for _ in range(500):
         P = random_complement(rng, 6, 5)
-        tc = taylor_complex(P)
+        tc = TaylorComplex(P)
         zero_exp = (0,) * P.m
         for u in range(1 << P.s):
             # reduced differential squares to zero
@@ -238,7 +238,7 @@ def test_criterion_08_support_identities_exhaustive():
             for mem in combo:
                 prod = prod * (ones + mus[mem])
             assert f == prod
-            tc = taylor_complex(P)
+            tc = TaylorComplex(P)
             bits = 0
             for sigma in supports(tc):
                 if sum(block_dims(tc, sigma).values()) % 2:

@@ -788,11 +788,15 @@ class TestInputValidity:
             code, _, err = run(capsys, argv[0], str(path), *argv[1:])
             assert code == 3, argv
             assert err == "capability error: 25 members exceed the supported maximum 24\n", argv
-        c9 = tmp_path / "c9.json"
-        c9.write_text(json.dumps({"m": 9, "facets": [[i, i % 9 + 1] for i in range(1, 10)]}))
-        code, _, err = run(capsys, "tor", str(c9))
-        assert code == 3
-        assert err.startswith("capability error: 27 members exceed")
+        # the 9-cycle has 27 members in one part; link caps the minimal
+        # complement of the link of 1, which has 8
+        c9 = _cycle_path(tmp_path, 9)
+        for argv in (("tor",), ("zk",), ("star", "--omega", "1"), ("verify",)):
+            code, _, err = run(capsys, argv[0], c9, *argv[1:])
+            assert (code, err) == (3, "capability error: 27 members exceed the supported maximum 24\n"), argv
+        code, out, err = run(capsys, "link", c9, "--omega", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith("total rank 256\n")
 
     def test_large_prime_coefficients(self, capsys, fig1_path):
         code, out, _ = run(capsys, "tor", fig1_path, "--coeff", f"f:{2**61 - 1}")
@@ -897,6 +901,16 @@ def test_subcommand_output_deterministic(capsys, fig1_path, argv):
     second = run(capsys, argv[0], fig1_path, *argv[1:])
     assert first[0] == 0
     assert second == first
+
+
+def test_only_verify_reads_a_build_again(capsys, fig1_path):
+    # verify reads one Lyubeznik build over Q, F2 and Z; ring reads it
+    # once for its ranks and builds its full complex outside the cache
+    for command, traffic in (("verify", (1, 2)), ("ring", (1, 0))):
+        taylor_complex.cache_clear()
+        code, _, _ = run(capsys, command, fig1_path)
+        info = taylor_complex.cache_info()
+        assert (code, info.misses, info.hits) == (0, *traffic), command
 
 
 # Fuzzing the loaders: arbitrary JSON values, and valid documents with

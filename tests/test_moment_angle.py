@@ -115,22 +115,22 @@ class TestSphereCirclePair:
                 total = padd(total, sub)
         assert sum(total.values()) == 216
 
-    def test_matching_keeps_at_most_two_complexes(self):
+    def test_matching_keeps_one_complex(self):
         # six disjoint edges on [12]: six join parts of 3 faces each,
         # each face with its own star complex, of which the cache keeps
-        # the last two
+        # the last one
         P = Complement(12, tuple(mask_of([2 * i - 1, 2 * i], 12) for i in range(1, 7)))
         series = maz_cohomology(P, PairSpec.spheres_s2_s1(12), QQ)
         assert sum(series.values()) == 46_656
-        assert taylor_complex.cache_info().currsize <= 2
+        assert taylor_complex.cache_info().currsize <= 1
 
-    def test_path_keeps_at_most_two_complexes(self):
+    def test_path_keeps_one_complex(self):
         # the path's complement [[1,2],[2,3],...,[11,12]] on [12] is one
         # part with 377 faces, each with its own star complex
         P = Complement(12, tuple(mask_of([i, i + 1], 12) for i in range(1, 12)))
         series = maz_cohomology(P, PairSpec.spheres_s2_s1(12), QQ)
         assert sum(series.values()) == 47_458
-        assert taylor_complex.cache_info().currsize <= 2
+        assert taylor_complex.cache_info().currsize <= 1
 
     def test_wrapper_equals_pair_spec_path(self):
         assert s2s1_poincare(EX513, QQ) == maz_cohomology(EX513, PairSpec.spheres_s2_s1(6), QQ)

@@ -52,7 +52,7 @@ FULL5 = 0b11111
 class TestReducedDifferential:
     # each example reads the generator's column of its block's boundary matrix
     def test_top_generator(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         d = boundary_column(tc, S1 | S2 | S3 | S4)
         assert d == {
             S2 | S3 | S4: -1,
@@ -62,27 +62,27 @@ class TestReducedDifferential:
         }
 
     def test_triple_134(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         assert boundary_column(tc, S1 | S3 | S4) == {S3 | S4: -1}
 
     def test_triple_234_forced_by_square_zero(self):
         # d of the top generator must itself die under d, which forces
         # this second nonzero triple differential
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         assert boundary_column(tc, S2 | S3 | S4) == {S3 | S4: -1}
 
     def test_pair_vanishes(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         assert boundary_column(tc, S1 | S2) == {}
 
     def test_empty_generator(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         assert boundary_column(tc, 0) == {}
 
     @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5))
     def test_square_zero(self, m, members):
         P = Complement(m, tuple(mem & ((1 << m) - 1) for mem in members))
-        tc = taylor_complex(P)
+        tc = TaylorComplex(P)
         for u in range(1 << P.s):
             acc = {}
             for v, c in boundary_column(tc, u).items():
@@ -91,7 +91,7 @@ class TestReducedDifferential:
             assert all(x == 0 for x in acc.values())
 
     def test_grading_preserved(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         for u in range(16):
             for v in boundary_column(tc, u):
                 assert total_subset(tc, v) == total_subset(tc, u)
@@ -101,14 +101,14 @@ class TestReducedDifferential:
     def test_columns_follow_the_definition(self, P, lyubeznik):
         # every deletion keeping the total is a generator of the block
         # below, on the admissible subsets as on all of them
-        tc = taylor_complex(P, lyubeznik)
+        tc = TaylorComplex(P, lyubeznik)
         for u in generator_set(tc):
             assert boundary_column(tc, u) == reduced_differential(tc, u)
 
 
 class TestFullDifferential:
     def test_single_member(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         z = (0,) * 5
         out = full_differential(tc, {(S1, z): 1})
         assert out == {(0, (1, 0, 0, 0, 1)): -1}
@@ -117,7 +117,7 @@ class TestFullDifferential:
         rng = random.Random(9)
         for _ in range(60):
             P = random_complement(rng, 5, 4)
-            tc = taylor_complex(P)
+            tc = TaylorComplex(P)
             u = rng.getrandbits(P.s) if P.s else 0
             exps = tuple(rng.randint(0, 2) for _ in range(P.m))
             t = {(u, exps): rng.choice([1, -1, 2])}
@@ -127,7 +127,7 @@ class TestFullDifferential:
         rng = random.Random(10)
         for _ in range(60):
             P = random_complement(rng, 5, 4)
-            tc = taylor_complex(P)
+            tc = TaylorComplex(P)
             u = rng.getrandbits(P.s) if P.s else 0
             z = (0,) * P.m
             full = full_differential(tc, {(u, z): 1})
@@ -138,17 +138,17 @@ class TestFullDifferential:
 class TestSupports:
     def test_disjoint_members(self):
         P = Complement.from_vertex_lists(4, [[1, 2], [3, 4]])
-        tc = taylor_complex(P)
+        tc = TaylorComplex(P)
         assert supports(tc) == [0, 0b0011, 0b1100, 0b1111]
         assert all(len(tc.generators(s, q)) == 1 for s in supports(tc) for q in block_dims(tc, s))
 
     def test_overlapping_members(self):
         P = Complement.from_vertex_lists(3, [[1, 2], [1, 3]])
-        tc = taylor_complex(P)
+        tc = TaylorComplex(P)
         assert supports(tc) == [0, 0b011, 0b101, 0b111]
 
     def test_pentagon_complement_top_support(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         carriers = [u for u in range(16) if total_subset(tc, u) == FULL5]
         # one pair, all four triples, and the top generator
         assert sorted(carriers) == sorted([S3 | S4, 0b0111, 0b1011, 0b1101, 0b1110, 0b1111])
@@ -157,7 +157,7 @@ class TestSupports:
     @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5), st.booleans())
     def test_partition_of_generators(self, m, members, lyubeznik):
         P = Complement(m, tuple(mem & ((1 << m) - 1) for mem in members))
-        tc = taylor_complex(P, lyubeznik)
+        tc = TaylorComplex(P, lyubeznik)
         members = tc.complement.members
         expected = [u for u in range(1 << tc.s) if not lyubeznik or _l_admissible(members, u)]
         blocks = [tc.generators(s, q) for s in supports(tc) for q in block_dims(tc, s)]
@@ -173,14 +173,14 @@ class TestSupports:
             assert block == sorted(block, key=bit_positions)
 
     def test_chain_terms_rejects_terms_outside_the_block(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         assert tc.chain_terms({S1 | S3 | S4: 2}, FULL5, 3) == [(2, 2)]
         assert tc.chain_terms({S2 | S3 | S4: -1, S1 | S2 | S3: 3}, FULL5, 3) == [(3, -1), (0, 3)]
         with pytest.raises(ValueError, match="outside the requested block"):
             tc.chain_terms({S1 | S3 | S4: 2, S1 | S2 | S3 | S4: 1}, FULL5, 3)  # wrong degree
         with pytest.raises(ValueError, match="outside the requested block"):
             tc.chain_terms({S1 | S2: 1}, FULL5, 2)  # support {1,2,4,5}
-        lyubeznik = taylor_complex(FIG1, True)
+        lyubeznik = taylor_complex(FIG1)
         u = next(u for u in range(1 << lyubeznik.s) if u not in generator_set(lyubeznik))
         with pytest.raises(ValueError, match="outside the requested block"):
             lyubeznik.chain_terms({u: 1}, total_subset(tc, u), popcount(u))
@@ -190,7 +190,7 @@ class TestSupports:
         # d of a sparse chain equals the definition's differential summed
         # over its terms and the boundary matrix applied to the chain's
         # (position, value) pairs; on a boundary every term cancels
-        tc = taylor_complex(P, lyubeznik)
+        tc = TaylorComplex(P, lyubeznik)
         for sigma, blocks in tc.slices():
             for q, gens in blocks.items():
                 chain = {u: c for u in rng.sample(gens, min(3, len(gens))) if (c := rng.randint(-2, 2))}
@@ -241,7 +241,7 @@ class TestLyubeznik:
     @given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=7))
     def test_generators_are_the_admissible_subsets(self, m, members):
         P = Complement(m, tuple(mem & ((1 << m) - 1) for mem in members))
-        tc = taylor_complex(P, True)
+        tc = taylor_complex(P)
         minimal = minimalize(P).members
         assert tc.complement.members == minimal
         expected = {u for u in range(1 << len(minimal)) if _l_admissible(minimal, u)}
@@ -257,17 +257,22 @@ class TestLyubeznik:
 
         for n, s, count in ((5, 5, 24), (6, 9, 100), (7, 14, 368), (8, 20, 1296)):
             cycle = SimplicialComplex.from_facets(n, [[i, i % n + 1] for i in range(1, n + 1)])
-            tc = taylor_complex(complement_from_complex(cycle), True)
+            tc = taylor_complex(complement_from_complex(cycle))
             assert (tc.s, len(generator_set(tc))) == (s, count)
 
     def test_builds_are_cached_apart(self):
+        # the cache keeps one Lyubeznik build; each ring builds its own full one
         P = Complement.from_vertex_lists(3, [[1, 2], [1, 2], [1, 2, 3]])
-        full, lyubeznik = taylor_complex(P), taylor_complex(P, True)
-        assert full is not lyubeznik
-        assert taylor_complex(P, True) is lyubeznik
+        lyubeznik = taylor_complex(P)
+        assert taylor_complex(P) is lyubeznik
         assert BigradedTor(P, QQ).taylor is lyubeznik
         assert tor_bigraded(P, QQ).taylor is lyubeznik
-        assert TorRing(P, QQ).taylor is full
+        full = TorRing(P, QQ).taylor
+        assert full is not lyubeznik and full is not TorRing(P, QQ).taylor
+        assert taylor_complex(P) is tor_bigraded(P, QQ).taylor
+        assert taylor_complex.cache_info().maxsize == 1
+        with pytest.raises(TypeError):
+            taylor_complex(P, True)  # the build switch is gone
         assert (full.s, len(generator_set(full))) == (3, 8)
         assert (lyubeznik.s, len(generator_set(lyubeznik))) == (1, 2)
 
@@ -275,13 +280,13 @@ class TestLyubeznik:
 class TestBoundaryMatrices:
     def test_single_generator_blocks_are_zero(self):
         P = Complement.from_vertex_lists(4, [[1, 2], [3, 4]])
-        tc = taylor_complex(P)
+        tc = TaylorComplex(P)
         for sigma in supports(tc):
             for M in boundary_matrices(tc, sigma):
                 assert M.is_zero()
 
     def test_pentagon_top_block_matrices(self):
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         mats = boundary_matrices(tc, FULL5)
         # nonzero dims sit at q = 2..4: 1, 4, 1
         assert [(M.nrows, M.ncols) for M in mats] == [(0, 0), (0, 1), (1, 4), (4, 1)]
@@ -294,7 +299,7 @@ class TestBoundaryMatrices:
         rng = random.Random(4)
         for _ in range(80):
             P = random_complement(rng, 6, 5)
-            tc = taylor_complex(P)
+            tc = TaylorComplex(P)
             for sigma in supports(tc):
                 mats = boundary_matrices(tc, sigma)
                 for a, b in zip(mats, mats[1:]):
@@ -324,9 +329,10 @@ class TestEmptyEdges:
             mp.setattr(TaylorComplex, "chain_terms", spy_chain_terms)
             # the Lyubeznik build for every ring, the full build for chains
             tor_bigraded(P, ZZ)
-            for coeff in (QQ, PrimeField(2)):
-                TorRing(P, coeff).multiplication_table()
-        for tc in (taylor_complex(P), taylor_complex(P, True)):
+            rings = [TorRing(P, coeff) for coeff in (QQ, PrimeField(2))]
+            for ring in rings:
+                ring.multiplication_table()
+        for tc in (taylor_complex(P), *(ring.taylor for ring in rings)):
             for (sigma, q), M in tc._matrices.items():
                 shape = (len(tc.generators(sigma, q - 1)), len(tc.generators(sigma, q)))
                 assert (M.nrows, M.ncols) == shape
@@ -431,7 +437,7 @@ class TestExteriorProduct:
 
     def test_total_subset_additivity(self):
         # the union of two generators is filed under the union of their totals
-        tc = taylor_complex(FIG1)
+        tc = TaylorComplex(FIG1)
         for u, v in combinations(range(16), 2):
             if not u & v:
                 sigma = total_subset(tc, u) | total_subset(tc, v)
@@ -443,7 +449,7 @@ class TestExteriorProduct:
         rng = random.Random(2)
         for _ in range(200):
             P = random_complement(rng, 6, 5)
-            tc = taylor_complex(P)
+            tc = TaylorComplex(P)
             u = rng.getrandbits(P.s) if P.s else 0
             v = rng.getrandbits(P.s) if P.s else 0
             if u & v or total_subset(tc, u) & total_subset(tc, v):
@@ -468,10 +474,10 @@ def test_generator_cap():
     from facetor.linalg import CapabilityError
 
     with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
-        taylor_complex(Complement(1, (1,) * 25))
+        TaylorComplex(Complement(1, (1,) * 25))
     # checked on the given presentation, before it is minimalized
     with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
-        taylor_complex(Complement(1, (1,) * 25), True)
+        taylor_complex(Complement(1, (1,) * 25))
 
 
 def test_c7_largest_slice_matrices_stay_small():

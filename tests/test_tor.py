@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -30,11 +32,13 @@ from facetor.linalg import (
     homology_representatives,
 )
 from facetor.sampling import random_complement
-from facetor.taylor import TaylorComplex, chain_product, taylor_complex
+from facetor.taylor import TaylorComplex, chain_product
 
 from helpers import (
     EX513,
     FIG1,
+    baskakov_product_ranks,
+    f2_rank,
     fraction_rref,
     full_signature,
     generator_set,
@@ -146,15 +150,26 @@ def test_ring_takes_blocks_from_the_lyubeznik_build(monkeypatch):
         return block_homology(self, sigma, q, coeff)
 
     monkeypatch.setattr(TaylorComplex, "block_homology", recording)
-    TorRing(P, QQ).multiplication_table()
+    ring = TorRing(P, QQ)
+    ring.multiplication_table()
     assert called
-    assert all(tc is not taylor_complex(P) for tc in called)
+    assert all(tc is not ring.taylor for tc in called)
+
+
+def test_ring_complex_dies_with_the_ring():
+    # no cache holds the ring's full complex, so it is freed with the ring
+    ring = TorRing(_cycle(6), QQ)
+    ring.multiplication_table()
+    full = weakref.ref(ring.taylor)
+    del ring
+    gc.collect()
+    assert full() is None
 
 
 @given(redundant_presentations())
 @example(Complement(4, (0b0011, 0b0011, 0b0111, 0b1100)))
 def test_ring_basis_matches_tor_bigraded(P):
-    full = taylor_complex(P)
+    full = TaylorComplex(P)
     for coeff in (QQ, PrimeField(2)):
         tor = tor_bigraded(P, coeff)
         for (q, sigma), group in tor.entries.items():
@@ -651,6 +666,41 @@ def test_integer_product_ranks_match_rationals(P):
     except CapabilityError:
         return  # a product lands in a torsion block
     assert integer == _product_ranks(TorRing(P, QQ))
+
+
+def _table_product_ranks(ring: TorRing) -> dict:
+    """Rank over F2 of the table's products of each pair of blocks with
+    disjoint supports, keyed by the sorted pair of blocks (q, sigma)."""
+    classes, bits = {}, {}
+    for k, (name, tc) in enumerate(ring.basis):
+        classes[name], bits[name] = tc, 1 << k
+    spans: dict = {}
+    for entry in ring.multiplication_table():
+        a, b = classes[entry["left"]], classes[entry["right"]]
+        if not a.sigma & b.sigma:
+            key = tuple(sorted(((a.q, a.sigma), (b.q, b.sigma))))
+            spans.setdefault(key, []).append(sum(bits[name] for name, c in entry["terms"] if c % 2))
+    return {key: f2_rank(vectors) for key, vectors in spans.items()}
+
+
+_BASKAKOV_RNG = random.Random(11)
+_BASKAKOV_DRAWS = [
+    P for P in (random_complement(_BASKAKOV_RNG, 6, 5) for _ in range(40)) if not complex_from_complement(P).is_void
+]
+
+
+@pytest.mark.parametrize(
+    "P",
+    [FIG1, EX513, _cycle(5), _cycle(6), _cycle(7), complement_from_complex(rp2_complex()), *_BASKAKOV_DRAWS],
+    ids=["fig1", "ex513", "c5", "c6", "c7", "rp2", *(f"random{k}" for k in range(len(_BASKAKOV_DRAWS)))],
+)
+def test_f2_product_ranks_match_baskakov(P):
+    # an outside reference for the products: Hochster's isomorphism
+    # carries Baskakov's cochain product on full subcomplexes to the
+    # Tor product, so the rank of the products of each pair of blocks
+    # agrees; a zeroed product shows wherever it lowers its pair's rank
+    ring_ranks = _table_product_ranks(TorRing(P, PrimeField(2)))
+    assert ring_ranks == baskakov_product_ranks(complex_from_complement(P))
 
 
 class TestFieldChoice:
