@@ -35,13 +35,13 @@ from .linalg import (
     homology_at,
     reduce_cycle,
 )
-from .moment_angle import PairSpec, link_cohomology, link_tor, maz_cohomology, star_tor
+from .moment_angle import PairSpec, link_cohomology, link_tor, maz_cohomology, star_tor, zk_poincare
 from .taylor import (
     TaylorComplex,
     chain_product,
     taylor_complex,
 )
-from .tor import BigradedTor, TorClass, TorRing, tor_bigraded, zk_poincare
+from .tor import BigradedTor, TorClass, TorRing, tor_bigraded
 
 __version__ = "0.1.0"
 

@@ -33,11 +33,11 @@ from .complexes import (
 )
 from .hochster import check_all_sigma, compare_blocks
 from .linalg import QQ, ZZ, CapabilityError, CoefficientSpec, PrimeField
-from .moment_angle import PairSpec, link_tor, maz_cohomology, star_tor
+from .moment_angle import PairSpec, link_tor, maz_cohomology, star_tor, zk_poincare
 from .polynomials import pstr
 from .sampling import random_complement
 from .taylor import MAX_GENERATORS
-from .tor import TorRing, tor_bigraded, zk_poincare
+from .tor import TorRing, tor_bigraded
 
 
 class InputError(Exception):

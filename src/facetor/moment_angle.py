@@ -1,5 +1,5 @@
-"""Graded cohomology of generalized moment-angle complexes, and the Tor
-of a face's star and link.
+"""Graded cohomology of generalized moment-angle complexes, Z_K among
+them, and the Tor of a face's star and link.
 
 The input is a complement plus, for each vertex, the reduced Poincare
 polynomials of a pair (X_i, A_i).  The members split into the connected
@@ -15,15 +15,18 @@ relabelled), shifted by |tau| - q and tensored with one reduced X class
 per vertex of omega and one reduced A class per vertex of tau.  The
 terms are summed per tau, and each sum takes its A classes once.
 Summation is pruned to faces because compressing by a non-face puts the
-empty set into the complement and kills every block.  The faces, the
-subsets of the part that hold no member, are walked straight off the
-members by bitsets.grow, with no facet or face list.
-The link's Tor is read off the minimal sets among the compressed
-members and omega's vertices.  Only block ranks enter, so every star
-and link reads its blocks through tor_bigraded, off the Lyubeznik
-subcomplex of the minimalized complement; compression makes members
-redundant (one contains another, or two coincide), and minimalizing
-drops them.
+empty set into the complement and kills every block, and to faces on
+the vertices whose X~ is nonzero because any other face has a zero X
+factor.  Z_K is the case (D^2, S^1), whose X~ is zero on every vertex,
+so zk_poincare reads one star Tor per part, the empty face's: the
+part's own Tor, each block (q, sigma) in degree 2|sigma| - q.  The
+faces, the subsets of those vertices that hold no member, are walked
+straight off the members by bitsets.grow, with no facet or face list.
+The link's Tor is read off the omega-compressed members and omega's
+vertices.  Only block ranks enter, so every star and link reads its
+blocks through tor_bigraded, off the Lyubeznik subcomplex; compression
+makes members redundant (one contains another, or two coincide), and
+that build drops them before it applies the member cap.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .complexes import (
     complex_from_complement,  # unused here; perfbench/tracer.py patches it by this name
     compress,
     join_parts,
-    minimalize,
 )
 from .linalg import CoefficientSpec, HomologyGroup, Value, ZERO_GROUP, is_field
 from .polynomials import Poly, padd, pmul
@@ -106,31 +108,42 @@ def maz_cohomology(P: Complement, pairs: PairSpec, coeff: CoefficientSpec) -> Po
         raise ValueError("graded dimensions need field coefficients")
     if pairs.m != P.m:
         raise ValueError(f"pair spec covers {pairs.m} vertices, ambient is {P.m}")
+    x_polys = [pairs.x_poly(i) for i in range(P.m)]
+    a_polys = [pairs.a_poly(i) for i in range(P.m)]
+    nonzero = sum(1 << i for i, poly in enumerate(x_polys) if poly)
     series: Poly = {0: 1}
     cone = full_mask(P.m)
     for part in join_parts(P):
         cone &= ~part
-        series = pmul(series, _part_series(P, part, pairs, coeff))
+        series = pmul(series, _part_series(P, part, nonzero, x_polys, a_polys, coeff))
     for v in vertices(cone):
-        series = pmul(series, padd({0: 1}, pairs.x_poly(v - 1)))
+        series = pmul(series, padd({0: 1}, x_polys[v - 1]))
     return dict(sorted(series.items()))
 
 
-def _part_series(P: Complement, part: int, pairs: PairSpec, coeff: CoefficientSpec) -> Poly:
-    """The series of one join part: each of its faces omega adds, per
-    block (q, tau) of its star's Tor, rank x^(|tau| - q) X~_omega A~_tau.
-    The terms are summed per tau, and each sum is multiplied by A~_tau
+def zk_poincare(P: Complement, coeff: CoefficientSpec) -> Poly:
+    """Poincare polynomial sum(rank * x^(2|sigma| - q)) of Z_K as degree
+    -> rank: the moment-angle complex of (D^2, S^1), whose X~ is zero,
+    so only the empty face contributes."""
+    return maz_cohomology(P, PairSpec.disks_d2_s1(P.m), coeff)
+
+
+def _part_series(
+    P: Complement, part: int, nonzero: int, x_polys: list[Poly], a_polys: list[Poly], coeff: CoefficientSpec
+) -> Poly:
+    """The series of one join part: each of its faces omega on the
+    vertices in nonzero, those whose X~ is nonzero, adds, per block
+    (q, tau) of its star's Tor, rank x^(|tau| - q) X~_omega A~_tau.  A
+    face on any other vertex has X~_omega zero and adds nothing.  The
+    terms are summed per tau, and each sum is multiplied by A~_tau
     once."""
     inside = Complement(P.m, tuple(mem for mem in P.members if mem & ~part == 0))
     by_tau: dict[int, Poly] = {}
-    for omega in grow(part, lambda g: all(mem & ~g for mem in inside.members)):
-        tor = star_tor(inside, omega, coeff)
+    for omega in grow(part & nonzero, lambda g: all(mem & ~g for mem in inside.members)):
         x_factor: Poly = {0: 1}
         for v in vertices(omega):
-            x_factor = pmul(x_factor, pairs.x_poly(v - 1))
-        if not x_factor:
-            continue
-        for (q, tau), group in tor.entries.items():
+            x_factor = pmul(x_factor, x_polys[v - 1])
+        for (q, tau), group in star_tor(inside, omega, coeff).entries.items():
             if tau & omega:
                 raise AssertionError("block support meets the compressed face")
             shift = popcount(tau) - q
@@ -140,7 +153,7 @@ def _part_series(P: Complement, part: int, pairs: PairSpec, coeff: CoefficientSp
     series: Poly = {}
     for tau, terms in by_tau.items():
         for v in vertices(tau):
-            terms = pmul(terms, pairs.a_poly(v - 1))
+            terms = pmul(terms, a_polys[v - 1])
         series = padd(series, terms)
     return series
 
@@ -153,9 +166,10 @@ def star_tor(P: Complement, omega: int, coeff: CoefficientSpec) -> BigradedTor:
 def link_tor(P: Complement, omega: int, coeff: CoefficientSpec) -> BigradedTor:
     """Bigraded Tor of the link of omega.  The link's minimal non-faces
     are the minimal sets among the omega-compressed members and omega's
-    vertices: just the empty set when omega is not a face."""
+    vertices: just the empty set when omega is not a face.  The
+    Lyubeznik build minimalizes them."""
     singletons = tuple(1 << b for b in bit_positions(omega))
-    return tor_bigraded(minimalize(Complement(P.m, compress(P, omega).members + singletons)), coeff)
+    return tor_bigraded(Complement(P.m, compress(P, omega).members + singletons), coeff)
 
 
 def link_cohomology(P: Complement, omega: int, n: int, coeff: CoefficientSpec) -> HomologyGroup:

@@ -12,15 +12,17 @@ blocks, and the complex drops them once it is built.
 
 The full complex (the reduced Taylor resolution) has all 2^s subsets
 as generators; TorRing alone builds it, for chains on the given
-presentation.  The Lyubeznik build minimalizes the presentation first
-and keeps only the L-admissible subsets: a set may take a new smallest
-member i when no earlier member lies in the union of the set and i.
-Admissible sets are closed under taking subsets, and they span a
-subcomplex that is still a free resolution over Z (Lyubeznik 1988), so
-every sigma slice has the homology of the Taylor slice, torsion
+presentation, and caps the given members at MAX_GENERATORS.  The
+Lyubeznik build minimalizes the presentation first, caps the minimal
+members, and keeps only the L-admissible subsets: a set may take a new
+smallest member i when no earlier member lies in the union of the set
+and i.  Admissible sets are closed under taking subsets, and they span
+a subcomplex that is still a free resolution over Z (Lyubeznik 1988),
+so every sigma slice has the homology of the Taylor slice, torsion
 included, from far fewer generators (368 against 16,384 for the
-7-cycle).  tor_bigraded reads its blocks, and with it every command,
-verify included.
+7-cycle).  tor_bigraded reads its blocks, and with it every rank-only
+command (tor, zk, star, link, maz and verify), so this build is the one
+place that minimalizes and caps for all of them.
 
 Blocks are indexed by (homological degree q, total subset sigma); the
 reduced differential preserves sigma, so each sigma slice is a finite
@@ -66,12 +68,12 @@ class TaylorComplex:
     minimal members."""
 
     def __init__(self, complement: Complement, lyubeznik: bool = False):
+        if lyubeznik:
+            complement = minimalize(complement)
         if complement.s > MAX_GENERATORS:
             raise CapabilityError(
                 f"{complement.s} members exceed the supported maximum {MAX_GENERATORS}"
             )
-        if lyubeznik:
-            complement = minimalize(complement)
         self.complement = complement
         self.s = complement.s
         by_support: dict[int, dict[int, list[int]]] = {}

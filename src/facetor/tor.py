@@ -5,7 +5,8 @@ exterior complex; BigradedTor keeps only its signature (rank, torsion).
 It reads the blocks off the Lyubeznik subcomplex of the minimalized
 presentation; the signatures depend only on the ideal, so they equal
 those of the full complex.  compare_blocks checks these blocks against
-the oracle.  TorRing takes its block list and ranks from tor_bigraded
+the oracle, and moment_angle sums their ranks into series (zk_poincare
+among them).  TorRing takes its block list and ranks from tor_bigraded
 too, and builds its own full complex on the given presentation, which
 is dropped with the ring, for chains alone: admissible sets are not
 closed under the exterior product, and basis names follow member order.
@@ -29,8 +30,8 @@ triple of pairwise disjoint supports.
 
 from __future__ import annotations
 
-from .bitsets import popcount, sort_key
-from .complexes import Complement, join_parts
+from .bitsets import sort_key
+from .complexes import Complement
 from .linalg import (
     CoefficientSpec,
     HomologyBasis,
@@ -38,10 +39,8 @@ from .linalg import (
     Value,
     ZERO_GROUP,
     homology_representatives,
-    is_field,
     reduce_cycle,
 )
-from .polynomials import pmul
 from .taylor import Chain, TaylorComplex, chain_product, taylor_complex
 
 NOT_A_CYCLE = "not a cycle: no expression in representatives modulo boundaries"
@@ -77,26 +76,6 @@ class BigradedTor:
 
 def tor_bigraded(P: Complement, coeff: CoefficientSpec) -> BigradedTor:
     return BigradedTor(P, coeff)
-
-
-def zk_poincare(P: Complement, coeff: CoefficientSpec) -> dict[int, int]:
-    """Poincare polynomial sum(rank * x^(2|sigma| - q)) as degree -> rank.
-
-    K is the join of its parts' complexes (complexes.join_parts) and a
-    simplex, and the Tor of a join is the tensor product of the parts'
-    Tor, so the series is the product of the parts' series; the simplex
-    contributes 1."""
-    if not is_field(coeff):
-        raise ValueError("Poincare polynomials need field coefficients")
-    series: dict[int, int] = {0: 1}
-    for part in join_parts(P):
-        inside = Complement(P.m, tuple(mem for mem in P.members if mem & ~part == 0))
-        part_series: dict[int, int] = {}
-        for (q, sigma), group in tor_bigraded(inside, coeff).entries.items():
-            deg = 2 * popcount(sigma) - q
-            part_series[deg] = part_series.get(deg, 0) + group.rank
-        series = pmul(series, part_series)
-    return dict(sorted(series.items()))
 
 
 def _chain_key(chain: Chain) -> tuple[tuple[int, int], ...]:

@@ -4,7 +4,8 @@ The brute-force functions here deliberately avoid the library's clever
 paths (transversal dualities, facet calculus) so tests compare two
 independent routes to the same answer.  The verification-only paths
 the package does not ship live here too: the monomial full
-differential, the (S^2, S^1) series, the accessors only tests read
+differential, the (S^2, S^1) series, the Z_K series read off the
+whole Tor with no join split and no face walk, the accessors only tests read
 (field_rank, supports, block_dims, total_subset, generator_set,
 boundary_matrices, boundary_column, full_signature, signature,
 has_face), the ideal-equivalence check equivalent, reduced_cohomology
@@ -395,6 +396,18 @@ def s2s1_poincare(P: Complement, coeff) -> dict[int, int]:
         for (q, tau), group in tor_bigraded(compress(P, omega), coeff).entries.items():
             acc = padd(acc, {2 * popcount(omega) + 2 * popcount(tau) - q: group.rank})
     return dict(sorted(acc.items()))
+
+
+def unsplit_series(P: Complement, coeff) -> dict[int, int]:
+    """The Z_K series sum(rank * x^(2|sigma| - q)) over the blocks of
+    tor_bigraded(P): the whole Tor, neither split into join parts nor
+    walked face by face, as a second path to zk_poincare and to
+    maz_cohomology with the disk pair spec."""
+    series: dict[int, int] = {}
+    for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
+        deg = 2 * popcount(sigma) - q
+        series[deg] = series.get(deg, 0) + group.rank
+    return dict(sorted(series.items()))
 
 
 def maz_by_links(P: Complement, pairs: PairSpec, coeff) -> dict[int, int]:

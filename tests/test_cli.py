@@ -782,21 +782,29 @@ class TestInputValidity:
     def test_member_limit_capability(self, capsys, tmp_path):
         path = tmp_path / "many.json"
         path.write_text(json.dumps({"m": 5, "complement": [[1]] * 25}))
-        # the cap applies to the given presentation, although the
-        # rank-only commands minimalize it to one member
-        for argv in (("tor",), ("zk",), ("maz", "--preset", "s2s1"), ("star", "--omega", "2")):
+        # the Lyubeznik build caps the minimal presentation, one member
+        # here; the ring's full build caps the 25 given members
+        for argv in (("tor",), ("zk",), ("maz", "--preset", "s2s1"), ("star", "--omega", "2"), ("verify",)):
             code, _, err = run(capsys, argv[0], str(path), *argv[1:])
-            assert code == 3, argv
-            assert err == "capability error: 25 members exceed the supported maximum 24\n", argv
-        # the 9-cycle has 27 members in one part; link caps the minimal
-        # complement of the link of 1, which has 8
+            assert (code, err) == (0, ""), argv
+        code, _, err = run(capsys, "ring", str(path))
+        assert (code, err) == (3, "capability error: 25 members exceed the supported maximum 24\n")
+        # the 9-cycle has 27 minimal members in one part
         c9 = _cycle_path(tmp_path, 9)
-        for argv in (("tor",), ("zk",), ("star", "--omega", "1"), ("verify",)):
+        for argv in (("tor",), ("zk",), ("verify",)):
             code, _, err = run(capsys, argv[0], c9, *argv[1:])
             assert (code, err) == (3, "capability error: 27 members exceed the supported maximum 24\n"), argv
+        # the star and link of 1 have 7 and 8 minimal members
         code, out, err = run(capsys, "link", c9, "--omega", "1")
         assert (code, err) == (0, "")
         assert out.endswith("total rank 256\n")
+        code, out, err = run(capsys, "star", c9, "--omega", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith("total rank 128\n")
+        # the star's blocks are the link's blocks whose sigma avoids 1
+        star_blocks = json.loads(run(capsys, "star", c9, "--omega", "1", "--json")[1])["tor"]["blocks"]
+        link_blocks = json.loads(run(capsys, "link", c9, "--omega", "1", "--json")[1])["tor"]["blocks"]
+        assert star_blocks == [b for b in link_blocks if 1 not in b["sigma"]]
 
     def test_large_prime_coefficients(self, capsys, fig1_path):
         code, out, _ = run(capsys, "tor", fig1_path, "--coeff", f"f:{2**61 - 1}")

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from facetor import (
     Complement,
+    SimplicialComplex,
     complement_from_complex,
     complex_from_complement,
     link,
@@ -12,6 +13,7 @@ from facetor import (
     zk_poincare,
 )
 from facetor.bitsets import bit_positions, full_mask, mask_of, popcount, vertices
+from facetor import moment_angle
 from facetor.linalg import QQ, ZZ, PrimeField
 from facetor.moment_angle import (
     PairSpec,
@@ -33,6 +35,7 @@ from helpers import (
     rp2_complex,
     s2s1_poincare,
     signature,
+    unsplit_series,
 )
 
 RP2 = complement_from_complex(rp2_complex())
@@ -151,7 +154,7 @@ class TestClassicalCorollaries:
         rng = random.Random(43)
         for _ in range(15):
             P = random_complement(rng, 5, 4)
-            assert maz_cohomology(P, PairSpec.disks_d2_s1(P.m), QQ) == zk_poincare(P, QQ)
+            assert maz_cohomology(P, PairSpec.disks_d2_s1(P.m), QQ) == unsplit_series(P, QQ)
 
     def test_contractible_a_counts_star_products(self):
         rng = random.Random(47)
@@ -196,6 +199,42 @@ class TestClassicalCorollaries:
         assert maz_cohomology(Complement(2, (0,)), PairSpec.spheres_s2_s1(2), QQ) == {}
 
 
+class TestFaceWalk:
+    """maz reads one star Tor per face it walks, each through compress,
+    and walks only the faces on the vertices whose X~ is nonzero."""
+
+    @staticmethod
+    def _faces_read(monkeypatch, P, pairs) -> list[int]:
+        read = []
+        original = moment_angle.compress
+
+        def spy(Q, omega):
+            read.append(omega)
+            return original(Q, omega)
+
+        monkeypatch.setattr(moment_angle, "compress", spy)
+        maz_cohomology(P, pairs, QQ)
+        return read
+
+    def test_disk_pairs_read_the_empty_face_alone(self, monkeypatch):
+        # the path on [12] is one part with 377 faces
+        path = Complement(12, tuple(mask_of([i, i + 1], 12) for i in range(1, 12)))
+        assert self._faces_read(monkeypatch, path, PairSpec.disks_d2_s1(12)) == [0]
+        read = self._faces_read(monkeypatch, path, PairSpec.spheres_s2_s1(12))
+        assert len(read) == len(set(read)) == 377
+
+    def test_faces_on_zero_x_vertices_are_not_read(self, monkeypatch):
+        # X~ nonzero on the odd vertices of the 7-cycle: of its 15 faces,
+        # the empty face, 1, 3, 5, 7 and the edge {1, 7}
+        c7 = complement_from_complex(SimplicialComplex.from_facets(7, [[i, i % 7 + 1] for i in range(1, 8)]))
+        pairs = PairSpec(
+            tuple(((2, 1),) if i % 2 else () for i in range(1, 8)),
+            tuple(((1, 1),) if i <= 4 else ((1, 1), (2, 1)) for i in range(1, 8)),
+        )
+        read = self._faces_read(monkeypatch, c7, pairs)
+        assert sorted(read) == [0, *(mask_of([v], 7) for v in (1, 3, 5, 7)), mask_of([1, 7], 7)]
+
+
 @st.composite
 def joins(draw):
     """A join on at most 7 vertices: each vertex is drawn into one of
@@ -229,10 +268,7 @@ class TestJoins:
     @example(RP2_JOIN_EDGE, QQ)
     @example(RP2_JOIN_EDGE, PrimeField(2))
     def test_zk_is_the_unsplit_series(self, P, coeff):
-        want = {}
-        for (q, sigma), group in tor_bigraded(P, coeff).entries.items():
-            want = padd(want, {2 * popcount(sigma) - q: group.rank})
-        assert zk_poincare(P, coeff) == dict(sorted(want.items()))
+        assert zk_poincare(P, coeff) == unsplit_series(P, coeff)
 
     def test_parts_within_the_member_cap(self):
         # C7 * C7 has 28 members, past the cap of 24, but 14 in each part

@@ -469,15 +469,18 @@ class TestExteriorProduct:
 
 
 def test_generator_cap():
-    import pytest
-
+    from facetor import SimplicialComplex, complement_from_complex
     from facetor.linalg import CapabilityError
 
+    many = Complement(1, (1,) * 25)
+    # the full build caps the given presentation
     with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
-        TaylorComplex(Complement(1, (1,) * 25))
-    # checked on the given presentation, before it is minimalized
-    with pytest.raises(CapabilityError, match="25 members exceed the supported maximum 24"):
-        taylor_complex(Complement(1, (1,) * 25))
+        TaylorComplex(many)
+    # the Lyubeznik build caps the minimal one, a single member here
+    assert TaylorComplex(many, True).s == taylor_complex(many).s == 1
+    c9 = complement_from_complex(SimplicialComplex.from_facets(9, [[i, i % 9 + 1] for i in range(1, 10)]))
+    with pytest.raises(CapabilityError, match="27 members exceed the supported maximum 24"):
+        taylor_complex(c9)
 
 
 def test_c7_largest_slice_matrices_stay_small():
