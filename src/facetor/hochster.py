@@ -24,24 +24,28 @@ the full simplex Delta_sigma on a nonempty sigma is acyclic, the long
 exact sequence of the pair makes their H^(n+1) the reduced H^n(K_sigma)
 over Z, torsion included (the duality behind Hochster's formula; see
 Miller and Sturmfels, Combinatorial Commutative Algebra, Thm 1.34 and
-Cor. 1.40).  sigma = 0 is read directly.  Faces are closed downward and
-non-faces upward, so either way sigma's coboundaries are U's on the
-rows of the sets inside sigma, and those rows meet no column outside
-them.  They are walked one degree at a time, whose rows are factored
-as they stand and dropped.  Only U's pairs are checked to compose to
-zero, each with one product, which covers every restriction.  The
-oracle is read where sigma has sets or the Tor side is nonzero, and a
-block zero on both sides is counted but not listed.  A coboundary
-matrix is built from its nonzero entries alone, one set and one-larger
-set at a time; a map out of or into an empty degree is the zero matrix
-of its shape.
+Cor. 1.40).  Each nonempty sigma first cuts out the star of one of its
+vertices v, a cone, which leaves reduced H*(K_sigma) alone over Z: one
+step of a discrete Morse matching (Forman, Adv. Math. 134, 1998), the
+cut of a coreduction (Mrozek and Batko, Discrete Comput. Geom. 41,
+2009).  Only the sets inside sigma whose partner, the set with v
+toggled, is outside the family are kept.  Faces are closed downward
+and non-faces upward, so the kept sets' coboundaries are U's rows with
+the entries at sets not kept dropped, factored one degree at a time.
+sigma = 0 has no vertex to cut; on non-faces it is read directly.  Only
+U's pairs are checked to compose to zero, each once with one product,
+which covers every restriction.  The oracle is read where sigma keeps
+sets or the Tor side is nonzero, and a block zero on both sides is
+counted but not listed.  A coboundary matrix is built from its nonzero
+entries alone, one set and one-larger set at a time; a map out of or
+into an empty degree is the zero matrix of its shape.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .bitsets import full_mask, grow, popcount, sort_key, vertices
+from .bitsets import bit_positions, full_mask, grow, popcount, sort_key, vertices
 from .complexes import (
     Complement,
     SimplicialComplex,
@@ -62,9 +66,9 @@ from .tor import tor_bigraded
 
 # The all_sigma sweep reads every subset of [m], visiting up to 3^m sets
 # of the smaller family in all.  In a fresh process on a 2-core machine,
-# verify --all-sigma on {1, 2} in [m] takes 0.13, 0.21 and 0.42 s at
-# m = 10, 11 and 12, and on random 12-vertex complements 0.14-0.26 s
-# (medians of 7 runs).
+# verify --all-sigma on {1, 2} in [m] takes 0.075, 0.089 and 0.114 s at
+# m = 10, 11 and 12, and on four seeded random 12-vertex complements
+# 0.10-0.17 s (medians of 7 runs).
 ALL_SIGMA_MAX_M = 12
 
 
@@ -98,13 +102,15 @@ class CochainComplex:
 
     def __init__(self, K: SimplicialComplex | Complement, union: int | None = None, relative: bool | None = None):
         if isinstance(K, SimplicialComplex):
-            sets, relative, union = K.faces(), False, full_mask(K.m)
+            sets, relative, union, members = K.faces(), False, full_mask(K.m), None
         else:
             union = full_mask(K.m) if union is None else union
-            sets, relative = _family_within(K.members, union, relative)
+            members = [mem for mem in K.members if mem & ~union == 0]
+            sets, relative = _family_within(members, union, relative)
             sets.sort(key=sort_key)
         self.union = union
         self.relative = relative
+        self._members = members  # the members inside union, to choose each sigma's cut vertex
         by_dim: dict[int, list[int]] = {}
         for f in sets:
             by_dim.setdefault(popcount(f) - 1 - relative, []).append(f)
@@ -112,7 +118,8 @@ class CochainComplex:
         self._matrices: dict[int, Matrix] = {}
         # each set's position in faces[its degree]
         self._position = {f: i for fs in by_dim.values() for i, f in enumerate(fs)}
-        # the full subcomplex last restricted to: (sigma, sizes, factors)
+        # the full subcomplex last restricted to: (sigma, sizes, factors),
+        # with sigma None until the first read has checked U's pairs
         self._last: tuple[int | None, dict[int, int], dict[int, tuple[int, ...]]] = (None, {}, {})
 
     def delta(self, n: int) -> Matrix:
@@ -133,7 +140,8 @@ class CochainComplex:
         """Reduced H^n over coeff of the full subcomplex on sigma, which
         defaults to the complex's own vertex set (union), so that the
         whole complex is read the same way: off the complex's coboundary
-        rows at the sets inside sigma.  The sizes and factors of the
+        rows at the sets inside sigma that _restrict keeps once one
+        vertex's star is cut out.  The sizes and factors of the
         last sigma read are kept, so its degrees over several rings
         factor each map once."""
         if sigma is None:
@@ -145,64 +153,91 @@ class CochainComplex:
 
     def _restrict(self, sigma: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
         """The set counts and the coboundaries' invariant factors of the
-        full subcomplex on sigma, per degree, kept as the last record.
+        full subcomplex on sigma with the star of one vertex v cut out,
+        per degree, kept as the last record.
 
-        The sets inside sigma, base ^ G with base 0 on faces and sigma on
-        non-faces, are walked level by level: the G of one size, each
-        reached from G minus its highest vertex, as bitsets.grow would.
-        A level is one degree: its pair is checked and its rows factored
-        once it is complete, then dropped.  Rows are factored in the
-        complex's order, the cheapest measured: lex order of G is that
-        order on faces and its reverse on non-faces.
+        H*(K_sigma, st v) is reduced H*(K_sigma), and its cochains are
+        spanned by the faces tau with tau + v no face.  On non-faces the
+        tau without v pair off with the tau + v into an acyclic
+        subcomplex, whose quotient is spanned by the tau that hold v with
+        tau - v a face.  Either way, with base 0 on faces and sigma on
+        non-faces, the kept sets are the base ^ G, G inside sigma - v,
+        whose base ^ (G | v) is outside the family.
 
-        On faces, a set that is no face lies in none.  Every face of a
-        face inside sigma lies inside sigma, so the full subcomplex's
-        coboundary C^(n-1) -> C^n is delta(n - 1) on the rows of the
-        n-faces inside sigma, with no entry off the (n-1)-faces inside
-        sigma: its factors are read off the rows as they stand.  On
-        non-faces, a set holding a non-face is one, so the rows at the
-        non-faces inside sigma have no entry off them.  They span
-        C*(Delta_sigma, K_sigma), whose degree n + 1, read as degree n,
-        is reduced H^n(K_sigma) for nonempty sigma.
+        The G are walked one size at a time, each reached from G minus
+        its highest vertex, as bitsets.grow would.  A size is a degree,
+        upward on faces and downward on non-faces, so every degree's kept
+        sets are gathered before any is factored: the coboundary into
+        degree n is delta(n - 1) on the rows and columns kept in degrees
+        n and n - 1.  A kept non-face row meets no other column, as its
+        other sets one smaller hold v and lie over faces, but a kept face
+        row can meet a face of the star, so face rows are filtered.  Rows
+        are factored in the complex's order, the cheapest measured: lex
+        order of G on faces, its reverse on non-faces.
 
-        d o d = 0 on the complex's own pair implies it on every
-        restriction, so that pair is checked instead, and its product is
-        taken once however many sigmas read it."""
+        d o d = 0 on the complex's own pairs implies it on every such
+        restriction, so each of those pairs is checked, with one product,
+        when the first sigma is read."""
         position, relative = self._position, self.relative
-        base = sigma if relative else 0
+        if self._last[0] is None:
+            for n in self.faces:
+                check_chain_pair(self.delta(n - 1), self.delta(n))
+        v = self._cut_vertex(sigma)
+        rest, base = sigma & ~v, sigma if relative else 0
         n, step = (popcount(sigma) - 2, -1) if relative else (-1, 1)
-        level, rows = ([0], [position[base]]) if base in position and (sigma or not relative) else ([], [])
-        sizes, factors = {}, {}
+        level = [0] if base in position else []
+        kept: dict[int, list[int]] = {}
         while level:
-            sizes[n] = len(level)
-            d_in = self.delta(n - 1)
-            check_chain_pair(d_in, self.delta(n))
-            factors[n - 1] = factors_at_rows(d_in, reversed(rows) if relative else rows)
-            grown, rows = [], []
+            rows = [position[base ^ g] for g in level if base ^ g ^ v not in position]
+            if rows:
+                kept[n] = rows[::-1] if relative else rows
+            grown = []
             for g in level:
-                above = sigma & -(1 << g.bit_length())
+                above = rest & -(1 << g.bit_length())
                 while above:
                     low = above & -above
                     above ^= low
-                    if (i := position.get(base ^ (g | low))) is not None:
+                    if base ^ (g | low) in position:
                         grown.append(g | low)
-                        rows.append(i)
             level, n = grown, n + step
+        sizes = {n: len(rows) for n, rows in kept.items()}
+        factors = {}
+        for n, rows in kept.items():
+            if n - 1 not in kept:
+                continue  # nothing kept below: the map into degree n is zero
+            d_in = self.delta(n - 1)
+            if not relative:
+                below = set(kept[n - 1])
+                entries = [{c: x for c, x in d_in._entries[i].items() if c in below} for i in rows]
+                d_in, rows = Matrix.sparse(len(rows), d_in.ncols, entries), range(len(rows))
+            factors[n - 1] = factors_at_rows(d_in, rows)
         if relative and not sigma:
             # Delta_0 is not acyclic: K_0 is the empty complex, or void
             sizes = {} if 0 in position else {-1: 1}
-        # kept only once every pair has passed its check
         self._last = (sigma, sizes, factors)
         return sizes, factors
 
+    def _cut_vertex(self, sigma: int) -> int:
+        """The bit of the vertex whose star _restrict cuts out of
+        K_sigma: the lowest of sigma's vertices in the fewest members
+        inside sigma, or sigma's lowest on K's own faces.  sigma = 0 takes
+        a vertex outside U, so on faces the empty face is kept."""
+        if not sigma:
+            return ~self.union & (self.union + 1)
+        if self._members is None:
+            return sigma & -sigma
+        hits = [b for mem in self._members if not mem & ~sigma for b in bit_positions(mem)]
+        return 1 << min(bit_positions(sigma), key=hits.count)
+
 
 def _family_within(members: Iterable[int], union: int, relative: bool | None) -> tuple[list[int], bool]:
-    """The faces of the members' complex inside union (relative False),
-    its non-faces there (True), or, for None, whichever family is done
-    first when both grow one set at a time, faces on a tie, so at most
-    twice the smaller is visited.  A face holds no member; a non-face,
-    written union minus G, holds one that misses G."""
-    inside = {mem for mem in members if mem & ~union == 0}
+    """The faces inside union of the complex whose members, all inside
+    union, are given (relative False), its non-faces there (True), or,
+    for None, whichever family is done first when both grow one set at a
+    time, faces on a tie, so at most twice the smaller is visited.  A
+    face holds no member; a non-face, written union minus G, holds one
+    that misses G."""
+    inside = set(members)
     families = (
         grow(union, lambda g: all(mem & ~g for mem in inside)),
         grow(union, lambda g: any(not mem & g for mem in inside)),
@@ -229,7 +264,7 @@ def compare_blocks(
     (card, lex) order of sigma, then q, the (q, sigma, pairs, ok) with a
     nonzero side on some ring: pairs holds, per ring of coeffs, the
     (q, sigma) signature of tor_bigraded and the oracle's in degree
-    |sigma| - q - 1, read where sigma has sets or the Tor side is
+    |sigma| - q - 1, read where sigma keeps sets or the Tor side is
     nonzero, and ok is whether every pair agrees.  With all_sigma, m
     above ALL_SIGMA_MAX_M raises CapabilityError first."""
     if all_sigma:

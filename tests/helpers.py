@@ -9,7 +9,9 @@ whole Tor with no join split and no face walk, the accessors only tests read
 (field_rank, supports, block_dims, total_subset, generator_set,
 boundary_matrices, boundary_column, full_signature, signature,
 has_face), the ideal-equivalence check equivalent, reduced_cohomology
-off the cochain complex on a complex's faces, the tracked dense
+off the cochain complex on a complex's faces, the oracle's cut of one
+vertex's star from the definitions (cut_vertex, excision and
+excised_coboundary), the tracked dense
 smith_normal_form that the invariant-factor kernel is checked against,
 the reduced differential from its definition, the
 redundant-presentation strategy, the moment-angle series summed over
@@ -160,6 +162,52 @@ def compare_blocks_per_sigma(P: Complement, coeffs, all_sigma: bool = False) -> 
             if any(side != ZERO_GROUP.signature for pair in pairs for side in pair):
                 blocks.append((q, sigma, tuple(pairs), all(left == right for left, right in pairs)))
     return checked, blocks
+
+
+def cut_vertex(P: Complement, sigma: int) -> int:
+    """The bit of the lowest vertex of a nonempty sigma among those in
+    the fewest members of P inside sigma."""
+    if not sigma:
+        raise ValueError("sigma = 0 has no vertex to cut")
+    inside = [mem for mem in P.members if mem & ~sigma == 0]
+    counts = {v: sum(1 for mem in inside if mem >> (v - 1) & 1) for v in vertices(sigma)}
+    return 1 << (min(counts, key=lambda v: (counts[v], v)) - 1)
+
+
+def excision(K: SimplicialComplex, sigma: int, v: int, relative: bool) -> dict[int, list[int]]:
+    """The sets, by degree and (card, lex), that span K_sigma's reduced
+    cochains once the star of the vertex bit v of sigma is cut out,
+    straight from the definitions: on faces, the faces tau inside sigma
+    with tau + v no face, in degree |tau| - 1; on non-faces (relative),
+    the non-faces tau inside sigma that hold v with tau - v a face, in
+    degree |tau| - 2.  sigma = 0 has no vertex: K_0 is read directly,
+    as the empty face in degree -1 unless K is void."""
+    if not sigma:
+        return {-1: [0]} if has_face(K, 0) else {}
+    if not v & sigma or v & (v - 1):
+        raise ValueError(f"{v} is not the bit of a vertex of sigma")
+    out: dict[int, list[int]] = {}
+    for tau in sorted(subsets_of(sigma), key=sort_key):
+        if relative:
+            if tau & v and not has_face(K, tau) and has_face(K, tau ^ v):
+                out.setdefault(popcount(tau) - 2, []).append(tau)
+        elif has_face(K, tau) and not has_face(K, tau | v):
+            out.setdefault(popcount(tau) - 1, []).append(tau)
+    return out
+
+
+def excised_coboundary(sets: dict[int, list[int]], n: int) -> Matrix:
+    """The coboundary into degree n among the sets of excision: rows at
+    the sets of degree n, columns at those of degree n - 1, and -1 to
+    the power j where a column is its row without the row's j-th
+    vertex, counting from 0."""
+    rows, cols = sets.get(n, []), sets.get(n - 1, [])
+    index = {tau: c for c, tau in enumerate(cols)}
+    entries = []
+    for rho in rows:
+        facets = [(index.get(rho & ~(1 << (w - 1))), -1 if j % 2 else 1) for j, w in enumerate(vertices(rho))]
+        entries.append({c: sign for c, sign in facets if c is not None})
+    return Matrix.sparse(len(rows), len(cols), entries)
 
 
 def reduced_cohomology(K: SimplicialComplex, n: int, coeff) -> HomologyGroup:

@@ -16,10 +16,20 @@ from facetor import (
     full_subcomplex,
     tor_bigraded,
 )
-from facetor.bitsets import full_mask, mask_of, popcount, sort_key, subsets_of
+from facetor.bitsets import full_mask, mask_of, popcount, sort_key, subsets_of, vertices
 from facetor.cli import VERIFY_COEFFS, _render_verify_results
 from facetor.hochster import CochainComplex
-from facetor.linalg import QQ, ZERO_GROUP, ZZ, HomologyGroup, Matrix, PrimeField, factors_at_rows, homology_at
+from facetor.linalg import (
+    QQ,
+    ZERO_GROUP,
+    ZZ,
+    HomologyGroup,
+    Matrix,
+    PrimeField,
+    factors_at_rows,
+    group_from_factors,
+    homology_at,
+)
 from facetor.sampling import random_complement
 from facetor.taylor import TaylorComplex, taylor_complex
 
@@ -27,6 +37,9 @@ from helpers import (
     FIG1,
     EX513,
     compare_blocks_per_sigma,
+    cut_vertex,
+    excised_coboundary,
+    excision,
     field_rank,
     has_face,
     reduced_cohomology,
@@ -250,8 +263,9 @@ class TestOracleFaces:
         # one cochain complex, on U's faces or on its non-faces, serves
         # every sigma; per degree, each sigma's set count and the
         # invariant factors of its restricted coboundaries are those of
-        # sigma's own complex on the same family (its faces, or its
-        # non-faces inside sigma), factored by the dense Smith form
+        # sigma's full subcomplex with the star of the cut vertex taken
+        # out, built from the definitions on the same family and
+        # factored by the dense Smith form
         P = ORACLE_CASES[name]
         built, read = [], {}
         init, restrict = CochainComplex.__init__, CochainComplex._restrict
@@ -274,14 +288,12 @@ class TestOracleFaces:
         assert list(read) == sorted(_sigmas(P, all_sigma), key=sort_key)
         assert {sigma for _, sigma, _, _ in blocks} <= set(read)
         for sigma, (sizes, factors) in read.items():
-            if built[0].relative and sigma:
-                own = CochainComplex(P, sigma, relative=True)
-                assert sorted(f for fs in own.faces.values() for f in fs) == sorted(_non_faces(K, sigma))
-            else:
-                own = CochainComplex(K if K.is_void else full_subcomplex(K, sigma))
-            assert sizes == {n: len(fs) for n, fs in own.faces.items()}
-            degrees = range(-2, max([max(own.faces, default=-2), *factors]) + 1)
-            assert [factors.get(n, ()) for n in degrees] == [_dense_factors(own.delta(n)) for n in degrees]
+            sets = excision(K, sigma, sigma and cut_vertex(P, sigma), built[0].relative)
+            assert sizes == {n: len(fs) for n, fs in sets.items()}
+            degrees = range(-2, max([*sets, *factors], default=-2) + 1)
+            assert [factors.get(n, ()) for n in degrees] == [
+                _dense_factors(excised_coboundary(sets, n + 1)) for n in degrees
+            ]
 
     def test_blocks_match_a_full_subcomplex_per_sigma(self, name, all_sigma):
         P = ORACLE_CASES[name]
@@ -363,35 +375,103 @@ def _sigmas(P: Complement, all_sigma: bool) -> list[int]:
 @pytest.mark.parametrize("relative", [False, True])
 @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_restriction_factors_one_degree_at_a_time(name, relative, all_sigma, monkeypatch):
-    # a sigma's restriction factors once per degree that holds sets inside
-    # sigma, on the rows of that degree's sets alone, and keeps what it
-    # returns as the last sigma read; at every degree where sigma has no
-    # sets the oracle reads zero, so compare_blocks may read it there
+    # once the cut vertex's star is out, a sigma's restriction factors
+    # once per degree that keeps sets with sets kept one degree below:
+    # on the rows of that degree's kept sets alone, each cut to its
+    # entries at the sets kept one degree below.  It keeps what it
+    # returns as the last sigma read, and at every degree where sigma
+    # keeps no sets the oracle reads zero, so compare_blocks may read it
+    # there
     P = ORACLE_CASES[name]
+    K = complex_from_complement(P)
     cc = CochainComplex(P, _union(P, all_sigma), relative)
     calls = []
     real = factors_at_rows
 
     def spy(M, positions):
-        calls.append((M, list(positions)))
+        positions = list(positions)
+        calls.append(sorted(sorted(M._entries[i].items()) for i in positions))
         return real(M, positions)
 
     monkeypatch.setattr("facetor.hochster.factors_at_rows", spy)
     for sigma in _sigmas(P, all_sigma):
         calls.clear()
         sizes, factors = cc._restrict(sigma)
-        inside = {n: [i for i, f in enumerate(fs) if f & ~sigma == 0] for n, fs in cc.faces.items()}
-        inside = {n: rows for n, rows in inside.items() if rows and (sigma or not relative)}
-        got = {next(n + 1 for n, D in cc._matrices.items() if D is M): sorted(rows) for M, rows in calls}
-        assert len(got) == len(calls)
-        assert got == inside
-        if sigma or not relative:
-            assert sizes == {n: len(rows) for n, rows in inside.items()}
+        sets = excision(K, sigma, sigma and cut_vertex(P, sigma), relative)
+        if relative and not sigma:
+            assert calls == []  # K_0 is read directly
+        else:
+            kept = {n: [cc._position[f] for f in fs] for n, fs in sets.items()}
+            want = []
+            for n, rows in kept.items():
+                if n - 1 not in kept:
+                    continue
+                below = set(kept[n - 1])
+                entries = [[(c, x) for c, x in sorted(cc.delta(n - 1)._entries[i].items()) if c in below] for i in rows]
+                want.append(sorted(entries))
+            assert sorted(calls) == sorted(want)
+        assert sizes == {n: len(fs) for n, fs in sets.items()}
         assert cc._last == (sigma, sizes, factors)
         for n in range(-2, popcount(sigma) + 1):
             if n not in sizes:
                 for coeff in (QQ, PrimeField(2), ZZ):
                     assert cc.cohomology(n, coeff, sigma) is ZERO_GROUP
+
+
+def _cycle(n: int) -> Complement:
+    return complement_from_complex(SimplicialComplex.from_facets(n, [[i, i % n + 1] for i in range(1, n + 1)]))
+
+
+def _dense_groups(K: SimplicialComplex, sigma: int, coeff) -> dict[int, HomologyGroup]:
+    """Reduced H^n(K_sigma) for -1 <= n < |sigma|, off the dense Smith
+    factors of the coboundaries of sigma's own complex on its faces."""
+    own = CochainComplex(K if K.is_void else full_subcomplex(K, sigma))
+    dense = {n: _dense_factors(own.delta(n)) for n in range(-2, popcount(sigma))}
+    return {
+        n: group_from_factors(len(own.faces.get(n, ())), dense[n], dense[n - 1], coeff)
+        for n in range(-1, popcount(sigma))
+    }
+
+
+CHOICE_CASES = {
+    **ORACLE_CASES,
+    "rp2": complement_from_complex(rp2_complex()),
+    "c5": _cycle(5),
+    "c6": _cycle(6),
+    **{f"random {seed}": random_complement(random.Random(seed), 6, 5) for seed in range(30)},
+}
+
+
+def test_every_cut_vertex_gives_the_same_groups(monkeypatch):
+    # the star of any vertex v of sigma is a cone, so cutting it out
+    # leaves reduced H*(K_sigma) alone: for every v of every nonempty
+    # sigma, on U's faces, on its non-faces and on K's own faces, the
+    # groups over Q, F2 and Z are those of sigma's own complex.  The
+    # cases hold a v in no member inside sigma (K_sigma a cone, so
+    # nothing is kept), a v that is a member (a ghost, so its star is
+    # void and every set is kept), and RP^2's Z/2
+    cut = {}
+    monkeypatch.setattr(CochainComplex, "_cut_vertex", lambda self, sigma: cut["v"])
+    seen, torsion = set(), set()
+    for P in CHOICE_CASES.values():
+        K = complex_from_complement(P)
+        union = full_mask(P.m)
+        complexes = [CochainComplex(P, union, relative) for relative in (False, True)]
+        if not K.is_void:
+            complexes.append(CochainComplex(K))
+        for sigma in range(1, 1 << P.m):
+            groups = {coeff: _dense_groups(K, sigma, coeff) for coeff in (QQ, PrimeField(2), ZZ)}
+            torsion |= {group.torsion for group in groups[ZZ].values()}
+            inside = [mem for mem in P.members if mem & ~sigma == 0]
+            for v in vertices(sigma):
+                cut["v"] = bit = 1 << (v - 1)
+                seen.add("cone" if not any(mem & bit for mem in inside) else "ghost" if bit in inside else "other")
+                for cc in complexes:
+                    cc._restrict(sigma)
+                    for coeff, want in groups.items():
+                        assert {n: cc.cohomology(n, coeff, sigma) for n in want} == want
+    assert seen == {"cone", "ghost", "other"}
+    assert (2,) in torsion
 
 
 def test_blocks_zero_on_both_sides_are_counted_not_listed():
@@ -405,7 +485,7 @@ def test_blocks_zero_on_both_sides_are_counted_not_listed():
 
 
 def test_a_tor_block_where_sigma_has_no_sets_still_disagrees(monkeypatch):
-    # the oracle is read as zero at a degree where sigma has no sets, so a
+    # the oracle is read as zero at a degree where sigma keeps no sets, so a
     # nonzero Tor block planted there must still come out as a disagreement
     real = tor_bigraded
 
